@@ -167,24 +167,16 @@ class FieldCtx:
         self.antilog = antilog
         self.log = log
         self.key = (p, n, self.modulus)
-        # digit cache makes add_code a table walk; skipped for huge fields
-        if self.q <= (1 << 16):
-            self._dig = [self._decompose(c) for c in range(self.q)]
-        else:
-            self._dig = None
         self.zero = FieldElem(self, _ZERO_IDX)
         self.one = FieldElem(self, 0)
         self.primitive_element = FieldElem(self, 1)
 
-    def _decompose(self, code: int) -> tuple[int, ...]:
+    def code_to_vector(self, code: int) -> tuple[int, ...]:
         out = []
         for _ in range(self.n):
             code, r = divmod(code, self.p)
             out.append(r)
         return tuple(out)
-
-    def code_to_vector(self, code: int) -> tuple[int, ...]:
-        return self._dig[code] if self._dig is not None else self._decompose(code)
 
     def vector_to_code(self, coeffs) -> int:
         coeffs = list(coeffs)
@@ -440,9 +432,27 @@ def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP)
     raise RuntimeError(f"no primitive polynomial of degree {n} over F_{p}")  # unreachable
 
 
+def json_int(value, what: str) -> int:
+    """value itself if it is an integer; floats, strings and bools from a
+    JSON document raise ValueError instead of being coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_int_list(value, what: str) -> list[int]:
+    """value if it is a list of integers, in the sense of json_int."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return [json_int(v, what) for v in value]
+
+
 def field_from_json(obj: dict, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
-    """Parse a field description {"p": int, "n": int, "modulus": [int,...]}."""
-    p = int(obj["p"])
-    n = int(obj["n"])
+    """Parse a field description {"p": int, "n": int, "modulus": [int,...]};
+    the modulus is optional.  Non-integer values raise ValueError."""
+    p = json_int(obj["p"], "p")
+    n = json_int(obj["n"], "n")
     modulus = obj.get("modulus")
+    if modulus is not None:
+        modulus = json_int_list(modulus, "modulus")
     return make_field(p, n, modulus=modulus, table_cap=table_cap)

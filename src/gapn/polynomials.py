@@ -3,14 +3,40 @@
 A SparsePoly represents a function GF(p^n) -> GF(p^n) by its nonzero terms,
 with exponents in 0..q-1 kept as-is (X^(q-1) and X^0 differ at X = 0).  The
 order-(p-1) discrete derivative in direction a is the map
-X -> sum over i in F_p of F(X + i*a); it is constant on the cosets of the
-line F_p*a, so it is computed on one representative per coset.  A function
-is GAPN exactly when every such derivative at a != 0 is p-to-1.
+D_a f : X -> sum over i in F_p of f(X + i*a).  It is constant on the cosets
+of the line F_p*a, and every direction on one line gives the same map.  A
+function is GAPN exactly when every such derivative at a != 0 is p-to-1.
+
+Both derivative() and is_gapn() run on one line kernel, built on three facts:
+
+- Direction scaling.  With f_a(y) = f(a*y), D_a f(x) = D_1 f_a(x/a), so
+  D_a f has the fibers of D_1 f_a.  For a = g^t, f_a in log order is f's
+  log-order table rotated by t; one gather through the log table puts it in
+  code order.
+- Blocks.  y + i changes only digit 0 of y's code, so D_1 sums f_a over
+  blocks of p consecutive codes.
+- Packed sums.  Values are stored digit-wise in bit fields wide enough for a
+  sum of p digits, so a block sum is a plain sum() of p ints.  Small
+  per-field tables (or % p) map each packed sum back to an element code.
+
+is_gapn scans the lines in order of their smallest direction code, which
+makes the witness the smallest failing direction code, then the smallest
+image code with a fiber above p.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import add, and_, itemgetter, mod, mul, rshift
 
-from .fields import FieldCtx, FieldElem
+from .fields import (
+    DEFAULT_TABLE_CAP,
+    FieldCtx,
+    FieldElem,
+    field_from_json,
+    json_int,
+    json_int_list,
+)
 
 
 def digit_sum(p: int, u: int) -> int:
@@ -128,13 +154,100 @@ class SparsePoly:
 
 
 def function_from_json(obj: dict, table_cap=None) -> SparsePoly:
-    """Parse {"field": {...}, "terms": [{"exp": int, "coeff": [int,...]}]}."""
-    from .fields import DEFAULT_TABLE_CAP, field_from_json
+    """Parse {"field": {...}, "terms": [{"exp": int, "coeff": [int,...]}]}.
 
+    Exponents and coefficient entries must be JSON integers (floats,
+    strings and bools raise ValueError); coefficient entries are reduced
+    mod p.
+    """
     cap = DEFAULT_TABLE_CAP if table_cap is None else table_cap
     ctx = field_from_json(obj["field"], table_cap=cap)
-    terms = [(int(t["exp"]), ctx.element(t["coeff"])) for t in obj["terms"]]
+    terms = [(json_int(t["exp"], "exp"), ctx.element(json_int_list(t["coeff"], "coeff")))
+             for t in obj["terms"]]
     return SparsePoly(ctx, terms)
+
+
+class _LineKernel:
+    """Per-field tables of the line kernel (see the module docstring).
+
+    Built once per FieldCtx by _kernel and kept on it, so the tables are
+    freed with the field; each holds O(q) entries.
+    """
+
+    __slots__ = ("p", "nlines", "antilog", "lines", "by_log", "pack", "chunks")
+
+    def __init__(self, ctx: FieldCtx):
+        p, n, q = ctx.p, ctx.n, ctx.q
+        self.p = p
+        self.nlines = nlines = (q - 1) // (p - 1)
+        self.antilog = ctx.antilog
+        # g^k lies on line k mod nlines; dict order is first appearance by
+        # ascending code, so the lines come sorted by their smallest code
+        self.lines = list(dict.fromkeys(map(mod, islice(ctx.log, 1, None), repeat(nlines))))
+        # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
+        self.by_log = itemgetter(*ctx.log)
+        # one bit field per digit, wide enough for a sum of p digits
+        w = (p * (p - 1)).bit_length()
+        pack = [0]
+        for i in range(n):
+            pack = [x + (d << (w * i)) for d in range(p) for x in pack]
+        self.pack = pack
+        # k digits share one lookup table of at most 2q entries; when not
+        # even two fit, each digit is reduced with % p instead
+        top = p * (p - 1) + 1
+        k = 0
+        while k < n and top << (w * k) <= 2 * q:
+            k += 1
+        if k < 2:
+            self.chunks = [(w * i, (1 << w) - 1 if i < n - 1 else 0, p.__rmod__, p ** i)
+                           for i in range(n)]
+        else:
+            self.chunks = [(w * lo, (1 << (w * k)) - 1 if lo + k < n else 0,
+                            _chunk_table(p, w, lo, min(lo + k, n)).__getitem__, 1)
+                           for lo in range(0, n, k)]
+
+    def log_table(self, f: SparsePoly) -> list[int]:
+        """Packed f(g^k) for k = 0..2q-3 (two periods), then packed f(0)."""
+        vt = f.value_table()
+        out = list(map(self.pack.__getitem__, map(vt.__getitem__, self.antilog)))
+        out *= 2
+        out.append(self.pack[vt[0]])
+        return out
+
+    def block_codes(self, ft: list[int], t: int) -> list[int]:
+        """Codes of D_1 f_a on each block of p consecutive codes, a = g^t,
+        where ft is f's log_table."""
+        m = len(self.antilog)
+        rotated = ft[t:t + m]
+        rotated.append(ft[-1])
+        sums = list(map(sum, zip(*[iter(self.by_log(rotated))] * self.p)))
+        codes = None
+        for shift, mask, lookup, scale in self.chunks:
+            v = map(rshift, sums, repeat(shift)) if shift else sums
+            v = map(lookup, map(and_, v, repeat(mask)) if mask else v)
+            if scale > 1:
+                v = map(mul, v, repeat(scale))
+            codes = v if codes is None else map(add, codes, v)
+        return list(codes)
+
+
+def _chunk_table(p: int, w: int, lo: int, hi: int) -> list[int]:
+    """Code contribution of digits lo..hi-1, indexed by their packed fields."""
+    table = None
+    for i in range(lo, hi):
+        size = 1 << w if i < hi - 1 else p * (p - 1) + 1
+        digit = [d * p ** i for d in range(p)]
+        column = (digit * -(-size // p))[:size]  # (v % p) * p^i, shared ints
+        table = column if table is None else [x + y for y in column for x in table]
+    return table
+
+
+def _kernel(ctx: FieldCtx) -> _LineKernel:
+    """The line kernel of ctx, built on first use and stored on the field."""
+    kern = getattr(ctx, "_line_kernel", None)
+    if kern is None:
+        kern = ctx._line_kernel = _LineKernel(ctx)
+    return kern
 
 
 @dataclass
@@ -157,38 +270,24 @@ class DerivativeMap:
 def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     """Order-(p-1) discrete derivative of f in direction a != 0.
 
-    Computed once per coset of F_p*a and replicated across the coset.
+    Uses D_a f(x) = D_1 f_a(x/a) with f_a(y) = f(a*y): the line kernel sums
+    f_a over each block of p consecutive codes y, and values[x] reads the
+    block of y = x/a.
     """
     ctx = f.field
     if a.ctx is not ctx and a.ctx.key != ctx.key:
         raise ValueError("direction from a different field")
     if a.is_zero():
         raise ValueError("derivative direction must be nonzero")
-    q, p = ctx.q, ctx.p
-    gt = f.value_table()
-    add = ctx.add_code
-    span = [0]
-    c = 0
-    for _ in range(p - 1):
-        c = add(c, a.code)
-        span.append(c)
-    assert len(set(span)) == p
-    values = [0] * q
-    hist: dict[int, int] = {}
-    seen = bytearray(q)
-    for x in range(q):
-        if seen[x]:
-            continue
-        coset = [add(x, v) for v in span]
-        s = 0
-        for y in coset:
-            seen[y] = 1
-            s = add(s, gt[y])
-        for y in coset:
-            values[y] = s
-        hist[s] = hist.get(s, 0) + p
-    assert all(seen)
-    return DerivativeMap(a, values, hist)
+    kern = _kernel(ctx)
+    t = a.idx
+    codes = kern.block_codes(kern.log_table(f), t)
+    at_y = list(chain.from_iterable(map(repeat, codes, repeat(ctx.p))))
+    # antilog rotated by -t, then 0: read through by_log it gives x/a for each x
+    quotient = ctx.antilog[ctx.q - 1 - t:] + ctx.antilog[:ctx.q - 1 - t]
+    quotient.append(0)
+    values = list(map(at_y.__getitem__, kern.by_log(quotient)))
+    return DerivativeMap(a, values, dict(Counter(values)))
 
 
 def is_p_to_one(m: DerivativeMap) -> tuple[bool, int]:
@@ -224,51 +323,40 @@ class GapnVerdict:
 def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
     """Exhaustive GAPN check over all q-1 directions.
 
-    Directions on the same line F_p*a share one derivative, so fiber
-    statistics are computed once per line and attributed to every direction
-    on it.  With fail_fast, scanning stops at the first failing line (its
+    The directions of one line F_p*a share one derivative, and
+    D_a f(x) = D_1 f_a(x/a) has the same fibers as D_1 f_a, so each line
+    costs one log-rotated gather of f's packed table and one packed sum per
+    block of p consecutive codes.  Lines are scanned in order of their
+    smallest direction code, so the witness is the smallest failing
+    direction code, then the smallest image code with a fiber above p.
+    With fail_fast, scanning stops at the first failing line (its
     per-direction stats stay exact; later directions are not reported).
     """
     ctx = f.field
-    q, p = ctx.q, ctx.p
-    gt = f.value_table()
-    add = ctx.add_code
-    maxf = [0] * q
-    handled = bytearray(q)
-    handled[0] = 1
+    p = ctx.p
+    nblocks = ctx.q // p
+    kern = _kernel(ctx)
+    ft = kern.log_table(f)
+    maxf = [0] * ctx.q
     worst = 0
     witness = None
-    for a in range(1, q):
-        if handled[a]:
-            continue
-        span = [0]
-        c = 0
-        for _ in range(p - 1):
-            c = add(c, a)
-            span.append(c)
-        counts: dict[int, int] = {}
-        seen = bytearray(q)
-        for x in range(q):
-            if seen[x]:
-                continue
-            s = 0
-            for v in span:
-                y = add(x, v)
-                seen[y] = 1
-                s = add(s, gt[y])
-            counts[s] = counts.get(s, 0) + 1
-        mx = p * max(counts.values())
-        for v in span[1:]:
-            handled[v] = 1
-            maxf[v] = mx
-        if mx > worst:
-            worst = mx
-        if mx > p and witness is None:
-            b = min(s for s, cnt in counts.items() if cnt > 1)
-            witness = (ctx.from_code(a), ctx.from_code(b))
-            if fail_fast:
-                break
-    per_direction = [(ctx.from_code(a), maxf[a]) for a in range(1, q) if maxf[a]]
+    for t in kern.lines:
+        dirs = kern.antilog[t::kern.nlines]
+        codes = kern.block_codes(ft, t)
+        if len(set(codes)) == nblocks:
+            mx = p
+        else:
+            counts = Counter(codes)
+            mx = p * max(counts.values())
+            if witness is None:
+                b = min(s for s, cnt in counts.items() if cnt > 1)
+                witness = (ctx.from_code(min(dirs)), ctx.from_code(b))
+        for a in dirs:
+            maxf[a] = mx
+        worst = max(worst, mx)
+        if fail_fast and witness is not None:
+            break
+    per_direction = [(ctx.from_code(a), mx) for a, mx in enumerate(maxf) if mx]
     return GapnVerdict(witness is None, worst, witness, per_direction)
 
 

@@ -104,9 +104,7 @@ def value_table(tf, terms):
     return vals
 
 
-def derivative_table(tf, terms, a):
-    """Direct summation: D(x) = sum over i in F_p of G(x + i*a)."""
-    gt = value_table(tf, terms)
+def _summed_derivative(tf, gt, a):
     out = []
     for code in range(tf.q):
         x = tf.from_code(code)
@@ -117,6 +115,11 @@ def derivative_table(tf, terms, a):
             ia = tf.add(ia, a)
         out.append(acc)
     return out
+
+
+def derivative_table(tf, terms, a):
+    """Direct summation: D(x) = sum over i in F_p of G(x + i*a)."""
+    return _summed_derivative(tf, value_table(tf, terms), a)
 
 
 def fibers(values):
@@ -143,6 +146,32 @@ def is_gapn(tf, terms):
             if hist[acc] > tf.p:
                 return False
     return True
+
+
+def verdict(tf, terms):
+    """Full GAPN verdict by direct summation in every direction on its own.
+
+    Returns (worst_fiber, witness, per_direction), all in element codes:
+    witness is (a, b) for the smallest direction a whose derivative has a
+    fiber above p and the smallest image b with such a fiber, or None;
+    per_direction maps every direction to its largest fiber.
+    """
+    gt = value_table(tf, terms)
+    per_direction = {}
+    witness = None
+    for a_code in range(1, tf.q):
+        hist = fibers(_summed_derivative(tf, gt, tf.from_code(a_code)))
+        per_direction[a_code] = max(hist.values())
+        if witness is None and per_direction[a_code] > tf.p:
+            b = min(tf.to_code(v) for v, c in hist.items() if c > tf.p)
+            witness = (a_code, b)
+    return max(per_direction.values()), witness, per_direction
+
+
+def line_min_code(tf, a_code):
+    """Smallest code on the line F_p*a, found by scalar multiplication."""
+    a = tf.from_code(a_code)
+    return min(tf.to_code(tf.mul(tf.from_code(i), a)) for i in range(1, tf.p))
 
 
 def poly_terms(f):

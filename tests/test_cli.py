@@ -1,7 +1,13 @@
 """CLI surface: exit codes, output formats, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import gapn
 from gapn.cli import main
 from gapn.fields import make_field
 from gapn.polynomials import SparsePoly
@@ -54,6 +60,54 @@ def test_verify_malformed_exit_two(tmp_path, capsys):
     path2 = tmp_path / "incomplete.json"
     path2.write_text(json.dumps({"field": {"p": 5, "n": 2}}))
     assert main(["verify", str(path2)]) == 2
+
+
+_GOOD_FIELD = {"p": 5, "n": 2, "modulus": [2, 1, 1]}
+_GOOD_TERM = {"exp": 9, "coeff": [1, 0]}
+
+
+_MALFORMED = {
+    "p-float": ({"p": 5.9, "n": 2}, _GOOD_TERM),
+    "p-string": ({"p": "5", "n": 2}, _GOOD_TERM),
+    "p-bool": ({"p": True, "n": 2}, _GOOD_TERM),
+    "n-float": ({"p": 5, "n": 2.0}, _GOOD_TERM),
+    "n-string": ({"p": 5, "n": "2"}, _GOOD_TERM),
+    "n-bool": ({"p": 5, "n": True}, {"exp": 3, "coeff": [1]}),
+    "modulus-float": ({"p": 5, "n": 2, "modulus": [2, 1.0, 1]}, _GOOD_TERM),
+    "modulus-string": ({"p": 5, "n": 2, "modulus": "211"}, _GOOD_TERM),
+    "modulus-bool": ({"p": 5, "n": 2, "modulus": [2, True, 1]}, _GOOD_TERM),
+    "exp-float": (_GOOD_FIELD, {"exp": 9.0, "coeff": [1, 0]}),
+    "exp-string": (_GOOD_FIELD, {"exp": "9", "coeff": [1, 0]}),
+    "exp-bool": (_GOOD_FIELD, {"exp": True, "coeff": [1, 0]}),
+    "coeff-float": (_GOOD_FIELD, {"exp": 9, "coeff": [1.7, 0]}),
+    "coeff-string-entry": (_GOOD_FIELD, {"exp": 9, "coeff": ["1", 0]}),
+    "coeff-bool": (_GOOD_FIELD, {"exp": 9, "coeff": [True, 0]}),
+    "coeff-string": (_GOOD_FIELD, {"exp": 9, "coeff": "10"}),
+    "coeff-int": (_GOOD_FIELD, {"exp": 9, "coeff": 10}),
+    "coeff-object": (_GOOD_FIELD, {"exp": 9, "coeff": {"0": 1}}),
+}
+
+
+@pytest.mark.parametrize("field,term", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_verify_malformed_values_exit_two(tmp_path, capsys, field, term):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": field, "terms": [term]}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+def test_python_dash_m_exit_codes(tmp_path):
+    src = os.path.dirname(os.path.dirname(gapn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = _function_file(tmp_path, SparsePoly.monomial(make_field(3, 2), 2))
+    run = subprocess.run([sys.executable, "-m", "gapn", "verify", path],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert json.loads(run.stdout)["is_gapn"] is False
+    run = subprocess.run([sys.executable, "-m", "gapn.cli", "no-such-command"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
 
 
 def test_construct_even_binomial(capsys):

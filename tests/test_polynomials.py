@@ -79,16 +79,24 @@ def test_value_table_matches_oracle():
 
 
 def test_derivative_matches_direct_summation():
+    cases = []
     for p, n in ((3, 2), (5, 2)):
         ctx = make_field(p, n)
-        tf = oracle.tuple_field_of(ctx)
         rng = random.Random(p * 100 + n)
         for _ in range(6):
-            f = _random_poly(ctx, rng)
-            a = ctx.from_code(rng.randrange(1, ctx.q))
-            dm = derivative(f, a)
-            ref = oracle.derivative_table(tf, oracle.poly_terms(f), tuple(a.vector()))
-            assert [tuple(ctx.code_to_vector(v)) for v in dm.values] == ref
+            cases.append((_random_poly(ctx, rng), ctx.from_code(rng.randrange(1, ctx.q))))
+    # every direction on GF(27)
+    ctx = make_field(3, 3)
+    rng = random.Random(27)
+    for f in (_random_poly(ctx, rng), _random_poly(ctx, rng, max_terms=5)):
+        cases.extend((f, a) for a in ctx.units())
+    for f, a in cases:
+        ctx = f.field
+        tf = oracle.tuple_field_of(ctx)
+        dm = derivative(f, a)
+        ref = oracle.derivative_table(tf, oracle.poly_terms(f), tuple(a.vector()))
+        assert [tuple(ctx.code_to_vector(v)) for v in dm.values] == ref
+        assert dm.fiber_histogram == {tf.to_code(v): c for v, c in oracle.fibers(ref).items()}
 
 
 def test_gold_derivative_is_p_to_one_f25():
@@ -254,6 +262,57 @@ def test_is_gapn_matches_oracle_on_fixtures():
     mixed = SparsePoly(f121, [(32, f121.one), (65, g)])
     assert is_gapn(mixed).is_gapn
     assert oracle.is_gapn(tf121, oracle.poly_terms(mixed))
+
+
+def _assert_verdict_matches_oracle(f):
+    """is_gapn agrees with oracle.verdict on is_gapn, worst_fiber, witness and
+    per_direction, with fail_fast off and on.
+
+    With fail_fast, exactly the lines up to the witness's (by smallest code)
+    are reported.
+    """
+    tf = oracle.tuple_field_of(f.field)
+    worst, witness, per_dir = oracle.verdict(tf, oracle.poly_terms(f))
+    if witness is not None:
+        scanned = {a: m for a, m in per_dir.items() if oracle.line_min_code(tf, a) <= witness[0]}
+        fast = (max(scanned.values()), witness, scanned)
+    else:
+        fast = (worst, witness, per_dir)
+    for fail_fast, (want_worst, want_witness, want_dirs) in ((False, (worst, witness, per_dir)),
+                                                             (True, fast)):
+        v = is_gapn(f, fail_fast=fail_fast)
+        got_witness = None if v.witness is None else (v.witness[0].code, v.witness[1].code)
+        assert v.is_gapn == (witness is None)
+        assert v.worst_fiber == want_worst
+        assert got_witness == want_witness
+        assert [(a.code, m) for a, m in v.per_direction] == sorted(want_dirs.items())
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_verdict_matches_oracle_every_monomial(p, n):
+    ctx = make_field(p, n)
+    for d in range(ctx.q):
+        _assert_verdict_matches_oracle(SparsePoly.monomial(ctx, d))
+
+
+@pytest.mark.parametrize("p,n,count", [(7, 2, 8), (5, 3, 3)])
+def test_verdict_matches_oracle_seeded_binomials(p, n, count):
+    # with both digit sums >= p the derivative differs from line to line, so
+    # many of these binomials first fail on a line other than that of 1
+    ctx = make_field(p, n)
+    high = [e for e in range(ctx.q) if digit_sum(p, e) >= p]
+    rng = random.Random(p ** n)
+    for _ in range(count):
+        d1, d2 = rng.sample(high, 2)
+        u = ctx.from_code(rng.randrange(1, ctx.q))
+        _assert_verdict_matches_oracle(SparsePoly(ctx, [(d1, ctx.one), (d2, u)]))
+
+
+def test_verdict_matches_oracle_zero_and_constant():
+    for p, n in ((3, 2), (5, 2), (7, 1)):
+        ctx = make_field(p, n)
+        _assert_verdict_matches_oracle(SparsePoly(ctx, []))
+        _assert_verdict_matches_oracle(SparsePoly(ctx, [(0, ctx.primitive_element)]))
 
 
 def test_fail_fast_matches_full_verdict():
