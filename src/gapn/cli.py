@@ -128,14 +128,13 @@ def _emit_hits(hits, summary, args) -> None:
             writer = csv.writer(sink if sink else sys.stdout)
             writer.writerow(["ordinal", "degree", "worst_fiber", "p", "n", "function"])
             for h in hits:
+                field = h.function.field
                 compact = ";".join(
                     f"{e}:{','.join(str(c) for c in coeff.vector())}"
                     for e, coeff in h.function.terms
                 )
-                writer.writerow(
-                    [h.ordinal, h.degree, h.verdict.worst_fiber,
-                     h.function.field.p, h.function.field.n, compact]
-                )
+                # the worst_fiber column is p: that is the worst fiber of every GAPN hit
+                writer.writerow([h.ordinal, h.degree, field.p, field.p, field.n, compact])
             print(json.dumps(summary.to_json()), file=sys.stderr)
         elif fmt == "text":
             target = sink if sink else sys.stdout
@@ -225,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also enumerate the first coefficient instead of fixing it to 1")
     se.add_argument("--min-digit-sum", type=int, default=None,
                     help="digitsum-reduced: exponent digit-sum threshold (default p; 0 = raw space)")
-    se.add_argument("--limit", type=int, default=None)
+    se.add_argument("--limit", type=int, default=None,
+                    help="stop after this many hits (at least 1)")
     se.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     se.add_argument("--threads", type=int, default=0, help="0 = all cores, 1 = serial")
     se.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -277,16 +277,6 @@ def _build_tables(p: int, n: int, lower: list[int]):
     return antilog, log
 
 
-def _has_root(p: int, n: int, lower) -> bool:
-    for r in range(p):
-        acc = pow(r, n, p)
-        for i, c in enumerate(lower):
-            acc = (acc + c * pow(r, i, p)) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _prime_factors(m: int) -> list[int]:
     out = []
     f = 2
@@ -340,51 +330,41 @@ def _norm_constant_terms(p: int, n: int) -> set[int]:
     return out
 
 
-def _order_screen(p: int, n: int, lower, factors) -> bool:
-    """Exact primitivity test for the monic modulus with the given lower
-    coefficients.  Irreducibility first, by walking the Frobenius chain
-    x -> x^p: the modulus is irreducible iff x^(p^k) != x for k < n while
-    x^(p^n) == x.  Then x generates the whole unit group iff x^((q-1)/r)
-    != 1 for every prime r | q-1."""
+def _is_irreducible(p: int, n: int, lower) -> bool:
+    """Rabin's test for the monic modulus m with the given lower
+    coefficients, by walking the Frobenius chain x -> x^p.  m is irreducible
+    iff x^(p^n) == x and x^(p^(n/r)) - x is a unit mod m for every prime
+    r | n.  Once x^(p^n) == x, every factor of m has degree dividing n, so u
+    is a unit iff u^(p^n - 1) == 1."""
     q = p ** n
     mneg = [(-c) % p for c in lower]
     x = [0, 1] + [0] * (n - 2) if n > 1 else [mneg[0] % p]
-    t = x
+    chain = [x]  # chain[k] = x^(p^k)
     for _ in range(1, n):
-        t = _poly_pow(p, n, mneg, t, p)
-        if t == x:
+        chain.append(_poly_pow(p, n, mneg, chain[-1], p))
+        if chain[-1] == x:
             return False  # every factor degree divides k < n
-    if _poly_pow(p, n, mneg, t, p) != x:
+    if _poly_pow(p, n, mneg, chain[-1], p) != x:
         return False  # some factor degree does not divide n
     one = [1] + [0] * (n - 1)
-    for r in factors:
-        if _poly_pow(p, n, mneg, x, (q - 1) // r) == one:
-            return False
+    for r in _prime_factors(n):
+        u = [(a - b) % p for a, b in zip(chain[n // r], x)]
+        if _poly_pow(p, n, mneg, u, q - 1) != one:
+            return False  # some factor degree divides n/r
     return True
 
 
-def _poly_rem(p: int, num, den):
-    num = list(num)
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c:
-            off = i - dd
-            for j, d in enumerate(den):
-                num[off + j] = (num[off + j] - c * d) % p
-    return num[:dd]
-
-
-def _is_irreducible(p: int, n: int, coeffs) -> bool:
-    # trial division by monic divisors of degree up to n/2; fine at desk scale
-    if n == 1:
-        return True
-    for k in range(1, n // 2 + 1):
-        for tail in product(range(p), repeat=k):
-            den = list(tail) + [1]
-            if not any(_poly_rem(p, coeffs, den)):
-                return False
-    return True
+def _order_screen(p: int, n: int, lower, factors) -> bool:
+    """Exact primitivity test for the monic modulus with the given lower
+    coefficients: it is irreducible, and x generates the whole unit group,
+    i.e. x^((q-1)/r) != 1 for every prime r | q-1."""
+    if not _is_irreducible(p, n, lower):
+        return False
+    q = p ** n
+    mneg = [(-c) % p for c in lower]
+    x = [0, 1] + [0] * (n - 2) if n > 1 else [mneg[0] % p]
+    one = [1] + [0] * (n - 1)
+    return all(_poly_pow(p, n, mneg, x, (q - 1) // r) != one for r in factors)
 
 
 def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
@@ -411,7 +391,7 @@ def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP)
             raise ValueError(f"modulus must be monic of degree {n}")
         tables = _build_tables(p, n, m[:-1])
         if tables is None:
-            if not _is_irreducible(p, n, m):
+            if not _is_irreducible(p, n, m[:-1]):
                 raise ValueError("supplied modulus is reducible over F_p")
             raise ValueError("supplied modulus is irreducible but not primitive")
         return FieldCtx(p, n, m, *tables)
@@ -421,8 +401,6 @@ def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP)
     for tail in product(range(p), repeat=n):
         if tail[0] not in norm_ok:
             continue  # constant term cannot be the norm of a generator
-        if n >= 2 and _has_root(p, n, tail):
-            continue
         if not _order_screen(p, n, tail, factors):
             continue
         tables = _build_tables(p, n, list(tail))

@@ -4,9 +4,12 @@ named, re-runnable verification claims.
 Candidates are enumerated in a documented total order (exponent tuples
 ascending, then coefficient log-indices ascending, with an absent/zero
 coefficient sorting first), so identical jobs always yield identical result
-streams.  Parallel runs split the enumeration into contiguous ordinal
-ranges, one per task, and merge in range order, which keeps the output
-independent of scheduling.
+streams.  Serial and pooled runs share one scan: the enumeration is split
+into contiguous ordinal ranges, each range yields (ordinal, descriptor,
+degree) hit records, and the caller turns the records into hits on the
+job's own field in range order.  Pooled runs therefore return the same
+objects as serial runs, independent of scheduling.  Every hit is GAPN, so a
+hit carries no verdict; its worst fiber is p by definition.
 """
 
 import math
@@ -19,11 +22,9 @@ from itertools import islice, product
 
 from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
-    GapnVerdict,
     SparsePoly,
     derivative,
     digit_sum,
-    function_from_json,
     is_gapn,
     is_p_to_one,
     verify_power_identity,
@@ -54,7 +55,7 @@ class SearchJob:
     shape: str
     degree_filter: frozenset | None = None
     canonicalize: bool = True
-    limit: int | None = None
+    limit: int | None = None  # stop after this many hits; at least 1
     min_digit_sum: int | None = None  # digitsum-reduced only; defaults to p
 
     def __post_init__(self):
@@ -62,38 +63,17 @@ class SearchJob:
             raise ValueError(f"unknown search shape {self.shape!r}")
         if self.degree_filter is not None:
             self.degree_filter = frozenset(self.degree_filter)
-
-    def to_desc(self) -> dict:
-        return {
-            "p": self.field.p,
-            "n": self.field.n,
-            "modulus": list(self.field.modulus),
-            "shape": self.shape,
-            "degree_filter": sorted(self.degree_filter) if self.degree_filter else None,
-            "canonicalize": self.canonicalize,
-            "min_digit_sum": self.min_digit_sum,
-        }
-
-
-def _job_from_desc(desc: dict) -> SearchJob:
-    ctx = make_field(desc["p"], desc["n"], modulus=desc["modulus"])
-    flt = desc["degree_filter"]
-    return SearchJob(
-        ctx,
-        desc["shape"],
-        degree_filter=frozenset(flt) if flt else None,
-        canonicalize=desc["canonicalize"],
-        min_digit_sum=desc["min_digit_sum"],
-    )
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
 @dataclass
 class SearchHit:
-    """One verified GAPN candidate, in enumeration order."""
+    """One GAPN candidate, in enumeration order; is_gapn(function) gives
+    its full verdict."""
 
     ordinal: int
     function: SparsePoly
-    verdict: GapnVerdict
     degree: int
 
     def to_json(self) -> dict:
@@ -101,7 +81,8 @@ class SearchHit:
             "ordinal": self.ordinal,
             "degree": self.degree,
             "function": self.function.to_json(),
-            "worst_fiber": self.verdict.worst_fiber,
+            # fibers are unions of cosets x + F_p*a, so a GAPN hit's worst fiber is p
+            "worst_fiber": self.function.field.p,
         }
 
 
@@ -188,36 +169,37 @@ def _materialize(ctx: FieldCtx, desc) -> SparsePoly:
     return SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1])
 
 
-def _scan_range(job: SearchJob, start: int, stop: int, limit: int | None = None):
-    """Serial scan of the ordinals in [start, stop)."""
+def _scan_range(job: SearchJob, start: int, stop: int):
+    """Scan the ordinals in [start, stop); returns (examined, checked,
+    records) with one (ordinal, descriptor, degree) record per hit."""
     ctx = job.field
     p = ctx.p
     flt = job.degree_filter
     examined = checked = 0
-    hits: list[SearchHit] = []
-    by_degree: dict[int, int] = {}
-    for offset, desc in enumerate(islice(enumerate_candidates(job), start, stop)):
-        ordinal = start + offset
+    records = []
+    for ordinal, desc in enumerate(islice(enumerate_candidates(job), start, stop), start):
         examined += 1
         degree = _descriptor_degree(p, desc)
         if degree is None or (flt is not None and degree not in flt):
             continue
         checked += 1
-        f = _materialize(ctx, desc)
-        verdict = is_gapn(f, fail_fast=True)
-        if verdict.is_gapn:
-            hits.append(SearchHit(ordinal, f, verdict, degree))
-            by_degree[degree] = by_degree.get(degree, 0) + 1
-            if limit is not None and len(hits) >= limit:
+        if is_gapn(_materialize(ctx, desc), fail_fast=True).is_gapn:
+            records.append((ordinal, desc, degree))
+            if len(records) == job.limit:
                 break
-    return examined, checked, hits, by_degree
+    return examined, checked, records
 
 
-def _scan_worker(args):
-    desc, start, stop = args
-    job = _job_from_desc(desc)
-    examined, checked, hits, by_degree = _scan_range(job, start, stop)
-    return start, examined, checked, [h.to_json() for h in hits], by_degree
+_worker_job: SearchJob | None = None  # set once per pool worker by _init_worker
+
+
+def _init_worker(job: SearchJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _scan_worker(start: int, stop: int):
+    return _scan_range(_worker_job, start, stop)
 
 
 def run_search(
@@ -226,7 +208,10 @@ def run_search(
     threads: int = 1,
     claim: str | None = None,
 ) -> tuple[list[SearchHit], SearchSummary]:
-    """Run the job and return (hits, summary); refuses jobs over budget."""
+    """Run the job and return (hits, summary); refuses jobs over budget.
+
+    Pooled runs (threads > 1, at least 2000 candidates, no limit) return
+    the same hits and summary as serial runs."""
     total = candidate_count(job)
     if total > budget:
         raise ValueError(
@@ -235,27 +220,24 @@ def run_search(
         )
     t0 = time.perf_counter()
     if threads <= 1 or total < 2000 or job.limit is not None:
-        examined, checked, hits, by_degree = _scan_range(job, 0, total, limit=job.limit)
+        parts = [_scan_range(job, 0, total)]
     else:
         nchunks = min(threads * 4, max(1, total // 500))
         step = -(-total // nchunks)
-        ranges = [(job.to_desc(), lo, min(lo + step, total)) for lo in range(0, total, step)]
-        examined = checked = 0
-        hits = []
-        by_degree = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for start, exa, chk, hit_objs, bd in pool.map(_scan_worker, ranges):
-                examined += exa
-                checked += chk
-                for obj in hit_objs:
-                    f = function_from_json(obj["function"])
-                    verdict = GapnVerdict(True, obj["worst_fiber"], None, [])
-                    hits.append(SearchHit(obj["ordinal"], f, verdict, obj["degree"]))
-                for k, v in bd.items():
-                    by_degree[k] = by_degree.get(k, 0) + v
-        hits.sort(key=lambda h: h.ordinal)
-        if job.limit is not None:
-            hits = hits[: job.limit]
+        starts = range(0, total, step)
+        stops = [min(lo + step, total) for lo in starts]
+        with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(job,)) as pool:
+            parts = list(pool.map(_scan_worker, starts, stops))
+    hits = [
+        SearchHit(ordinal, _materialize(job.field, desc), degree)
+        for _, _, records in parts
+        for ordinal, desc, degree in records
+    ]
+    by_degree: dict[int, int] = {}
+    for h in hits:
+        by_degree[h.degree] = by_degree.get(h.degree, 0) + 1
+    examined = sum(part[0] for part in parts)
+    checked = sum(part[1] for part in parts)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)
 

@@ -88,11 +88,25 @@ _MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("field,term", list(_MALFORMED.values()), ids=list(_MALFORMED))
-def test_verify_malformed_values_exit_two(tmp_path, capsys, field, term):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"field": field, "terms": [term]}))
-    assert main(["verify", str(path)]) == 2
+# malformed search options, given as the command line itself
+_MALFORMED_ARGV = {
+    "search-limit-zero": ["search", "-p", "3", "--shape", "monomial", "--limit", "0"],
+    "search-limit-negative": ["search", "-p", "3", "--shape", "monomial", "--limit", "-1"],
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*_MALFORMED.values(), *_MALFORMED_ARGV.values()],
+    ids=[*_MALFORMED, *_MALFORMED_ARGV],
+)
+def test_verify_malformed_values_exit_two(tmp_path, capsys, case):
+    if isinstance(case, tuple):  # (field, term) of a function file for verify
+        field, term = case
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field": field, "terms": [term]}))
+        case = ["verify", str(path)]
+    assert main(case) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error" in captured.err
 
@@ -177,7 +191,7 @@ def test_search_hits_to_file(tmp_path, capsys):
     assert all(set(h) == {"ordinal", "degree", "function", "worst_fiber"} for h in hits)
 
 
-def test_search_csv_format(tmp_path):
+def test_search_csv_format(tmp_path, capsys):
     out_path = tmp_path / "hits.csv"
     rc = main(["search", "-p", "3", "--shape", "monomial", "--threads", "1",
                "--format", "csv", "-o", str(out_path)])
@@ -185,6 +199,21 @@ def test_search_csv_format(tmp_path):
     rows = out_path.read_text().strip().splitlines()
     assert rows[0] == "ordinal,degree,worst_fiber,p,n,function"
     assert len(rows) > 1
+    # GF(25) binomials: 6,624 candidates, so --threads 2 runs the process pool;
+    # stdout is the same apart from the JSON summary's elapsed_ms
+    for fmt in ("csv", "json"):
+        outs = []
+        for threads in ("1", "2"):
+            assert main(["search", "-p", "5", "--shape", "binomial", "--format", fmt,
+                         "--threads", threads]) == 0
+            out = capsys.readouterr().out.splitlines()
+            if fmt == "json":
+                summary = json.loads(out.pop())
+                assert summary.pop("elapsed_ms") >= 0
+                out.append(json.dumps(summary))
+            outs.append(out)
+        assert len(outs[0]) > 100
+        assert outs[0] == outs[1]
 
 
 def test_search_budget_flag(capsys):

@@ -215,6 +215,13 @@ def test_construction_errors():
         make_field(3, 2, modulus=[1, 1])
 
 
+def test_reducible_modulus_with_factor_degrees_of_lcm_n():
+    # (x+1)(x^2+1)(x^3+2x+1) over F_3: x^(3^k) != x for k < 6 while
+    # x^(3^6) == x, so the Frobenius chain alone would call it irreducible
+    with pytest.raises(ValueError, match="reducible"):
+        make_field(3, 6, modulus=[1, 0, 0, 1, 0, 1, 1])
+
+
 def test_supplied_primitive_modulus_accepted():
     ctx = make_field(3, 2, modulus=[2, 1, 1])
     assert ctx.primitive_element.order() == 8

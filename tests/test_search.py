@@ -9,6 +9,7 @@ from gapn.fields import make_field
 from gapn.polynomials import SparsePoly, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
+    _scan_range,
     candidate_count,
     claim_ids,
     enumerate_candidates,
@@ -61,7 +62,7 @@ def test_run_is_deterministic():
     lines2 = [json.dumps(h.to_json()) for h in hits2]
     assert lines1 == lines2
     assert sum1.examined == sum2.examined == 28 * 8
-    assert all(h.verdict.is_gapn for h in hits1)
+    assert all(is_gapn(h.function).is_gapn for h in hits1)
     assert all(h.degree == h.function.algebraic_degree() for h in hits1)
 
 
@@ -69,32 +70,25 @@ def test_partition_soundness():
     f9 = make_field(3, 2)
     job = SearchJob(f9, "binomial")
     total = candidate_count(job)
-    _, _, full_hits, full_by_degree = _scan_all(job, total)
+    _, _, full_records = _scan_range(job, 0, total)
     for nparts in (2, 3, 7):
         merged = []
         step = -(-total // nparts)
-        from gapn.search import _scan_range
-
         for lo in range(0, total, step):
-            _, _, part, _ = _scan_range(job, lo, min(lo + step, total))
+            _, _, part = _scan_range(job, lo, min(lo + step, total))
             merged.extend(part)
-        assert [h.to_json() for h in merged] == [h.to_json() for h in full_hits]
-
-
-def _scan_all(job, total):
-    from gapn.search import _scan_range
-
-    return _scan_range(job, 0, total)
+        assert merged == full_records
 
 
 def test_parallel_matches_serial():
-    f9 = make_field(3, 2)
-    job = SearchJob(f9, "digitsum-reduced")
+    # 6,624 candidates: above run_search's serial cutoff, so threads=2 runs the pool
+    job = SearchJob(make_field(5, 2), "binomial")
     hits_s, sum_s = run_search(job, threads=1)
     hits_p, sum_p = run_search(job, threads=2)
-    assert [h.to_json() for h in hits_s] == [h.to_json() for h in hits_p]
-    assert sum_s.examined == sum_p.examined
-    assert sum_s.hits_by_degree == sum_p.hits_by_degree
+    assert hits_p == hits_s
+    assert all(h.function.field is job.field for h in hits_p)
+    assert (sum_p.examined, sum_p.checked) == (sum_s.examined, sum_s.checked)
+    assert sum_p.hits_by_degree == sum_s.hits_by_degree
 
 
 def test_limit_cap():
