@@ -41,6 +41,8 @@ def _table_cap() -> int:
 
 
 def _threads(args) -> int:
+    if args.threads < 0:
+        raise ValueError(f"--threads must be 0 (all cores) or more, got {args.threads}")
     if args.threads == 0:
         return os.cpu_count() or 1
     return args.threads
@@ -68,7 +70,10 @@ def cmd_field_info(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.function_file, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("function file is nested too deeply") from None
     f = function_from_json(obj, table_cap=_table_cap())
     verdict = is_gapn(f)
     if args.format == "text":

@@ -10,14 +10,21 @@ function is GAPN exactly when every such derivative at a != 0 is p-to-1.
 Both derivative() and is_gapn() run on one line kernel, built on three facts:
 
 - Direction scaling.  With f_a(y) = f(a*y), D_a f(x) = D_1 f_a(x/a), so
-  D_a f has the fibers of D_1 f_a.  For a = g^t, f_a in log order is f's
-  log-order table rotated by t; one gather through the log table puts it in
-  code order.
-- Blocks.  y + i changes only digit 0 of y's code, so D_1 sums f_a over
-  blocks of p consecutive codes.
+  D_a f has the fibers of D_1 f_a.  y + i changes only digit 0 of y's code,
+  so D_1 f_a is constant on each block of p consecutive codes.
+- Linearity over monomial blocks.  D_1 is GF(q)-linear and
+  f_a = sum of (c*a^d) * X^d over f's terms c*X^d, so on each block
+  D_1 f_a = sum of (c*a^d) * M_d, where M_d is D_1 X^d on the q/p blocks.
+  M_d vanishes exactly when digit_sum(d) < p-1, so those terms are dropped.
+  Each M_d is built once per field and exponent, from X^d's log-order
+  table g^(d*k), and kept in log form, so scaling it by c*a^d is an index
+  shift into one table.  A line costs T*q/p lookups for T surviving terms;
+  no q-entry table of f is built.  With one surviving term every line is
+  a nonzero multiple of the first, so all lines share its fibers.
 - Packed sums.  Values are stored digit-wise in bit fields wide enough for a
-  sum of p digits, so a block sum is a plain sum() of p ints.  Small
-  per-field tables (or % p) map each packed sum back to an element code.
+  sum of p digits, so up to p scaled blocks add as plain ints.  Small
+  per-field tables (or % p) map each packed sum back to an element code,
+  and longer sums are reduced after every p-1 further terms.
 
 is_gapn scans the lines in order of their smallest direction code, which
 makes the witness the smallest failing direction code, then the smallest
@@ -26,6 +33,7 @@ image code with a fiber above p.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import chain, islice, repeat
 from operator import add, and_, itemgetter, mod, mul, rshift
 
@@ -171,32 +179,42 @@ class _LineKernel:
     """Per-field tables of the line kernel (see the module docstring).
 
     Built once per FieldCtx by _kernel and kept on it, so the tables are
-    freed with the field; each holds O(q) entries.
+    freed with the field.  The field tables hold O(q) entries; each
+    exponent's block table, built on first use, holds q/p.
     """
 
-    __slots__ = ("p", "nlines", "antilog", "lines", "by_log", "pack", "chunks")
+    __slots__ = ("p", "m", "nlines", "nblocks", "antilog", "lines", "by_log", "logz",
+                 "pack", "packed_at", "chunks", "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
         self.p = p
-        self.nlines = nlines = (q - 1) // (p - 1)
+        self.m = m = q - 1
+        self.nlines = nlines = m // (p - 1)
+        self.nblocks = q // p
         self.antilog = ctx.antilog
         # g^k lies on line k mod nlines; dict order is first appearance by
         # ascending code, so the lines come sorted by their smallest code
         self.lines = list(dict.fromkeys(map(mod, islice(ctx.log, 1, None), repeat(nlines))))
         # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
         self.by_log = itemgetter(*ctx.log)
+        # log form: the log of a nonzero code, 2m for zero
+        self.logz = [2 * m] + ctx.log[1:]
         # one bit field per digit, wide enough for a sum of p digits
         w = (p * (p - 1)).bit_length()
         pack = [0]
         for i in range(n):
             pack = [x + (d << (w * i)) for d in range(p) for x in pack]
         self.pack = pack
-        # k digits share one lookup table of at most 2q entries; when not
-        # even two fit, each digit is reduced with % p instead
+        # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
+        # log-form entry plus a shift in 0..m-1 reads its scaled value
+        packed = list(map(pack.__getitem__, ctx.antilog))
+        self.packed_at = packed * 2 + [0] * m
+        # k digits share one lookup table of at most max(2q, 4096) entries;
+        # when not even two fit, each digit is reduced with % p instead
         top = p * (p - 1) + 1
         k = 0
-        while k < n and top << (w * k) <= 2 * q:
+        while k < n and top << (w * k) <= max(2 * q, 4096):
             k += 1
         if k < 2:
             self.chunks = [(w * i, (1 << w) - 1 if i < n - 1 else 0, p.__rmod__, p ** i)
@@ -205,22 +223,10 @@ class _LineKernel:
             self.chunks = [(w * lo, (1 << (w * k)) - 1 if lo + k < n else 0,
                             _chunk_table(p, w, lo, min(lo + k, n)).__getitem__, 1)
                            for lo in range(0, n, k)]
+        self.blocks = {}
 
-    def log_table(self, f: SparsePoly) -> list[int]:
-        """Packed f(g^k) for k = 0..2q-3 (two periods), then packed f(0)."""
-        vt = f.value_table()
-        out = list(map(self.pack.__getitem__, map(vt.__getitem__, self.antilog)))
-        out *= 2
-        out.append(self.pack[vt[0]])
-        return out
-
-    def block_codes(self, ft: list[int], t: int) -> list[int]:
-        """Codes of D_1 f_a on each block of p consecutive codes, a = g^t,
-        where ft is f's log_table."""
-        m = len(self.antilog)
-        rotated = ft[t:t + m]
-        rotated.append(ft[-1])
-        sums = list(map(sum, zip(*[iter(self.by_log(rotated))] * self.p)))
+    def unpack(self, sums: list[int]) -> list[int]:
+        """Element codes of packed sums of at most p packed values."""
         codes = None
         for shift, mask, lookup, scale in self.chunks:
             v = map(rshift, sums, repeat(shift)) if shift else sums
@@ -229,6 +235,53 @@ class _LineKernel:
                 v = map(mul, v, repeat(scale))
             codes = v if codes is None else map(add, codes, v)
         return list(codes)
+
+    def terms(self, f: SparsePoly) -> list[tuple[int, int, list[int]]]:
+        """(coefficient log, exponent, block table) for each term c*X^d of
+        f whose D_1 X^d is not identically zero, i.e. digit_sum(d) >= p-1."""
+        out = []
+        for d, c in f.terms:
+            blocks = self.blocks.get(d)
+            if blocks is None:
+                blocks = self.blocks[d] = self._monomial_blocks(d)
+            if blocks:
+                out.append((c.idx, d, blocks))
+        return out
+
+    def _monomial_blocks(self, d: int) -> list[int]:
+        """D_1 X^d on each block of p consecutive codes, in log form; empty
+        when it vanishes.  D_1 X^d = -sum of C(d,k)*X^(d-k) over k > 0 with
+        (p-1) | k, and by Lucas such a k with C(d,k) != 0 mod p exists
+        exactly when digit_sum(d) >= p-1."""
+        p, m = self.p, self.m
+        if digit_sum(p, d) < p - 1:
+            return []
+        # X^d in log order is g^(d*k), then 0 at x = 0 (d > 0 here)
+        table = list(map(self.packed_at.__getitem__, map(mod, range(0, d * m, d), repeat(m))))
+        table.append(0)
+        sums = list(map(sum, zip(*[iter(self.by_log(table))] * p)))
+        return list(map(self.logz.__getitem__, self.unpack(sums)))
+
+    def line_codes(self, terms, t: int) -> list[int]:
+        """Codes of D_1 f_a on each block of p consecutive codes, a = g^t,
+        where terms are f's surviving terms from terms().
+
+        Term c*X^d contributes (c*a^d) * D_1 X^d: its block table shifted
+        by log(c*a^d) reads the packed scaled values.  A packed field holds
+        a sum of p values, so a running sum takes p-1 terms at a time and
+        is mapped back to codes, and repacked, after each group."""
+        if not terms:
+            return [0] * self.nblocks
+        m, p = self.m, self.p
+        at = self.packed_at.__getitem__
+        vecs = [map(at, map(add, blocks, repeat((ci + d * t) % m))) for ci, d, blocks in terms]
+        acc, rest = vecs[0], vecs[1:]
+        while True:
+            codes = self.unpack(list(reduce(partial(map, add), rest[:p - 1], acc)))
+            rest = rest[p - 1:]
+            if not rest:
+                return codes
+            acc = map(self.pack.__getitem__, codes)
 
 
 def _chunk_table(p: int, w: int, lo: int, hi: int) -> list[int]:
@@ -271,8 +324,8 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     """Order-(p-1) discrete derivative of f in direction a != 0.
 
     Uses D_a f(x) = D_1 f_a(x/a) with f_a(y) = f(a*y): the line kernel sums
-    f_a over each block of p consecutive codes y, and values[x] reads the
-    block of y = x/a.
+    the scaled blocks (c*a^d) * D_1 X^d of f's terms c*X^d over each block
+    of p consecutive codes y, and values[x] reads the block of y = x/a.
     """
     ctx = f.field
     if a.ctx is not ctx and a.ctx.key != ctx.key:
@@ -281,7 +334,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
         raise ValueError("derivative direction must be nonzero")
     kern = _kernel(ctx)
     t = a.idx
-    codes = kern.block_codes(kern.log_table(f), t)
+    codes = kern.line_codes(kern.terms(f), t)
     at_y = list(chain.from_iterable(map(repeat, codes, repeat(ctx.p))))
     # antilog rotated by -t, then 0: read through by_log it gives x/a for each x
     quotient = ctx.antilog[ctx.q - 1 - t:] + ctx.antilog[:ctx.q - 1 - t]
@@ -325,39 +378,43 @@ def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
 
     The directions of one line F_p*a share one derivative, and
     D_a f(x) = D_1 f_a(x/a) has the same fibers as D_1 f_a, so each line
-    costs one log-rotated gather of f's packed table and one packed sum per
-    block of p consecutive codes.  Lines are scanned in order of their
-    smallest direction code, so the witness is the smallest failing
-    direction code, then the smallest image code with a fiber above p.
-    With fail_fast, scanning stops at the first failing line (its
-    per-direction stats stay exact; later directions are not reported).
+    costs one sum of f's scaled monomial blocks: T*q/p lookups for the T
+    terms whose derivative does not vanish.  With at most one such term,
+    every line has the fibers of the first, which is the only one built.
+    Lines are scanned in order of their smallest direction code, so the
+    witness is the smallest failing direction code, then the smallest
+    image code with a fiber above p.  With fail_fast, scanning stops at the
+    first failing line (its per-direction stats stay exact; later
+    directions are not reported).
     """
     ctx = f.field
     p = ctx.p
-    nblocks = ctx.q // p
     kern = _kernel(ctx)
-    ft = kern.log_table(f)
-    maxf = [0] * ctx.q
-    worst = 0
+    terms = kern.terms(f)
+    # with at most one term left, line t's block codes are a nonzero
+    # multiple of the first line's, so every line has the first's fibers
+    shared = len(terms) <= 1
+    scanned = {}  # line -> max fiber
+    mx = None
     witness = None
     for t in kern.lines:
-        dirs = kern.antilog[t::kern.nlines]
-        codes = kern.block_codes(ft, t)
-        if len(set(codes)) == nblocks:
-            mx = p
-        else:
-            counts = Counter(codes)
-            mx = p * max(counts.values())
-            if witness is None:
-                b = min(s for s, cnt in counts.items() if cnt > 1)
-                witness = (ctx.from_code(min(dirs)), ctx.from_code(b))
-        for a in dirs:
-            maxf[a] = mx
-        worst = max(worst, mx)
+        if mx is None or not shared:
+            codes = kern.line_codes(terms, t)
+            if len(set(codes)) == kern.nblocks:
+                mx = p
+            else:
+                counts = Counter(codes)
+                mx = p * max(counts.values())
+                if witness is None:
+                    b = min(s for s, cnt in counts.items() if cnt > 1)
+                    witness = (ctx.from_code(min(kern.antilog[t::kern.nlines])), ctx.from_code(b))
+        scanned[t] = mx
         if fail_fast and witness is not None:
             break
-    per_direction = [(ctx.from_code(a), mx) for a, mx in enumerate(maxf) if mx]
-    return GapnVerdict(witness is None, worst, witness, per_direction)
+    log = ctx.log
+    dirs = sorted(chain.from_iterable(kern.antilog[t::kern.nlines] for t in scanned))
+    per_direction = [(FieldElem(ctx, log[a]), scanned[log[a] % kern.nlines]) for a in dirs]
+    return GapnVerdict(witness is None, max(scanned.values()), witness, per_direction)
 
 
 def verify_power_identity(ctx: FieldCtx, d: int) -> bool:

@@ -88,23 +88,32 @@ _MALFORMED = {
 }
 
 
-# malformed search options, given as the command line itself
+# malformed search and reproduce options, given as the command line itself
 _MALFORMED_ARGV = {
     "search-limit-zero": ["search", "-p", "3", "--shape", "monomial", "--limit", "0"],
     "search-limit-negative": ["search", "-p", "3", "--shape", "monomial", "--limit", "-1"],
+    "search-threads-negative": ["search", "-p", "3", "--shape", "monomial", "--threads", "-5"],
+    "reproduce-threads-negative": ["reproduce", "--claim", "gold-monomials", "--threads", "-2"],
+}
+
+# function files for verify that are not valid function JSON, given as text
+_MALFORMED_TEXT = {
+    "verify-deep-nesting": "[" * 200_000 + "]" * 200_000,
 }
 
 
 @pytest.mark.parametrize(
     "case",
-    [*_MALFORMED.values(), *_MALFORMED_ARGV.values()],
-    ids=[*_MALFORMED, *_MALFORMED_ARGV],
+    [*_MALFORMED.values(), *_MALFORMED_ARGV.values(), *_MALFORMED_TEXT.values()],
+    ids=[*_MALFORMED, *_MALFORMED_ARGV, *_MALFORMED_TEXT],
 )
 def test_verify_malformed_values_exit_two(tmp_path, capsys, case):
     if isinstance(case, tuple):  # (field, term) of a function file for verify
         field, term = case
+        case = json.dumps({"field": field, "terms": [term]})
+    if isinstance(case, str):  # the text of a function file for verify
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"field": field, "terms": [term]}))
+        path.write_text(case)
         case = ["verify", str(path)]
     assert main(case) == 2
     captured = capsys.readouterr()

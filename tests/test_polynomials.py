@@ -23,6 +23,14 @@ def _random_poly(ctx, rng, max_terms=3):
     return SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, ctx.q))) for e in exps])
 
 
+def _surviving_exponents(ctx, digit_sum_is=None):
+    """Exponents d with digit_sum(d) >= p-1 (or == digit_sum_is): the terms
+    whose order-(p-1) derivative is not identically zero."""
+    p = ctx.p
+    return [e for e in range(ctx.q)
+            if (digit_sum(p, e) >= p - 1 if digit_sum_is is None else digit_sum(p, e) == digit_sum_is)]
+
+
 def test_digit_sum():
     assert digit_sum(7, 46) == 10
     assert digit_sum(5, 0) == 0
@@ -85,10 +93,13 @@ def test_derivative_matches_direct_summation():
         rng = random.Random(p * 100 + n)
         for _ in range(6):
             cases.append((_random_poly(ctx, rng), ctx.from_code(rng.randrange(1, ctx.q))))
-    # every direction on GF(27)
+    # every direction on GF(27); the last function has 11 terms, 10 of them
+    # with digit sum >= p-1, so the kernel sums them in several groups
     ctx = make_field(3, 3)
     rng = random.Random(27)
-    for f in (_random_poly(ctx, rng), _random_poly(ctx, rng, max_terms=5)):
+    many = SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, 27)))
+                            for e in [1] + rng.sample(_surviving_exponents(ctx), 10)])
+    for f in (_random_poly(ctx, rng), _random_poly(ctx, rng, max_terms=5), many):
         cases.extend((f, a) for a in ctx.units())
     for f, a in cases:
         ctx = f.field
@@ -96,7 +107,9 @@ def test_derivative_matches_direct_summation():
         dm = derivative(f, a)
         ref = oracle.derivative_table(tf, oracle.poly_terms(f), tuple(a.vector()))
         assert [tuple(ctx.code_to_vector(v)) for v in dm.values] == ref
-        assert dm.fiber_histogram == {tf.to_code(v): c for v, c in oracle.fibers(ref).items()}
+        # same images in the same order: first appearance along codes x = 0..q-1
+        want = [(tf.to_code(v), c) for v, c in oracle.fibers(ref).items()]
+        assert list(dm.fiber_histogram.items()) == want
 
 
 def test_gold_derivative_is_p_to_one_f25():
@@ -306,6 +319,40 @@ def test_verdict_matches_oracle_seeded_binomials(p, n, count):
         d1, d2 = rng.sample(high, 2)
         u = ctx.from_code(rng.randrange(1, ctx.q))
         _assert_verdict_matches_oracle(SparsePoly(ctx, [(d1, ctx.one), (d2, u)]))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_verdict_matches_oracle_many_surviving_terms(p, n):
+    # p+1 to 3p terms whose derivative does not vanish, more than one packed
+    # sum can hold: random ones, and GAPN ones (the gold monomial plus terms of
+    # digit sum p-1, whose derivatives are constants)
+    ctx = make_field(p, n)
+    rng = random.Random(1000 * p + n)
+    surviving = _surviving_exponents(ctx)
+    constant = _surviving_exponents(ctx, digit_sum_is=p - 1)
+
+    def coeff():
+        return ctx.from_code(rng.randrange(1, ctx.q))
+
+    for _ in range(6):
+        k = rng.randint(p + 1, min(3 * p, len(surviving)))
+        f = SparsePoly(ctx, [(e, coeff()) for e in rng.sample(surviving, k)])
+        assert len(f.terms) > p
+        _assert_verdict_matches_oracle(f)
+        k = rng.randint(min(p, len(constant)), min(3 * p - 1, len(constant)))
+        g = SparsePoly(ctx, [(2 * p - 1, coeff())] + [(e, coeff()) for e in rng.sample(constant, k)])
+        assert len(g.terms) > p
+        _assert_verdict_matches_oracle(g)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
+def test_verdict_matches_oracle_scaled_monomials(p, n):
+    # c*X^d with c outside F_p: every line's derivative is a scaled copy of
+    # the first line's, and the witness comes from the first line
+    ctx = make_field(p, n)
+    c = ctx.primitive_element
+    for d in range(ctx.q):
+        _assert_verdict_matches_oracle(SparsePoly.monomial(ctx, d, c))
 
 
 def test_verdict_matches_oracle_zero_and_constant():

@@ -2,6 +2,8 @@
 
 import json
 import random
+from collections import deque
+from itertools import islice
 
 import pytest
 
@@ -45,6 +47,48 @@ def test_enumeration_order_binomial():
     assert first[0] == ((1, 0), (2, 0))
     assert first[1] == ((1, 0), (2, 1))
     assert first[8] == ((1, 0), (3, 0))
+
+
+# ordinals walked by the reference enumeration in one start-ordinal case;
+# only GF(25)'s trinomial spaces (1.2 M and 27.9 M candidates) are larger
+_WALK_CAP = 600_000
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+@pytest.mark.parametrize("shape", ["monomial", "binomial", "trinomial", "digitsum-reduced"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_enumeration_starts_at_ordinal(p, shape, canonical):
+    ctx = make_field(p, 2)
+    # digit sum >= 7 keeps 3 of GF(25)'s exponents (25^3 candidates)
+    job = SearchJob(ctx, shape, canonicalize=canonical, min_digit_sum=7 if p == 5 else None)
+    total = candidate_count(job)
+    m = ctx.q - 1
+    lead = 1 if shape == "monomial" or canonical else m
+    inner = {"monomial": 1, "binomial": lead * m, "trinomial": lead * m * m}.get(shape, total)
+    starts = {0, 1, total - 1, total}
+    starts |= {b + d for b in range(inner, total, inner) for d in (-1, 0)}
+    # whole tails where they are short, else one block and two more, so
+    # every window crosses the next exponent tuple's boundary
+    width = total if total <= 2000 else inner + 2
+    ref = enumerate_candidates(job)
+    buf, at = deque(), 0  # buf holds ref's descriptors from ordinal at on
+    for s in sorted(x for x in starts if x <= _WALK_CAP or x >= total - 1):
+        if s > _WALK_CAP:  # a trinomial space's last descriptor, without walking to it
+            last = ((ctx.q - 3, m - 1 if lead > 1 else 0), (ctx.q - 2, m - 1), (ctx.q - 1, m - 1))
+            assert list(enumerate_candidates(job, s)) == ([last] if s < total else [])
+            continue
+        drop = min(s - at, len(buf))
+        for _ in range(drop):
+            buf.popleft()
+        deque(islice(ref, s - at - drop), maxlen=0)
+        at = s
+        buf.extend(islice(ref, width - len(buf)))
+        assert list(islice(enumerate_candidates(job, s), width)) == list(buf), s
+
+
+def test_enumeration_rejects_negative_start():
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_candidates(SearchJob(make_field(3, 2), "monomial"), -1)
 
 
 def test_unknown_shape_rejected():
