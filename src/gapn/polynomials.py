@@ -16,13 +16,16 @@ Both derivative() and is_gapn() run on one line kernel, built on three facts:
   f_a = sum of (c*a^d) * X^d over f's terms c*X^d, so on each block
   D_1 f_a = sum of (c*a^d) * M_d, where M_d is D_1 X^d on the q/p blocks.
   M_d vanishes exactly when digit_sum(d) < p-1, so those terms are dropped.
-  Each M_d is built once per field and exponent, from X^d's log-order
-  table g^(d*k), and kept in log form, so scaling it by c*a^d is an index
-  shift into one table.  A line costs T*q/p lookups for T surviving terms;
+  Each M_d is built from X^d's log-order table g^(d*k), kept in log form
+  (a bounded per-field cache), so scaling it by c*a^d is an index shift
+  into one table.  A line costs T*q/p lookups for T surviving terms, and
   no q-entry table of f is built.  With one surviving term every line is
-  a nonzero multiple of the first, so all lines share its fibers.
+  a nonzero multiple of the first, so all lines share its fibers.  When T
+  is large next to p, a log-order table of f's surviving terms is summed
+  once from the X^d tables instead, and each line gathers q entries of it
+  rotated by log(a).
 - Packed sums.  Values are stored digit-wise in bit fields wide enough for a
-  sum of p digits, so up to p scaled blocks add as plain ints.  Small
+  sum of p digits, so up to p scaled values add as plain ints.  Small
   per-field tables (or % p) map each packed sum back to an element code,
   and longer sums are reduced after every p-1 further terms.
 
@@ -179,12 +182,14 @@ class _LineKernel:
     """Per-field tables of the line kernel (see the module docstring).
 
     Built once per FieldCtx by _kernel and kept on it, so the tables are
-    freed with the field.  The field tables hold O(q) entries; each
-    exponent's block table, built on first use, holds q/p.
+    freed with the field.  The field tables hold O(q) entries.  Exponent
+    block tables hold q/p entries each and are cached up to 8*p of them
+    (8*q entries), so a job that meets many exponents, such as a monomial
+    search, keeps the kernel at O(q).
     """
 
     __slots__ = ("p", "m", "nlines", "nblocks", "antilog", "lines", "by_log", "logz",
-                 "pack", "packed_at", "chunks", "blocks")
+                 "pack", "live", "packed_at", "chunks", "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
@@ -200,21 +205,25 @@ class _LineKernel:
         self.by_log = itemgetter(*ctx.log)
         # log form: the log of a nonzero code, 2m for zero
         self.logz = [2 * m] + ctx.log[1:]
-        # one bit field per digit, wide enough for a sum of p digits
+        # one bit field per digit, wide enough for a sum of p digits; and
+        # the digit sum of every u < q
         w = (p * (p - 1)).bit_length()
-        pack = [0]
+        pack, sums = [0], [0]
         for i in range(n):
             pack = [x + (d << (w * i)) for d in range(p) for x in pack]
+            sums = [s + d for d in range(p) for s in sums]
         self.pack = pack
+        # D_1 X^d vanishes exactly when digit_sum(d) < p-1
+        self.live = [s >= p - 1 for s in sums]
         # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
         # log-form entry plus a shift in 0..m-1 reads its scaled value
         packed = list(map(pack.__getitem__, ctx.antilog))
         self.packed_at = packed * 2 + [0] * m
-        # k digits share one lookup table of at most max(2q, 4096) entries;
-        # when not even two fit, each digit is reduced with % p instead
+        # k digits share one lookup table of at most 2q entries; when not
+        # even two fit, each digit is reduced with % p instead
         top = p * (p - 1) + 1
         k = 0
-        while k < n and top << (w * k) <= max(2 * q, 4096):
+        while k < n and top << (w * k) <= 2 * q:
             k += 1
         if k < 2:
             self.chunks = [(w * i, (1 << w) - 1 if i < n - 1 else 0, p.__rmod__, p ** i)
@@ -236,45 +245,12 @@ class _LineKernel:
             codes = v if codes is None else map(add, codes, v)
         return list(codes)
 
-    def terms(self, f: SparsePoly) -> list[tuple[int, int, list[int]]]:
-        """(coefficient log, exponent, block table) for each term c*X^d of
-        f whose D_1 X^d is not identically zero, i.e. digit_sum(d) >= p-1."""
-        out = []
-        for d, c in f.terms:
-            blocks = self.blocks.get(d)
-            if blocks is None:
-                blocks = self.blocks[d] = self._monomial_blocks(d)
-            if blocks:
-                out.append((c.idx, d, blocks))
-        return out
-
-    def _monomial_blocks(self, d: int) -> list[int]:
-        """D_1 X^d on each block of p consecutive codes, in log form; empty
-        when it vanishes.  D_1 X^d = -sum of C(d,k)*X^(d-k) over k > 0 with
-        (p-1) | k, and by Lucas such a k with C(d,k) != 0 mod p exists
-        exactly when digit_sum(d) >= p-1."""
-        p, m = self.p, self.m
-        if digit_sum(p, d) < p - 1:
-            return []
-        # X^d in log order is g^(d*k), then 0 at x = 0 (d > 0 here)
-        table = list(map(self.packed_at.__getitem__, map(mod, range(0, d * m, d), repeat(m))))
-        table.append(0)
-        sums = list(map(sum, zip(*[iter(self.by_log(table))] * p)))
-        return list(map(self.logz.__getitem__, self.unpack(sums)))
-
-    def line_codes(self, terms, t: int) -> list[int]:
-        """Codes of D_1 f_a on each block of p consecutive codes, a = g^t,
-        where terms are f's surviving terms from terms().
-
-        Term c*X^d contributes (c*a^d) * D_1 X^d: its block table shifted
-        by log(c*a^d) reads the packed scaled values.  A packed field holds
-        a sum of p values, so a running sum takes p-1 terms at a time and
-        is mapped back to codes, and repacked, after each group."""
-        if not terms:
-            return [0] * self.nblocks
-        m, p = self.m, self.p
-        at = self.packed_at.__getitem__
-        vecs = [map(at, map(add, blocks, repeat((ci + d * t) % m))) for ci, d, blocks in terms]
+    def sum_codes(self, vecs: list) -> list[int]:
+        """Element codes of the entrywise sum of packed vectors.  A packed
+        field holds a sum of p values, so a running sum takes p-1 vectors
+        at a time and is mapped back to codes, and repacked, after each
+        group."""
+        p = self.p
         acc, rest = vecs[0], vecs[1:]
         while True:
             codes = self.unpack(list(reduce(partial(map, add), rest[:p - 1], acc)))
@@ -282,6 +258,69 @@ class _LineKernel:
             if not rest:
                 return codes
             acc = map(self.pack.__getitem__, codes)
+
+    def reader(self, f: SparsePoly, full: bool = False):
+        """(line, T): line(t) gives the codes of D_1 f_a on each block of p
+        consecutive codes, a = g^t, and T counts f's terms c*X^d whose
+        D_1 X^d is not identically zero (the others are dropped).
+
+        A line is either one packed sum of the T scaled block tables, T*q/p
+        lookups, or a gather of q entries from a log-order table of f that
+        costs T*q lookups to build.  The gather is used beyond p terms, and
+        for a full scan (every line is read, so the table pays off) beyond
+        p/2 terms, where a gathered line costs less than the sum."""
+        live = self.live
+        terms = [(c.idx, d) for d, c in f.terms if live[d]]
+        if not terms:
+            return (lambda t: [0] * self.nblocks), 0
+        if len(terms) > (self.p // 2 if full else self.p):
+            return partial(self.gather, self.log_values(terms)), len(terms)
+        return partial(self.line_codes, [(ci, d, self.monomial_blocks(d)) for ci, d in terms]), len(terms)
+
+    def monomial_blocks(self, d: int) -> list[int]:
+        """D_1 X^d on each block of p consecutive codes, in log form, for
+        digit_sum(d) >= p-1 (cached).  D_1 X^d = -sum of C(d,k)*X^(d-k) over
+        k > 0 with (p-1) | k, and by Lucas such a k with C(d,k) != 0 mod p
+        exists exactly when digit_sum(d) >= p-1."""
+        blocks = self.blocks.get(d)
+        if blocks is None:
+            if len(self.blocks) >= 8 * self.p:
+                self.blocks.clear()
+            m = self.m
+            # X^d in log order is g^(d*k), then 0 at x = 0 (d > 0 here)
+            table = list(map(self.packed_at.__getitem__, map(mod, range(0, d * m, d), repeat(m))))
+            table.append(0)
+            sums = list(map(sum, zip(*[iter(self.by_log(table))] * self.p)))
+            blocks = self.blocks[d] = list(map(self.logz.__getitem__, self.unpack(sums)))
+        return blocks
+
+    def line_codes(self, terms, t: int) -> list[int]:
+        """Codes of D_1 f_a on each block, a = g^t, for f's surviving terms
+        as (coefficient log, exponent, block table).  Term c*X^d contributes
+        (c*a^d) * D_1 X^d: its block table shifted by log(c*a^d) reads the
+        packed scaled values."""
+        m = self.m
+        at = self.packed_at.__getitem__
+        return self.sum_codes([map(at, map(add, blocks, repeat((ci + d * t) % m)))
+                               for ci, d, blocks in terms])
+
+    def log_values(self, terms) -> list[int]:
+        """Packed f(g^k) for k = 0..2m-1 (two periods), then packed f(0) = 0,
+        for f the sum of terms given as (coefficient log, exponent > 0)."""
+        m = self.m
+        at = self.packed_at.__getitem__
+        codes = self.sum_codes([map(at, map(mod, range(ci, ci + d * m, d), repeat(m)))
+                                for ci, d in terms])
+        out = list(map(self.pack.__getitem__, codes)) * 2
+        out.append(0)
+        return out
+
+    def gather(self, ft: list[int], t: int) -> list[int]:
+        """Codes of D_1 f_a on each block, a = g^t, where ft is
+        log_values(terms): f_a(g^k) = f(g^(t+k)) is ft rotated by t."""
+        rotated = ft[t:t + self.m]
+        rotated.append(ft[-1])
+        return self.unpack(list(map(sum, zip(*[iter(self.by_log(rotated))] * self.p))))
 
 
 def _chunk_table(p: int, w: int, lo: int, hi: int) -> list[int]:
@@ -325,7 +364,8 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
 
     Uses D_a f(x) = D_1 f_a(x/a) with f_a(y) = f(a*y): the line kernel sums
     the scaled blocks (c*a^d) * D_1 X^d of f's terms c*X^d over each block
-    of p consecutive codes y, and values[x] reads the block of y = x/a.
+    of p consecutive codes y (beyond p such terms it gathers f_a from a
+    log-order table of f instead), and values[x] reads the block of y = x/a.
     """
     ctx = f.field
     if a.ctx is not ctx and a.ctx.key != ctx.key:
@@ -334,7 +374,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
         raise ValueError("derivative direction must be nonzero")
     kern = _kernel(ctx)
     t = a.idx
-    codes = kern.line_codes(kern.terms(f), t)
+    codes = kern.reader(f)[0](t)
     at_y = list(chain.from_iterable(map(repeat, codes, repeat(ctx.p))))
     # antilog rotated by -t, then 0: read through by_log it gives x/a for each x
     quotient = ctx.antilog[ctx.q - 1 - t:] + ctx.antilog[:ctx.q - 1 - t]
@@ -381,6 +421,8 @@ def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
     costs one sum of f's scaled monomial blocks: T*q/p lookups for the T
     terms whose derivative does not vanish.  With at most one such term,
     every line has the fibers of the first, which is the only one built.
+    Beyond p such terms, or beyond p/2 when every line is scanned, each
+    line gathers q entries of a log-order table of f built once instead.
     Lines are scanned in order of their smallest direction code, so the
     witness is the smallest failing direction code, then the smallest
     image code with a fiber above p.  With fail_fast, scanning stops at the
@@ -390,16 +432,16 @@ def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
     ctx = f.field
     p = ctx.p
     kern = _kernel(ctx)
-    terms = kern.terms(f)
+    line, nterms = kern.reader(f, full=not fail_fast)
     # with at most one term left, line t's block codes are a nonzero
     # multiple of the first line's, so every line has the first's fibers
-    shared = len(terms) <= 1
+    shared = nterms <= 1
     scanned = {}  # line -> max fiber
     mx = None
     witness = None
     for t in kern.lines:
         if mx is None or not shared:
-            codes = kern.line_codes(terms, t)
+            codes = line(t)
             if len(set(codes)) == kern.nblocks:
                 mx = p
             else:

@@ -5,11 +5,11 @@ Candidates are enumerated in a documented total order (exponent tuples
 ascending, then coefficient log-indices ascending, with an absent/zero
 coefficient sorting first), so identical jobs always yield identical result
 streams.  Serial and pooled runs share one scan: the enumeration is split
-into contiguous ordinal ranges, each range unranks its first candidate and
-yields (ordinal, descriptor, degree) hit records, and the caller turns the
-records into hits on the job's own field in range order.  Pooled runs
-therefore return the same objects as serial runs, independent of
-scheduling.  Every hit is GAPN, so a hit carries no verdict; its worst
+into contiguous ordinal ranges, each range starts the enumeration at its
+first ordinal and yields (ordinal, descriptor, degree) hit records, and the
+caller turns the records into hits on the job's own field in range order.
+Pooled runs therefore return the same objects as serial runs, independent
+of scheduling.  Every hit is GAPN, so a hit carries no verdict; its worst
 fiber is p by definition.
 """
 
@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
@@ -131,77 +131,33 @@ def enumerate_candidates(job: SearchJob, start: int = 0):
     A descriptor is a tuple of (exponent, coefficient_log_index) pairs;
     index -1 marks a zero coefficient (term absent).  Each exponent tuple
     (the k-subsets of 1..q-1 in lexicographic order, or the digitsum-reduced
-    slots) is followed by every tuple of coefficient choices in
-    lexicographic order, so an ordinal splits into the exponent tuple's rank
-    and the mixed-radix digits of the coefficient choices, and the first
-    descriptor is unranked without walking the ones before it.
+    slots) is followed by a block of every tuple of coefficient choices, so
+    the exponent tuples before start are skipped without building their
+    descriptors, and only the first block is walked up to start.
     """
     if start < 0:
         raise ValueError(f"start ordinal must be non-negative, got {start}")
-    if start >= candidate_count(job):
-        return iter(())
     q = job.field.q
     units = tuple(range(q - 1))
     if job.shape == "digitsum-reduced":
         slots = tuple(_digitsum_slots(job))
         choices = [(-1,) + units] * len(slots)
+        exponent_tuples = iter([slots])
     else:
         k = {"monomial": 1, "binomial": 2, "trinomial": 3}[job.shape]
         lead = (0,) if job.shape == "monomial" or job.canonicalize else units
         choices = [lead] + [units] * (k - 1)
+        exponent_tuples = combinations(range(1, q), k)
+
+    def block(exps):
+        return product(*[[(e, j) for j in options] for e, options in zip(exps, choices)])
+
     rank, offset = divmod(start, math.prod(map(len, choices)))
-    digits = []
-    for options in reversed(choices):
-        offset, digit = divmod(offset, len(options))
-        digits.append(digit)
-    digits.reverse()
-    if job.shape == "digitsum-reduced":
-        exponent_tuples = iter([slots])
-    else:
-        exponent_tuples = _combinations_from(_unrank_combination(rank, q, k), q)
-
-    def columns(exps):
-        return [[(e, j) for j in options] for e, options in zip(exps, choices)]
-
-    first = _product_from(columns(next(exponent_tuples)), digits)
-    rest = (product(*columns(exps)) for exps in exponent_tuples)
-    return chain(first, chain.from_iterable(rest))
-
-
-def _unrank_combination(rank: int, stop: int, k: int) -> tuple[int, ...]:
-    """The k-subset of range(1, stop) with this rank in lexicographic order."""
-    out = []
-    x = 1
-    for left in range(k, 0, -1):
-        # subsets of the remaining size whose next element is x
-        while rank >= (c := math.comb(stop - 1 - x, left - 1)):
-            rank -= c
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
-
-
-def _combinations_from(first: tuple[int, ...], stop: int):
-    """The increasing tuples of len(first) over range(1, stop) in
-    lexicographic order, from first on."""
-    k = len(first)
-    for j in reversed(range(k)):
-        # first[:j] fixed, position j past first[j] (from it, for the last)
-        for x in range(first[j] + (j < k - 1), stop):
-            for tail in combinations(range(x + 1, stop), k - 1 - j):
-                yield first[:j] + (x,) + tail
-
-
-def _product_from(columns, digits):
-    """product(*columns) from the tuple with these indices on."""
-    k = len(columns)
-    if not any(digits):  # also the one empty tuple of no columns
-        return product(*columns)
-    return chain.from_iterable(
-        product(*[(col[i],) for col, i in zip(columns, digits[:j])],
-                columns[j][digits[j] + (j < k - 1):], *columns[j + 1:])
-        for j in reversed(range(k)))
+    exponent_tuples = islice(exponent_tuples, rank, None)
+    first = next(exponent_tuples, None)
+    if first is None:
+        return iter(())
+    return chain(islice(block(first), offset, None), chain.from_iterable(map(block, exponent_tuples)))
 
 
 def _descriptor_degree(p: int, desc) -> int | None:

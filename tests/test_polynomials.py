@@ -94,7 +94,8 @@ def test_derivative_matches_direct_summation():
         for _ in range(6):
             cases.append((_random_poly(ctx, rng), ctx.from_code(rng.randrange(1, ctx.q))))
     # every direction on GF(27); the last function has 11 terms, 10 of them
-    # with digit sum >= p-1, so the kernel sums them in several groups
+    # with digit sum >= p-1, so the kernel sums their log-order tables in
+    # several groups and gathers the line from the result
     ctx = make_field(3, 3)
     rng = random.Random(27)
     many = SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, 27)))
@@ -325,7 +326,7 @@ def test_verdict_matches_oracle_seeded_binomials(p, n, count):
 def test_verdict_matches_oracle_many_surviving_terms(p, n):
     # p+1 to 3p terms whose derivative does not vanish, more than one packed
     # sum can hold: random ones, and GAPN ones (the gold monomial plus terms of
-    # digit sum p-1, whose derivatives are constants)
+    # digit sum p-1, whose derivatives are constants); both gather every line
     ctx = make_field(p, n)
     rng = random.Random(1000 * p + n)
     surviving = _surviving_exponents(ctx)
@@ -342,6 +343,15 @@ def test_verdict_matches_oracle_many_surviving_terms(p, n):
         k = rng.randint(min(p, len(constant)), min(3 * p - 1, len(constant)))
         g = SparsePoly(ctx, [(2 * p - 1, coeff())] + [(e, coeff()) for e in rng.sample(constant, k)])
         assert len(g.terms) > p
+        _assert_verdict_matches_oracle(g)
+    # p//2+1 to p such terms: a full scan gathers the lines from f's
+    # log-order table, a fail-fast scan sums the scaled blocks
+    for _ in range(4):
+        k = rng.randint(p // 2 + 1, p)
+        _assert_verdict_matches_oracle(SparsePoly(ctx, [(e, coeff()) for e in rng.sample(surviving, k)]))
+        k = rng.randint(p // 2, p - 1)
+        g = SparsePoly(ctx, [(2 * p - 1, coeff())] + [(e, coeff()) for e in rng.sample(constant, k)])
+        assert p // 2 < len(g.terms) <= p
         _assert_verdict_matches_oracle(g)
 
 
@@ -360,6 +370,16 @@ def test_verdict_matches_oracle_zero_and_constant():
         ctx = make_field(p, n)
         _assert_verdict_matches_oracle(SparsePoly(ctx, []))
         _assert_verdict_matches_oracle(SparsePoly(ctx, [(0, ctx.primitive_element)]))
+
+
+def test_monomial_block_cache_is_bounded():
+    # a monomial scan meets every exponent once; the kernel's cached
+    # D_1 X^d block tables (q/p entries each) stay within 8q entries
+    ctx = make_field(3, 6)
+    for d in range(ctx.q):
+        is_gapn(SparsePoly.monomial(ctx, d), fail_fast=True)
+    blocks = ctx._line_kernel.blocks
+    assert 0 < sum(map(len, blocks.values())) <= 8 * ctx.q
 
 
 def test_fail_fast_matches_full_verdict():
