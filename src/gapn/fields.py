@@ -375,15 +375,15 @@ def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP)
     the returned primitive element.  A supplied modulus must be monic of
     degree n and primitive, otherwise ValueError is raised.
     """
+    if n < 1:
+        raise ValueError("extension degree must be at least 1")
+    # the cap goes first: p ** n and the prime test run for minutes on huge p or n
+    if p > 2 and (p > table_cap or n > table_cap.bit_length() or (q := p ** n) > table_cap):
+        raise ValueError(f"field size {p}^{n} exceeds the table cap {table_cap}")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
-    if n < 1:
-        raise ValueError("extension degree must be at least 1")
-    q = p ** n
-    if q > table_cap:
-        raise ValueError(f"field size {q} exceeds the table cap {table_cap}")
 
     if modulus is not None:
         m = [int(c) % p for c in modulus]

@@ -29,9 +29,11 @@ Both derivative() and is_gapn() run on one line kernel, built on three facts:
   per-field tables (or % p) map each packed sum back to an element code,
   and longer sums are reduced after every p-1 further terms.
 
-is_gapn scans the lines in order of their smallest direction code, which
-makes the witness the smallest failing direction code, then the smallest
-image code with a fiber above p.
+The kernel takes f as (coefficient log, exponent) pairs, so a search scans
+its descriptors as they are; is_gapn turns a scan into a GapnVerdict.  Lines
+are scanned in order of their smallest direction code, which makes the
+witness the smallest failing direction code, then the smallest image code
+with a fiber above p.
 """
 
 from collections import Counter
@@ -68,7 +70,7 @@ class SparsePoly:
     construction; exponents must lie in 0..q-1.
     """
 
-    __slots__ = ("field", "terms", "_vt")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field: FieldCtx, terms):
         merged: dict[int, FieldElem] = {}
@@ -84,7 +86,6 @@ class SparsePoly:
             merged[exp] = coeff if prev is None else prev + coeff
         self.field = field
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if not c.is_zero()))
-        self._vt = None
 
     @classmethod
     def monomial(cls, field: FieldCtx, exp: int, coeff: FieldElem | None = None) -> "SparsePoly":
@@ -109,9 +110,7 @@ class SparsePoly:
         return acc
 
     def value_table(self) -> list[int]:
-        """Codes of F(x) for every x code 0..q-1 (cached)."""
-        if self._vt is not None:
-            return self._vt
+        """Codes of F(x) for every x code 0..q-1."""
         ctx = self.field
         q = ctx.q
         out = [0] * q
@@ -128,7 +127,6 @@ class SparsePoly:
                 for exp, ci in tls:
                     acc = add(acc, antilog[(ci + exp * k) % m])
                 out[antilog[k]] = acc
-        self._vt = out
         return out
 
     def restrict_min_digit_sum(self, min_sum: int) -> "SparsePoly":
@@ -189,7 +187,7 @@ class _LineKernel:
     """
 
     __slots__ = ("p", "m", "nlines", "nblocks", "antilog", "lines", "by_log", "logz",
-                 "pack", "live", "packed_at", "chunks", "blocks")
+                 "pack", "degree", "packed_at", "chunks", "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
@@ -213,8 +211,8 @@ class _LineKernel:
             pack = [x + (d << (w * i)) for d in range(p) for x in pack]
             sums = [s + d for d in range(p) for s in sums]
         self.pack = pack
-        # D_1 X^d vanishes exactly when digit_sum(d) < p-1
-        self.live = [s >= p - 1 for s in sums]
+        # algebraic degree of X^d; D_1 X^d vanishes exactly when it is < p-1
+        self.degree = sums
         # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
         # log-form entry plus a shift in 0..m-1 reads its scaled value
         packed = list(map(pack.__getitem__, ctx.antilog))
@@ -259,9 +257,10 @@ class _LineKernel:
                 return codes
             acc = map(self.pack.__getitem__, codes)
 
-    def reader(self, f: SparsePoly, full: bool = False):
-        """(line, T): line(t) gives the codes of D_1 f_a on each block of p
-        consecutive codes, a = g^t, and T counts f's terms c*X^d whose
+    def reader(self, terms, full: bool = False):
+        """(line, T) for f the sum of terms given as (coefficient log,
+        exponent) pairs: line(t) gives the codes of D_1 f_a on each block of
+        p consecutive codes, a = g^t, and T counts f's terms c*X^d whose
         D_1 X^d is not identically zero (the others are dropped).
 
         A line is either one packed sum of the T scaled block tables, T*q/p
@@ -269,13 +268,40 @@ class _LineKernel:
         costs T*q lookups to build.  The gather is used beyond p terms, and
         for a full scan (every line is read, so the table pays off) beyond
         p/2 terms, where a gathered line costs less than the sum."""
-        live = self.live
-        terms = [(c.idx, d) for d, c in f.terms if live[d]]
+        degree, low = self.degree, self.p - 1
+        terms = [(ci, d) for ci, d in terms if degree[d] >= low]
         if not terms:
             return (lambda t: [0] * self.nblocks), 0
         if len(terms) > (self.p // 2 if full else self.p):
             return partial(self.gather, self.log_values(terms)), len(terms)
         return partial(self.line_codes, [(ci, d, self.monomial_blocks(d)) for ci, d in terms]), len(terms)
+
+    def scan(self, terms, fail_fast: bool = False):
+        """(scanned, failing) for f the sum of terms given as (coefficient
+        log, exponent) pairs.  scanned maps each scanned line to the max
+        fiber of its derivative, in order of the lines' smallest direction
+        codes; failing is (line, Counter of its block codes) for the first
+        line with a fiber above p, or None.  With fail_fast the scan stops
+        at that line."""
+        line, nterms = self.reader(terms, full=not fail_fast)
+        scanned = {}
+        mx = failing = None
+        for t in self.lines:
+            # with at most one term left, line t's block codes are a nonzero
+            # multiple of the first line's, so every line has its fibers
+            if mx is None or nterms > 1:
+                codes = line(t)
+                if len(set(codes)) == self.nblocks:
+                    mx = self.p
+                else:
+                    counts = Counter(codes)
+                    mx = self.p * max(counts.values())
+                    if failing is None:
+                        failing = (t, counts)
+            scanned[t] = mx
+            if fail_fast and failing is not None:
+                break
+        return scanned, failing
 
     def monomial_blocks(self, d: int) -> list[int]:
         """D_1 X^d on each block of p consecutive codes, in log form, for
@@ -374,7 +400,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
         raise ValueError("derivative direction must be nonzero")
     kern = _kernel(ctx)
     t = a.idx
-    codes = kern.reader(f)[0](t)
+    codes = kern.reader([(c.idx, d) for d, c in f.terms])[0](t)
     at_y = list(chain.from_iterable(map(repeat, codes, repeat(ctx.p))))
     # antilog rotated by -t, then 0: read through by_log it gives x/a for each x
     quotient = ctx.antilog[ctx.q - 1 - t:] + ctx.antilog[:ctx.q - 1 - t]
@@ -416,43 +442,22 @@ class GapnVerdict:
 def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
     """Exhaustive GAPN check over all q-1 directions.
 
-    The directions of one line F_p*a share one derivative, and
-    D_a f(x) = D_1 f_a(x/a) has the same fibers as D_1 f_a, so each line
-    costs one sum of f's scaled monomial blocks: T*q/p lookups for the T
-    terms whose derivative does not vanish.  With at most one such term,
-    every line has the fibers of the first, which is the only one built.
-    Beyond p such terms, or beyond p/2 when every line is scanned, each
-    line gathers q entries of a log-order table of f built once instead.
-    Lines are scanned in order of their smallest direction code, so the
-    witness is the smallest failing direction code, then the smallest
-    image code with a fiber above p.  With fail_fast, scanning stops at the
-    first failing line (its per-direction stats stay exact; later
-    directions are not reported).
+    The directions of one line F_p*a share one derivative; the line
+    kernel's scan gives each line's max fiber (see the module docstring),
+    in order of the lines' smallest direction codes, so the witness is the
+    smallest failing direction code, then the smallest image code with a
+    fiber above p.  With fail_fast, scanning stops at the first failing
+    line (its per-direction stats stay exact; later directions are not
+    reported).
     """
     ctx = f.field
-    p = ctx.p
     kern = _kernel(ctx)
-    line, nterms = kern.reader(f, full=not fail_fast)
-    # with at most one term left, line t's block codes are a nonzero
-    # multiple of the first line's, so every line has the first's fibers
-    shared = nterms <= 1
-    scanned = {}  # line -> max fiber
-    mx = None
+    scanned, failing = kern.scan([(c.idx, d) for d, c in f.terms], fail_fast)
     witness = None
-    for t in kern.lines:
-        if mx is None or not shared:
-            codes = line(t)
-            if len(set(codes)) == kern.nblocks:
-                mx = p
-            else:
-                counts = Counter(codes)
-                mx = p * max(counts.values())
-                if witness is None:
-                    b = min(s for s, cnt in counts.items() if cnt > 1)
-                    witness = (ctx.from_code(min(kern.antilog[t::kern.nlines])), ctx.from_code(b))
-        scanned[t] = mx
-        if fail_fast and witness is not None:
-            break
+    if failing is not None:
+        t, counts = failing
+        b = min(s for s, cnt in counts.items() if cnt > 1)
+        witness = (ctx.from_code(min(kern.antilog[t::kern.nlines])), ctx.from_code(b))
     log = ctx.log
     dirs = sorted(chain.from_iterable(kern.antilog[t::kern.nlines] for t in scanned))
     per_direction = [(FieldElem(ctx, log[a]), scanned[log[a] % kern.nlines]) for a in dirs]

@@ -4,18 +4,21 @@ named, re-runnable verification claims.
 Candidates are enumerated in a documented total order (exponent tuples
 ascending, then coefficient log-indices ascending, with an absent/zero
 coefficient sorting first), so identical jobs always yield identical result
-streams.  Serial and pooled runs share one scan: the enumeration is split
-into contiguous ordinal ranges, each range starts the enumeration at its
-first ordinal and yields (ordinal, descriptor, degree) hit records, and the
-caller turns the records into hits on the job's own field in range order.
-Pooled runs therefore return the same objects as serial runs, independent
-of scheduling.  Every hit is GAPN, so a hit carries no verdict; its worst
-fiber is p by definition.
+streams.  A candidate stays a descriptor: its present terms go to the line
+kernel's scan as (coefficient log, exponent) pairs, and its degree is read
+from the kernel's digit-sum table.  Serial and pooled runs share one scan
+over contiguous ordinal ranges, each starting the enumeration at its first
+ordinal and yielding (ordinal, descriptor, degree) hit records; the caller
+turns them into hits on the job's own field in range order, so pooled runs
+return the same objects as serial runs.  Every hit is GAPN, so a hit
+carries no verdict; its worst fiber is p by definition.
 """
 
 import math
+import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +27,7 @@ from itertools import chain, combinations, islice, product
 from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
     SparsePoly,
+    _kernel,
     derivative,
     digit_sum,
     is_gapn,
@@ -160,30 +164,22 @@ def enumerate_candidates(job: SearchJob, start: int = 0):
     return chain(islice(block(first), offset, None), chain.from_iterable(map(block, exponent_tuples)))
 
 
-def _descriptor_degree(p: int, desc) -> int | None:
-    degs = [digit_sum(p, e) for e, j in desc if j != -1]
-    return max(degs) if degs else None
-
-
-def _materialize(ctx: FieldCtx, desc) -> SparsePoly:
-    return SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1])
-
-
 def _scan_range(job: SearchJob, start: int, stop: int):
     """Scan the ordinals in [start, stop); returns (examined, checked,
     records) with one (ordinal, descriptor, degree) record per hit."""
-    ctx = job.field
-    p = ctx.p
+    kern = _kernel(job.field)
+    degree_of = kern.degree
     flt = job.degree_filter
     examined = checked = 0
     records = []
     for ordinal, desc in zip(range(start, stop), enumerate_candidates(job, start)):
         examined += 1
-        degree = _descriptor_degree(p, desc)
+        terms = [(j, e) for e, j in desc if j != -1]
+        degree = max([degree_of[e] for _, e in terms], default=None)
         if degree is None or (flt is not None and degree not in flt):
             continue
         checked += 1
-        if is_gapn(_materialize(ctx, desc), fail_fast=True).is_gapn:
+        if kern.scan(terms, fail_fast=True)[1] is None:
             records.append((ordinal, desc, degree))
             if len(records) == job.limit:
                 break
@@ -211,7 +207,9 @@ def run_search(
     """Run the job and return (hits, summary); refuses jobs over budget.
 
     Pooled runs (threads > 1, at least 2000 candidates, no limit) return
-    the same hits and summary as serial runs."""
+    the same hits and summary as serial runs.  They start at most one
+    worker per CPU and per chunk, since a forked pool starts every worker
+    on the first submit."""
     total = candidate_count(job)
     if total > budget:
         raise ValueError(
@@ -219,23 +217,20 @@ def run_search(
             "raise the budget explicitly to run it"
         )
     t0 = time.perf_counter()
-    if threads <= 1 or total < 2000 or job.limit is not None:
+    workers = min(threads, os.cpu_count() or 1, max(1, total // 500))
+    if workers <= 1 or total < 2000 or job.limit is not None:
         parts = [_scan_range(job, 0, total)]
     else:
-        nchunks = min(threads * 4, max(1, total // 500))
+        nchunks = min(workers * 4, total // 500)
         step = -(-total // nchunks)
         starts = range(0, total, step)
         stops = [min(lo + step, total) for lo in starts]
-        with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(job,)) as pool:
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(job,)) as pool:
             parts = list(pool.map(_scan_worker, starts, stops))
-    hits = [
-        SearchHit(ordinal, _materialize(job.field, desc), degree)
-        for _, _, records in parts
-        for ordinal, desc, degree in records
-    ]
-    by_degree: dict[int, int] = {}
-    for h in hits:
-        by_degree[h.degree] = by_degree.get(h.degree, 0) + 1
+    ctx = job.field
+    hits = [SearchHit(ordinal, SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1]), degree)
+            for _, _, records in parts for ordinal, desc, degree in records]
+    by_degree = dict(Counter(h.degree for h in hits))
     examined = sum(part[0] for part in parts)
     checked = sum(part[1] for part in parts)
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -94,11 +95,13 @@ _MALFORMED_ARGV = {
     "search-limit-negative": ["search", "-p", "3", "--shape", "monomial", "--limit", "-1"],
     "search-threads-negative": ["search", "-p", "3", "--shape", "monomial", "--threads", "-5"],
     "reproduce-threads-negative": ["reproduce", "--claim", "gold-monomials", "--threads", "-2"],
+    "field-info-huge-p": ["field-info", "-p", "1000000000000000003"],
 }
 
 # function files for verify that are not valid function JSON, given as text
 _MALFORMED_TEXT = {
     "verify-deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "verify-huge-n": json.dumps({"field": {"p": 3, "n": 50_000_000}, "terms": []}),
 }
 
 
@@ -115,9 +118,11 @@ def test_verify_malformed_values_exit_two(tmp_path, capsys, case):
         path = tmp_path / "bad.json"
         path.write_text(case)
         case = ["verify", str(path)]
+    t0 = time.perf_counter()
     assert main(case) == 2
+    assert time.perf_counter() - t0 < 1  # refused before any field-sized work
     captured = capsys.readouterr()
-    assert captured.out == "" and "error" in captured.err
+    assert captured.out == "" and "error" in captured.err and len(captured.err) < 200
 
 
 def test_python_dash_m_exit_codes(tmp_path):

@@ -7,7 +7,8 @@ from itertools import islice
 
 import pytest
 
-from gapn.fields import make_field
+import gapn.search as search
+from gapn.fields import FieldElem, make_field
 from gapn.polynomials import SparsePoly, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
@@ -18,6 +19,8 @@ from gapn.search import (
     reproduce,
     run_search,
 )
+
+import oracle
 
 
 def test_candidate_counts():
@@ -110,6 +113,59 @@ def test_run_is_deterministic():
     assert all(h.degree == h.function.algebraic_degree() for h in hits1)
 
 
+# (p, n, shape, canonicalize, options): whole spaces, except that the GF(9)
+# digitsum-reduced space with min_digit_sum=2 has 9^6 = 531,441 candidates and
+# is cut by a hit limit after its 4- and 5-term candidates, which take the
+# kernel's gather path
+_REFERENCE_JOBS = {
+    "gf9-binomial": (3, 2, "binomial", True, {}),
+    "gf9-binomial-raw": (3, 2, "binomial", False, {}),
+    "gf9-trinomial": (3, 2, "trinomial", True, {}),
+    "gf9-trinomial-raw": (3, 2, "trinomial", False, {}),
+    "gf9-digitsum-2": (3, 2, "digitsum-reduced", True, {"min_digit_sum": 2, "limit": 500}),
+    "gf9-digitsum-degree-3": (3, 2, "digitsum-reduced", True, {"degree_filter": {3}}),
+    "gf25-binomial": (5, 2, "binomial", True, {}),
+    "gf27-binomial": (3, 3, "binomial", True, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_JOBS.values()), ids=list(_REFERENCE_JOBS))
+def test_search_matches_direct_loop(case):
+    # the search scans descriptors on the line kernel; the reference builds
+    # each candidate as a SparsePoly and takes a full is_gapn verdict
+    p, n, shape, canonical, options = case
+    ctx = make_field(p, n)
+    job = SearchJob(ctx, shape, canonicalize=canonical, **options)
+    hits, summary = run_search(job, threads=1)
+    want, checked, most = [], 0, 0
+    for ordinal, desc in enumerate(enumerate_candidates(job)):
+        f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1])
+        degree = f.algebraic_degree()
+        if degree is None or (job.degree_filter is not None and degree not in job.degree_filter):
+            continue
+        checked += 1
+        most = max(most, len(f.terms))
+        if is_gapn(f).is_gapn:
+            want.append((ordinal, f, degree))
+            if len(want) == job.limit:
+                break
+    assert [(h.ordinal, h.function, h.degree) for h in hits] == want
+    assert (summary.examined, summary.checked) == (ordinal + 1, checked)
+    assert most > p or "min_digit_sum" not in options  # the gather path was taken
+    if ctx.q == 9:
+        # the oracle takes milliseconds a candidate: every candidate of the
+        # small spaces, an even spread of about 300 of the larger ones
+        tf = oracle.tuple_field_of(ctx)
+        gapn = {h.ordinal for h in hits}
+        stride = max(1, summary.examined // 300)
+        sample = islice(enumerate(enumerate_candidates(job)), 0, summary.examined, stride)
+        for ordinal, desc in sample:
+            terms = [(e, tuple(FieldElem(ctx, j).vector())) for e, j in desc if j != -1]
+            flt = job.degree_filter
+            if terms and (flt is None or max(digit_sum(p, e) for e, _ in terms) in flt):
+                assert (oracle.verdict(tf, terms)[1] is None) == (ordinal in gapn)
+
+
 def test_partition_soundness():
     f9 = make_field(3, 2)
     job = SearchJob(f9, "binomial")
@@ -133,6 +189,41 @@ def test_parallel_matches_serial():
     assert all(h.function.field is job.field for h in hits_p)
     assert (sum_p.examined, sum_p.checked) == (sum_s.examined, sum_s.checked)
     assert sum_p.hits_by_degree == sum_s.hits_by_degree
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker process is started."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_pool_workers_capped_by_cpus(monkeypatch, cpus):
+    job = SearchJob(make_field(5, 2), "binomial")  # 6,624 candidates: pooled above 1 worker
+    serial = run_search(job, threads=1)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(search, "_worker_job", None)
+    hits, summary = run_search(job, threads=10_000)
+    assert _InProcessPool.made == ([3] if cpus == 3 else [])
+    assert hits == serial[0]
+    assert (summary.examined, summary.checked, summary.hits_by_degree) == (
+        serial[1].examined, serial[1].checked, serial[1].hits_by_degree)
 
 
 def test_limit_cap():
