@@ -174,8 +174,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    _threads(args)  # still validated, though every claim runs serially
     ids = claim_ids() if args.claim == "all" else [args.claim]
-    reports = [reproduce(claim_id, threads=_threads(args)) for claim_id in ids]
+    reports = [reproduce(claim_id) for claim_id in ids]
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports]))
     else:
@@ -240,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     re_ = sub.add_parser("reproduce", help="re-run registered verification claims")
     re_.add_argument("--claim", required=True,
                      help="a claim id or 'all'; see 'gapn reproduce --claim list'")
-    re_.add_argument("--threads", type=int, default=0)
+    re_.add_argument("--threads", type=int, default=0, help="0 or more; claims always run serially")
     re_.add_argument("--format", choices=("json", "text"), default="text")
     re_.set_defaults(func=cmd_reproduce)
 

@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 import gapn.search as search
+from gapn.cli import main
 from gapn.fields import FieldElem, make_field
 from gapn.polynomials import SparsePoly, digit_sum, is_gapn
 from gapn.search import (
@@ -301,3 +302,41 @@ def test_reproduce_single_claim():
     assert r.passed
     assert r.claim == "gold-monomials"
     assert set(r.to_json()) == {"claim", "passed", "details", "elapsed_ms"}
+
+
+def _reproduce_all_json(capsys, threads: str) -> list[dict]:
+    assert main(["reproduce", "--claim", "all", "--threads", threads, "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    for r in reports:
+        del r["elapsed_ms"]
+    return reports
+
+
+def test_reproduce_never_starts_a_pool(monkeypatch, capsys):
+    # --threads is validated but reaches no claim, so even a thread count
+    # far above the CPUs starts no pool and changes no report
+    serial = _reproduce_all_json(capsys, "1")
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search, "_worker_job", None)
+    assert _reproduce_all_json(capsys, "10000") == serial
+    assert _InProcessPool.made == []
+
+
+def test_condition_claim_checks_every_direction(monkeypatch):
+    # a = 2 lies on the F_5-line of 1, so a claim that tests the closed form
+    # once per line (or once per function) would miss this one wrong answer
+    ctx = make_field(5, 2)
+    target = (ctx.one, ctx.primitive_element, ctx.scalar(2))
+    real = search.p_to_one_condition
+
+    def flipped(fctx, s, coeffs, a):
+        answer = real(fctx, s, coeffs, a)
+        if fctx.p == 5 and (coeffs[0], coeffs[1], a) == target:
+            return not answer
+        return answer
+
+    assert reproduce("derivative-condition-equivalence").passed
+    monkeypatch.setattr(search, "p_to_one_condition", flipped)
+    assert reproduce("derivative-condition-equivalence").passed is False
