@@ -233,7 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--limit", type=int, default=None,
                     help="stop after this many hits (at least 1)")
     se.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    se.add_argument("--threads", type=int, default=0, help="0 = all cores, 1 = serial")
+    se.add_argument("--threads", type=int, default=0,
+                    help="monomial and digitsum-reduced: 0 = all cores, 1 = serial; "
+                         "binomial and trinomial always run serially")
     se.add_argument("--format", choices=("json", "csv", "text"), default="json")
     se.add_argument("-o", "--output", default=None, help="write hits to this file")
     se.set_defaults(func=cmd_search)

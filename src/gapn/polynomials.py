@@ -88,6 +88,17 @@ class SparsePoly:
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if not c.is_zero()))
 
     @classmethod
+    def _from_sorted_terms(cls, field: FieldCtx, terms: tuple) -> "SparsePoly":
+        """The SparsePoly whose terms tuple is terms, for callers that build
+        it in canonical form: (exponent, nonzero coefficient of field)
+        pairs, exponents distinct, ascending and in 0..q-1.  Nothing is
+        checked or copied."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def monomial(cls, field: FieldCtx, exp: int, coeff: FieldElem | None = None) -> "SparsePoly":
         return cls(field, [(exp, field.one if coeff is None else coeff)])
 
@@ -415,7 +426,6 @@ def is_p_to_one(m: DerivativeMap) -> tuple[bool, int]:
     return mx == m.direction.ctx.p, mx
 
 
-@dataclass
 class GapnVerdict:
     """Outcome of checking all derivative directions of one function.
 
@@ -423,13 +433,38 @@ class GapnVerdict:
     p-to-1.  witness is a pair (a, b) with fiber size of b under the
     derivative at a exceeding p (smallest direction code, then smallest
     image code); per_direction lists (a, max fiber) for the directions that
-    were scanned.
+    were scanned, by ascending code.  per_direction may be given as a
+    function of no arguments, which builds the list on first read.
     """
 
-    is_gapn: bool
-    worst_fiber: int
-    witness: tuple[FieldElem, FieldElem] | None
-    per_direction: list[tuple[FieldElem, int]]
+    __slots__ = ("is_gapn", "worst_fiber", "witness", "_per_direction")
+
+    def __init__(self, is_gapn: bool, worst_fiber: int,
+                 witness: tuple[FieldElem, FieldElem] | None, per_direction):
+        self.is_gapn = is_gapn
+        self.worst_fiber = worst_fiber
+        self.witness = witness
+        self._per_direction = per_direction
+
+    @property
+    def per_direction(self) -> list[tuple[FieldElem, int]]:
+        if callable(self._per_direction):
+            self._per_direction = self._per_direction()
+        return self._per_direction
+
+    def _fields(self) -> tuple:
+        return self.is_gapn, self.worst_fiber, self.witness, self.per_direction
+
+    def __eq__(self, other):
+        if not isinstance(other, GapnVerdict):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("GapnVerdict(is_gapn={!r}, worst_fiber={!r}, witness={!r}, "
+                "per_direction={!r})".format(*self._fields()))
 
     def to_json(self) -> dict:
         wit = None
@@ -437,6 +472,15 @@ class GapnVerdict:
             a, b = self.witness
             wit = {"a": list(a.vector()), "b": list(b.vector())}
         return {"is_gapn": self.is_gapn, "worst_fiber": self.worst_fiber, "witness": wit}
+
+
+def _directions(ctx: FieldCtx, scanned: dict) -> list[tuple[FieldElem, int]]:
+    """(a, max fiber) for every direction a on a scanned line, by
+    ascending code; scanned maps each line to its max fiber."""
+    kern = _kernel(ctx)
+    log = ctx.log
+    dirs = sorted(chain.from_iterable(kern.antilog[t::kern.nlines] for t in scanned))
+    return [(FieldElem(ctx, log[a]), scanned[log[a] % kern.nlines]) for a in dirs]
 
 
 def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
@@ -448,7 +492,8 @@ def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
     smallest failing direction code, then the smallest image code with a
     fiber above p.  With fail_fast, scanning stops at the first failing
     line (its per-direction stats stay exact; later directions are not
-    reported).
+    reported).  The per-direction list is built from the scanned lines
+    when it is first read.
     """
     ctx = f.field
     kern = _kernel(ctx)
@@ -458,10 +503,7 @@ def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:
         t, counts = failing
         b = min(s for s, cnt in counts.items() if cnt > 1)
         witness = (ctx.from_code(min(kern.antilog[t::kern.nlines])), ctx.from_code(b))
-    log = ctx.log
-    dirs = sorted(chain.from_iterable(kern.antilog[t::kern.nlines] for t in scanned))
-    per_direction = [(FieldElem(ctx, log[a]), scanned[log[a] % kern.nlines]) for a in dirs]
-    return GapnVerdict(witness is None, max(scanned.values()), witness, per_direction)
+    return GapnVerdict(witness is None, max(scanned.values()), witness, partial(_directions, ctx, scanned))
 
 
 def verify_power_identity(ctx: FieldCtx, d: int) -> bool:

@@ -4,15 +4,28 @@ named, re-runnable verification claims.
 Candidates are enumerated in a documented total order (exponent tuples
 ascending, then coefficient log-indices ascending, with an absent/zero
 coefficient sorting first), so identical jobs always yield identical result
-streams.  A candidate stays a descriptor: its present terms go to the line
-kernel's scan as (coefficient log, exponent) pairs, and its degree is read
-from the kernel's digit-sum table.  Serial and pooled runs share one scan
-over contiguous ordinal ranges, each starting the enumeration at its first
-ordinal and yielding (ordinal, descriptor, degree) hit records; the caller
-turns them into hits on the job's own field in range order, so pooled runs
-return the same objects as serial runs.  Every hit is GAPN, so a hit
-carries no verdict; its worst fiber is p by definition.  The registry's
-claims take no arguments and run serially, its searches included.
+streams.  A candidate's degree is read from the kernel's digit-sum table.
+Every hit is GAPN, so a hit carries no verdict; its worst fiber is p by
+definition.
+
+Binomials and trinomials are decided a whole exponent tuple at a time
+(gapn.secant).  D_1 of X^d1 + v*X^d2 + w*X^d3 is p-to-1 exactly when the
+block values of M_d1 + v*M_d2 + w*M_d3 are distinct, M_d = D_1 X^d on the
+q/p blocks.  So each block pair forbids the (v, w) on one line, and a
+candidate is a hit exactly when the orbit of its coefficients under
+direction scaling, (v*a^(d2-d1), w*a^(d3-d1)), meets no forbidden point.
+The hits' ordinals are the tuple's rank times the block size plus their
+coefficient offsets.  A raw (non-canonical) space reuses the canonical
+hits, since c*f is GAPN exactly when f is.
+
+Monomials and digitsum-reduced functions are scanned one candidate at a
+time: its present terms go to the line kernel's scan as (coefficient log,
+exponent) pairs.  Serial and pooled runs share one scan over contiguous
+ordinal ranges, each starting the enumeration at its first ordinal and
+yielding (ordinal, descriptor, degree) hit records; the caller turns them
+into hits on the job's own field in range order, so pooled runs return the
+same objects as serial runs.  The registry's claims take no arguments and
+run serially, its searches included.
 """
 
 import math
@@ -22,8 +35,9 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from functools import lru_cache, partial
+from itertools import chain, combinations, islice, product, repeat
+from operator import add
 
 from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
@@ -35,6 +49,7 @@ from .polynomials import (
     is_p_to_one,
     verify_power_identity,
 )
+from .secant import tuple_hits
 from .constructions import (
     binomial_gapn_sufficient,
     binomial_reduction_vanishes,
@@ -73,7 +88,7 @@ class SearchJob:
             raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchHit:
     """One GAPN candidate, in enumeration order; is_gapn(function) gives
     its full verdict."""
@@ -187,6 +202,68 @@ def _scan_range(job: SearchJob, start: int, stop: int):
     return examined, checked, records
 
 
+def _secant_search(job: SearchJob):
+    """(examined, checked, hits) for a binomial or trinomial job, equal to
+    what scanning every candidate with _scan_range gives.  The hits of
+    each exponent tuple are decided together (gapn.secant); a hit's
+    ordinal is the tuple's rank times the block size plus its coefficient
+    offset.  c*f is
+    GAPN exactly when f is, so a raw space's hits with lead log j1 are the
+    canonical hits with j1 added to every coefficient log."""
+    ctx = job.field
+    kern = _kernel(ctx)
+    m = kern.m
+    k = 2 if job.shape == "binomial" else 3
+    hits_of = tuple_hits(ctx, k)
+    width = m ** (k - 1)
+    leads = (0,) if job.canonicalize else range(m)
+    block = len(leads) * width
+    units = [FieldElem(ctx, j) for j in range(m)]
+    rows = {}  # exponent d -> the term (d, g^j) for each coefficient log j
+
+    def row(d):
+        if d not in rows:
+            rows[d] = [(d, u) for u in units]
+        return rows[d]
+
+    poly = partial(SparsePoly._from_sorted_terms, ctx)
+    degree_of, flt, limit = kern.degree, job.degree_filter, job.limit
+    checked = 0
+    hits = []
+    for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
+        degree = max(map(degree_of.__getitem__, exps))
+        if flt is not None and degree not in flt:
+            continue
+        found = hits_of(exps)
+        if not found:
+            checked += block
+            continue
+        first, *rest = map(row, exps)
+        for j1 in leads:
+            # the hits' offsets within the block of lead log j1, then their terms
+            if j1 == 0:
+                offsets = found
+            elif k == 2:
+                offsets = sorted((o + j1) % m for o in found)
+            else:
+                offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
+            if limit is not None:
+                offsets = offsets[:limit - len(hits)]
+            lead = first[j1]
+            if k == 2:
+                terms = [(lead, rest[0][o]) for o in offsets]
+            else:
+                terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
+            at = j1 * width
+            hits.extend(map(SearchHit, map(add, offsets, repeat(rank * block + at)),
+                            map(poly, terms), repeat(degree)))
+            if len(hits) == limit:
+                last = at + offsets[-1]
+                return rank * block + last + 1, checked + last + 1, hits
+        checked += block
+    return candidate_count(job), checked, hits
+
+
 _worker_job: SearchJob | None = None  # set once per pool worker by _init_worker
 
 
@@ -199,25 +276,9 @@ def _scan_worker(start: int, stop: int):
     return _scan_range(_worker_job, start, stop)
 
 
-def run_search(
-    job: SearchJob,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-    claim: str | None = None,
-) -> tuple[list[SearchHit], SearchSummary]:
-    """Run the job and return (hits, summary); refuses jobs over budget.
-
-    Pooled runs (threads > 1, at least 2000 candidates, no limit) return
-    the same hits and summary as serial runs.  They start at most one
-    worker per CPU and per chunk, since a forked pool starts every worker
-    on the first submit."""
-    total = candidate_count(job)
-    if total > budget:
-        raise ValueError(
-            f"job enumerates {total} candidates, above the budget of {budget}; "
-            "raise the budget explicitly to run it"
-        )
-    t0 = time.perf_counter()
+def _scan_search(job: SearchJob, total: int, threads: int):
+    """(examined, checked, hits) from scanning every candidate, serially
+    or in a process pool of at most min(threads, CPUs) workers."""
     workers = min(threads, os.cpu_count() or 1, max(1, total // 500))
     if workers <= 1 or total < 2000 or job.limit is not None:
         parts = [_scan_range(job, 0, total)]
@@ -229,11 +290,38 @@ def run_search(
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(job,)) as pool:
             parts = list(pool.map(_scan_worker, starts, stops))
     ctx = job.field
-    hits = [SearchHit(ordinal, SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1]), degree)
+    hits = [SearchHit(ordinal, SparsePoly._from_sorted_terms(
+                ctx, tuple((e, FieldElem(ctx, j)) for e, j in desc if j != -1)), degree)
             for _, _, records in parts for ordinal, desc, degree in records]
+    return sum(part[0] for part in parts), sum(part[1] for part in parts), hits
+
+
+def run_search(
+    job: SearchJob,
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+    claim: str | None = None,
+) -> tuple[list[SearchHit], SearchSummary]:
+    """Run the job and return (hits, summary); refuses jobs over budget.
+
+    Binomial and trinomial jobs are decided per exponent tuple (see the
+    module docstring), serially; threads reaches only the monomial and
+    digitsum-reduced shapes.  Their pooled runs (threads > 1, at least
+    2000 candidates, no limit) return the same hits and summary as serial
+    runs.  They start at most one worker per CPU and per chunk, since a
+    forked pool starts every worker on the first submit."""
+    total = candidate_count(job)
+    if total > budget:
+        raise ValueError(
+            f"job enumerates {total} candidates, above the budget of {budget}; "
+            "raise the budget explicitly to run it"
+        )
+    t0 = time.perf_counter()
+    if job.shape in ("binomial", "trinomial"):
+        examined, checked, hits = _secant_search(job)
+    else:
+        examined, checked, hits = _scan_search(job, total, threads)
     by_degree = dict(Counter(h.degree for h in hits))
-    examined = sum(part[0] for part in parts)
-    checked = sum(part[1] for part in parts)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)
 

@@ -1,0 +1,147 @@
+"""Whole exponent tuples of binomial and trinomial searches, decided at once.
+
+With M_d = D_1 X^d on the q/p blocks of p consecutive codes (the line
+kernel's monomial_blocks, zero when digit_sum(d) < p-1), D_1 of
+X^d1 + v*X^d2 + w*X^d3 is M_d1 + v*M_d2 + w*M_d3, and it is p-to-1 exactly
+when its block values are distinct.  So each block pair i < j forbids the
+coefficients (v, w) on the line D1 + v*D2 + w*D3 = 0, where
+Dk = M_dk[i] - M_dk[j]; a binomial has no w, so a pair forbids one v, none
+or all.  By direction scaling, D_a f has the fibers of D_1 f_a, and
+f_a/a^d1 has the coefficients v*a^(d2-d1) and w*a^(d3-d1).  So
+X^d1 + v*X^d2 + w*X^d3 is GAPN exactly when this orbit of (v, w) over the
+units a meets no forbidden point.  One exponent tuple thus costs C(q/p, 2)
+block pairs, whatever the number of its coefficient choices.  Everything
+is kept in discrete logs to base g, with 2m (m = q-1) marking zero.
+"""
+
+import math
+from functools import partial
+from itertools import combinations, compress, repeat
+from operator import add, sub
+
+from .fields import FieldCtx
+from .polynomials import _kernel
+
+
+def tuple_hits(ctx: FieldCtx, k: int):
+    """The function that maps an exponent tuple d1 < ... < dk of ctx, k = 2
+    or 3, to the ascending offsets of its GAPN canonical coefficient
+    choices: j for X^d1 + g^j*X^d2, jv*m + jw for
+    X^d1 + g^jv*X^d2 + g^jw*X^d3."""
+    kern = _kernel(ctx)
+    diffs = pair_differences(ctx)
+    if k == 2:
+        return partial(binomial_hits, diffs, kern.m)
+    zech = [kern.logz[ctx.add_code(1, x)] for x in ctx.antilog]
+    return partial(trinomial_hits, diffs, zech * 2, kern.m)
+
+
+def pair_differences(ctx: FieldCtx) -> list[list[int]]:
+    """For every exponent d in 1..q-1 (index d), the logs of
+    M_d[i] - M_d[j] over the block pairs i < j in lexicographic order, with
+    2m for zero.  M_d is D_1 X^d on the q/p blocks (the kernel's
+    monomial_blocks), the zero vector when digit_sum(d) < p-1."""
+    kern = _kernel(ctx)
+    m = kern.m
+    pairs = list(combinations(range(kern.nblocks), 2))
+    first = [i for i, _ in pairs]
+    second = [j for _, j in pairs]
+    at = kern.packed_at.__getitem__
+    zero = [2 * m] * len(pairs)
+    out = [zero]
+    for d in range(1, ctx.q):
+        if kern.degree[d] < kern.p - 1:
+            out.append(zero)
+            continue
+        blocks = kern.monomial_blocks(d)
+        # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0
+        minus = map(at, map(add, map(blocks.__getitem__, second), repeat(m // 2)))
+        sums = list(map(add, map(at, map(blocks.__getitem__, first)), minus))
+        out.append(list(map(kern.logz.__getitem__, kern.unpack(sums))))
+    return out
+
+
+def binomial_hits(diffs, m: int, exps) -> list[int]:
+    """The coefficient logs j, ascending, for which X^d1 + g^j*X^d2 is
+    GAPN.
+
+    D_1 f_a is a^d1 times M_d1 + w*M_d2 with w = g^j*a^(d2-d1), and it is
+    p-to-1 exactly when its block values are distinct.  A block pair with
+    differences (D1, D2) forbids every w when both are zero, no w when one
+    is, and else the one w with log(-D1) - log(D2).  As a runs over the
+    units, j + t*(d2-d1) runs over the class of j mod G = gcd(d2-d1, m),
+    so j is a hit exactly when j mod G is the residue of no forbidden log.
+    """
+    d1, d2 = exps
+    zero, half = 2 * m, m // 2
+    # log(-D1) with 4m for zero, minus log(D2) with 2m for zero: two logs
+    # give a slope in (-m, m), both zero give 2m, one zero lies outside
+    minus = [4 * m if l == zero else (l + half) % m for l in diffs[d1]]
+    slopes = set(map(sub, minus, diffs[d2]))
+    if zero in slopes:
+        return []
+    g = math.gcd(d2 - d1, m)
+    bad = {s % g for s in slopes if -m < s < m}
+    if len(bad) == g:
+        return []
+    return list(compress(range(m), [s not in bad for s in range(g)] * (m // g)))
+
+
+def trinomial_hits(diffs, zech: list[int], m: int, exps) -> list[int]:
+    """The offsets jv*m + jw, ascending, of the coefficient logs for which
+    X^d1 + g^jv*X^d2 + g^jw*X^d3 is GAPN.
+
+    Each block pair with differences (D1, D2, D3) forbids the points
+    (v, w) of the line D1 + v*D2 + w*D3 = 0, and every point when all
+    three are zero.  Direction a = g^t moves (jv, jw) to (jv + t*e2,
+    jw + t*e3), ek = dk - d1, so a pair is a hit exactly when its orbit
+    meets no forbidden point.  With G2 = gcd(e2, m), r = jv mod G2 and t0
+    the t that moves (r, .) to (jv, .), the orbit of (jv, jw) is labelled
+    (r, (jw - t0*e3) mod H), H = gcd((m/G2)*e3, m), kept as r*m + label.
+    zech[x] is log(1 + g^x), doubled to 2m entries.
+    """
+    d1, d2, d3 = exps
+    e2, e3 = d2 - d1, d3 - d1
+    zero, half = 2 * m, m // 2
+    g2 = math.gcd(e2, m)
+    period = m // g2
+    inv = pow(e2 // g2, -1, period)
+    h = math.gcd(period * e3, m)
+    lvs = range(m)
+    base = [lv % g2 * m for lv in lvs]
+    shift = [(lv - lv % g2) // g2 * inv % period * e3 for lv in lvs]  # t0*e3
+    minus_shift = [-s for s in shift]
+    lv_minus_shift = list(map(sub, lvs, shift))
+
+    def labels(w_minus_shift):  # the labels of the points (lv, w_minus_shift[lv] + shift[lv])
+        return map(add, base, map(h.__rmod__, w_minus_shift))
+
+    forbidden = set()
+    for l1, l2, l3 in zip(diffs[d1], diffs[d2], diffs[d3]):
+        if l3 == zero:
+            if l2 != zero and l1 != zero:  # the row v = -D1/D2
+                r = (l1 + half - l2) % g2
+                forbidden.update(range(r * m, r * m + h))
+            elif l2 == zero and l1 == zero:
+                return []
+        elif l2 == zero:
+            if l1 != zero:  # the column w = -D1/D3
+                forbidden.update(labels(map(add, minus_shift, repeat(l1 + half - l3))))
+        elif l1 == zero:  # w = -v*D2/D3
+            forbidden.update(labels(map(add, lv_minus_shift, repeat(l2 + half - l3))))
+        else:  # w = -D1*(1 + v*D2/D1)/D3, except where 1 + v*D2/D1 = 0
+            s = (l2 - l1) % m
+            line = list(labels(map(add, map(add, zech[s:s + m], minus_shift), repeat(l1 + half - l3))))
+            del line[(half - s) % m]
+            forbidden.update(line)
+        if len(forbidden) == g2 * h:
+            return []
+    alive = [[True] * h for _ in range(g2)]
+    for label in forbidden:
+        alive[label // m][label % m] = False
+    tiles = [row * (2 * m // h) for row in alive]
+    hits = []
+    for jv in lvs:
+        rot = -shift[jv] % h
+        hits.extend(compress(range(jv * m, jv * m + m), tiles[jv % g2][rot:rot + m]))
+    return hits

@@ -229,6 +229,11 @@ def test_is_gapn_examples():
         v = is_gapn(SparsePoly.monomial(ctx, 2 * p - 1))
         assert v.is_gapn and v.worst_fiber == p and v.witness is None
         assert len(v.per_direction) == ctx.q - 1
+        # a verdict whose per-direction list is not built yet equals one
+        # whose list is, and builds the list once
+        unread = is_gapn(SparsePoly.monomial(ctx, 2 * p - 1))
+        assert unread == v and repr(unread) == repr(v)
+        assert unread.per_direction is unread.per_direction
         inv = SparsePoly.monomial(ctx, ctx.q - 2)
         assert is_gapn(inv).is_gapn
         assert inv.algebraic_degree() == 2 * (p - 1) - 1

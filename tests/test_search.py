@@ -117,16 +117,21 @@ def test_run_is_deterministic():
 # (p, n, shape, canonicalize, options): whole spaces, except that the GF(9)
 # digitsum-reduced space with min_digit_sum=2 has 9^6 = 531,441 candidates and
 # is cut by a hit limit after its 4- and 5-term candidates, which take the
-# kernel's gather path
+# kernel's gather path; the binomial and trinomial limits stop inside a
+# block of coefficient choices
 _REFERENCE_JOBS = {
     "gf9-binomial": (3, 2, "binomial", True, {}),
     "gf9-binomial-raw": (3, 2, "binomial", False, {}),
+    "gf9-binomial-raw-degree-3-limit": (3, 2, "binomial", False, {"degree_filter": {3}, "limit": 100}),
     "gf9-trinomial": (3, 2, "trinomial", True, {}),
     "gf9-trinomial-raw": (3, 2, "trinomial", False, {}),
+    "gf9-trinomial-raw-limit": (3, 2, "trinomial", False, {"limit": 700}),
     "gf9-digitsum-2": (3, 2, "digitsum-reduced", True, {"min_digit_sum": 2, "limit": 500}),
     "gf9-digitsum-degree-3": (3, 2, "digitsum-reduced", True, {"degree_filter": {3}}),
     "gf25-binomial": (5, 2, "binomial", True, {}),
+    "gf25-binomial-limit": (5, 2, "binomial", True, {"limit": 500}),
     "gf27-binomial": (3, 3, "binomial", True, {}),
+    "gf27-trinomial-limit": (3, 3, "trinomial", True, {"limit": 200}),
 }
 
 
@@ -153,6 +158,10 @@ def test_search_matches_direct_loop(case):
     assert [(h.ordinal, h.function, h.degree) for h in hits] == want
     assert (summary.examined, summary.checked) == (ordinal + 1, checked)
     assert most > p or "min_digit_sum" not in options  # the gather path was taken
+    if "limit" in options and shape != "digitsum-reduced":
+        m = ctx.q - 1
+        block = (1 if canonical else m) * m ** (len(want[0][1].terms) - 1)
+        assert len(want) == job.limit and summary.examined % block
     if ctx.q == 9:
         # the oracle takes milliseconds a candidate: every candidate of the
         # small spaces, an even spread of about 300 of the larger ones
@@ -181,12 +190,94 @@ def test_partition_soundness():
         assert merged == full_records
 
 
+def _scan_hits(job):
+    """(examined, checked, [(ordinal, function, degree)]) from scanning
+    every candidate of job on the line kernel."""
+    ctx = job.field
+    examined, checked, records = _scan_range(job, 0, candidate_count(job))
+    hits = [(o, SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1]), degree)
+            for o, desc, degree in records]
+    return examined, checked, hits
+
+
+def _assert_matches_scan(job):
+    hits, summary = run_search(job, threads=1)
+    got = [(h.ordinal, h.function, h.degree) for h in hits]
+    assert (summary.examined, summary.checked, got) == _scan_hits(job)
+    return hits, summary
+
+
+def _primitive_quadratics(p):
+    for c in range(p):
+        for b in range(p):
+            try:
+                yield make_field(p, 2, modulus=[c, b, 1])
+            except ValueError:
+                pass
+
+
+def test_gf49_census_matches_scan_for_every_modulus():
+    # the even-degree binomial census of p7-binomial-even-gaps, for each of
+    # the 8 primitive quadratics over F_7
+    fields = list(_primitive_quadratics(7))
+    assert len(fields) == 8
+    for ctx in fields:
+        job = SearchJob(ctx, "binomial", degree_filter=frozenset({8, 10, 12}))
+        hits, summary = _assert_matches_scan(job)
+        assert (summary.examined, summary.hits_by_degree) == (54144, {10: 288})
+
+
+def test_gf121_even_degree_census():
+    # the hit counts of GF(121)'s even-degree canonical binomials; a seeded
+    # sample of hits is GAPN and a sample of checked non-hits is not
+    ctx = make_field(11, 2)
+    job = SearchJob(ctx, "binomial", degree_filter=frozenset({12, 14, 16, 18, 20}))
+    hits, summary = run_search(job)
+    assert summary.hits_by_degree == {12: 2400, 14: 3360, 16: 5088, 18: 3136, 20: 640}
+    assert (summary.examined, summary.checked) == (candidate_count(job), 285_000)
+    rng = random.Random(121)
+    assert all(is_gapn(h.function).is_gapn for h in rng.sample(hits, 40))
+    found = {h.ordinal for h in hits}
+    misses = 0
+    while misses < 200:
+        ordinal = rng.randrange(summary.examined)
+        desc = next(enumerate_candidates(job, ordinal))
+        f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc])
+        if ordinal in found or f.algebraic_degree() not in job.degree_filter:
+            continue
+        assert not is_gapn(f).is_gapn, ordinal
+        misses += 1
+
+
+# whole spaces that take the scan from about 5 s to 2 min each
+_SLOW_SCAN_JOBS = {
+    "gf25-binomial-raw": (5, 2, "binomial", False),
+    "gf27-binomial-raw": (3, 3, "binomial", False),
+    "gf25-trinomial": (5, 2, "trinomial", True),
+    "gf27-trinomial": (3, 3, "trinomial", True),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", list(_SLOW_SCAN_JOBS.values()), ids=list(_SLOW_SCAN_JOBS))
+def test_secant_matches_scan_on_whole_space(case):
+    p, n, shape, canonical = case
+    _assert_matches_scan(SearchJob(make_field(p, n), shape, canonicalize=canonical))
+
+
+def _pooled_job():
+    # binomials and trinomials never pool; GF(25)'s digitsum-reduced space
+    # with digit sums of at least 7 (the exponents 19, 23 and 24) does
+    return SearchJob(make_field(5, 2), "digitsum-reduced", min_digit_sum=7)
+
+
 def test_parallel_matches_serial():
-    # 6,624 candidates: above run_search's serial cutoff, so threads=2 runs the pool
-    job = SearchJob(make_field(5, 2), "binomial")
+    # 25^3 = 15,625 candidates, above run_search's serial cutoff, so
+    # threads=2 runs the pool
+    job = _pooled_job()
     hits_s, sum_s = run_search(job, threads=1)
     hits_p, sum_p = run_search(job, threads=2)
-    assert hits_p == hits_s
+    assert hits_s and hits_p == hits_s
     assert all(h.function.field is job.field for h in hits_p)
     assert (sum_p.examined, sum_p.checked) == (sum_s.examined, sum_s.checked)
     assert sum_p.hits_by_degree == sum_s.hits_by_degree
@@ -214,7 +305,7 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("cpus", [None, 1, 3])
 def test_pool_workers_capped_by_cpus(monkeypatch, cpus):
-    job = SearchJob(make_field(5, 2), "binomial")  # 6,624 candidates: pooled above 1 worker
+    job = _pooled_job()  # pooled above 1 worker
     serial = run_search(job, threads=1)
     monkeypatch.setattr(_InProcessPool, "made", [])
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
@@ -222,6 +313,21 @@ def test_pool_workers_capped_by_cpus(monkeypatch, cpus):
     monkeypatch.setattr(search, "_worker_job", None)
     hits, summary = run_search(job, threads=10_000)
     assert _InProcessPool.made == ([3] if cpus == 3 else [])
+    assert hits == serial[0]
+    assert (summary.examined, summary.checked, summary.hits_by_degree) == (
+        serial[1].examined, serial[1].checked, serial[1].hits_by_degree)
+
+
+@pytest.mark.parametrize("p, shape", [(5, "binomial"), (3, "trinomial")])
+def test_secant_shapes_never_start_a_pool(monkeypatch, p, shape):
+    job = SearchJob(make_field(p, 2), shape)  # 6,624 and 3,584 candidates
+    assert candidate_count(job) >= 2000
+    serial = run_search(job, threads=1)
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    hits, summary = run_search(job, threads=10_000)
+    assert _InProcessPool.made == []
     assert hits == serial[0]
     assert (summary.examined, summary.checked, summary.hits_by_degree) == (
         serial[1].examined, serial[1].checked, serial[1].hits_by_degree)
