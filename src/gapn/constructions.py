@@ -193,7 +193,9 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
     sum_{i=s}^{p-1} c_i X^(i*p + (p-1+s-i)) over GF(p^2) is p-to-1:
     sum_{i=0}^{p-1-s} c_{i+s} * C(p-1-s, i) * (-a^(p-1))^i != 0.
 
-    coeffs lists c_s..c_{p-1}; zero entries are allowed.
+    coeffs lists c_s..c_{p-1}; zero entries are allowed.  The sum is
+    evaluated in the log domain: each nonzero term is one antilog lookup at
+    log C(p-1-s, i) + log c_{i+s} + i * log(-a^(p-1)), added on element codes.
     """
     if ctx.n != 2:
         raise ValueError("condition is specific to quadratic extensions")
@@ -202,19 +204,23 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
         raise ValueError(f"s must lie in 1..{p - 2}")
     if math.gcd(s, ctx.q - 1) != 1:
         raise ValueError(f"s must be coprime to {ctx.q - 1}")
+    check = ctx.one._check_same
+    check(a)
     if a.is_zero():
         raise ValueError("direction a must be nonzero")
     coeffs = list(coeffs)
     if len(coeffs) != p - s:
         raise ValueError(f"expected {p - s} coefficients c_{s}..c_{p - 1}")
-    base = -(a ** (p - 1))
-    term = ctx.one
-    acc = ctx.zero
-    for i in range(p - s):
-        bc = math.comb(p - 1 - s, i) % p
-        acc = acc + ctx.scalar(bc) * coeffs[i] * term
-        term = term * base
-    return not acc.is_zero()
+    m = ctx.q - 1
+    step = (a.idx * (p - 1) + m // 2) % m  # log of -a^(p-1)
+    log, antilog, add = ctx.log, ctx.antilog, ctx.add_code
+    acc = 0
+    for i, c in enumerate(coeffs):
+        check(c)
+        # C(p-1-s, i) is a unit mod p since p-1-s < p
+        if not c.is_zero():
+            acc = add(acc, antilog[(log[math.comb(p - 1 - s, i) % p] + c.idx + i * step) % m])
+    return acc != 0
 
 
 def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:

@@ -28,6 +28,7 @@ same objects as serial runs.  The registry's claims take no arguments and
 run serially, its searches included.
 """
 
+import gc
 import math
 import os
 import random
@@ -230,38 +231,46 @@ def _secant_search(job: SearchJob):
     degree_of, flt, limit = kern.degree, job.degree_filter, job.limit
     checked = 0
     hits = []
-    for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
-        degree = max(map(degree_of.__getitem__, exps))
-        if flt is not None and degree not in flt:
-            continue
-        found = hits_of(exps)
-        if not found:
+    # the hits hold no reference cycles, so the cyclic collector would only
+    # re-walk them as they pile up; it is restored as the caller left it
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
+            degree = max(map(degree_of.__getitem__, exps))
+            if flt is not None and degree not in flt:
+                continue
+            found = hits_of(exps)
+            if not found:
+                checked += block
+                continue
+            first, *rest = map(row, exps)
+            for j1 in leads:
+                # the hits' offsets within the block of lead log j1, then their terms
+                if j1 == 0:
+                    offsets = found
+                elif k == 2:
+                    offsets = sorted((o + j1) % m for o in found)
+                else:
+                    offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
+                if limit is not None:
+                    offsets = offsets[:limit - len(hits)]
+                lead = first[j1]
+                if k == 2:
+                    terms = [(lead, rest[0][o]) for o in offsets]
+                else:
+                    terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
+                at = j1 * width
+                hits.extend(map(SearchHit, map(add, offsets, repeat(rank * block + at)),
+                                map(poly, terms), repeat(degree)))
+                if len(hits) == limit:
+                    last = at + offsets[-1]
+                    return rank * block + last + 1, checked + last + 1, hits
             checked += block
-            continue
-        first, *rest = map(row, exps)
-        for j1 in leads:
-            # the hits' offsets within the block of lead log j1, then their terms
-            if j1 == 0:
-                offsets = found
-            elif k == 2:
-                offsets = sorted((o + j1) % m for o in found)
-            else:
-                offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
-            if limit is not None:
-                offsets = offsets[:limit - len(hits)]
-            lead = first[j1]
-            if k == 2:
-                terms = [(lead, rest[0][o]) for o in offsets]
-            else:
-                terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
-            at = j1 * width
-            hits.extend(map(SearchHit, map(add, offsets, repeat(rank * block + at)),
-                            map(poly, terms), repeat(degree)))
-            if len(hits) == limit:
-                last = at + offsets[-1]
-                return rank * block + last + 1, checked + last + 1, hits
-        checked += block
-    return candidate_count(job), checked, hits
+        return candidate_count(job), checked, hits
+    finally:
+        if collect:
+            gc.enable()
 
 
 _worker_job: SearchJob | None = None  # set once per pool worker by _init_worker
@@ -590,10 +599,13 @@ def _claim_condition_equivalence():
     units5 = list(ctx5.units())
     for c1 in units5:
         for c2 in units5:
-            fibers = dict(is_gapn(SparsePoly(ctx5, [(9, c1), (13, c2)])).per_direction)
+            coeffs = [c1, c2, ctx5.zero, ctx5.zero]
+            fibers = [0] * len(units5)  # max fiber of each direction, by a.idx
+            for a, fiber in is_gapn(SparsePoly(ctx5, [(9, c1), (13, c2)])).per_direction:
+                fibers[a.idx] = fiber
             for a in units5:
-                pred = p_to_one_condition(ctx5, 1, [c1, c2, ctx5.zero, ctx5.zero], a)
-                ok = ok and pred == (fibers[a] == ctx5.p)
+                pred = p_to_one_condition(ctx5, 1, coeffs, a)
+                ok = ok and pred == (fibers[a.idx] == ctx5.p)
                 exhaustive += 1
     ctx7 = _field(7)
     rng = random.Random(0x51E7)

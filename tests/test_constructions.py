@@ -1,5 +1,8 @@
 """Construction predicates and builders against the brute-force verifier."""
 
+import math
+import random
+
 import pytest
 
 from gapn.constructions import (
@@ -18,7 +21,7 @@ from gapn.constructions import (
     p_to_one_condition,
     trinomial_condition,
 )
-from gapn.fields import make_field
+from gapn.fields import FieldElem, make_field
 from gapn.polynomials import SparsePoly, derivative, is_gapn, is_p_to_one
 
 
@@ -176,6 +179,24 @@ def test_p_to_one_condition_matches_derivative():
         assert pred == actual
 
 
+@pytest.mark.parametrize("p, admissible", [(5, [1]), (7, [1, 5]), (11, [1, 7])])
+def test_p_to_one_condition_every_admissible_s(p, admissible):
+    # f = sum_{i=s}^{p-1} c_i X^(ip + p-1+s-i) with random, partly zero c_i;
+    # the closed form must agree with the brute-force derivative at a
+    ctx = make_field(p, 2)
+    s_values = [s for s in range(1, p - 1) if math.gcd(s, ctx.q - 1) == 1]
+    assert s_values == admissible
+    rng = random.Random(8000 + p)
+    for s in s_values:
+        for _ in range(100):
+            coeffs = [ctx.zero if rng.random() < 0.4 else FieldElem(ctx, rng.randrange(ctx.q - 1))
+                      for _ in range(s, p)]
+            a = FieldElem(ctx, rng.randrange(ctx.q - 1))
+            f = SparsePoly(ctx, [(i * p + p - 1 + s - i, c) for i, c in zip(range(s, p), coeffs)])
+            actual, _ = is_p_to_one(derivative(f, a))
+            assert p_to_one_condition(ctx, s, coeffs, a) == actual, (s, coeffs, a)
+
+
 def test_p_to_one_condition_rejects_bad_parameters():
     ctx = make_field(5, 2)
     good = [ctx.one] * 4
@@ -189,6 +210,16 @@ def test_p_to_one_condition_rejects_bad_parameters():
         p_to_one_condition(ctx, 1, [ctx.one], ctx.one)
     with pytest.raises(ValueError):
         p_to_one_condition(make_field(3, 3), 1, [ctx.one] * 2, ctx.one)
+    # inputs from another field, or not field elements at all, never get an answer
+    other = make_field(7, 2)
+    with pytest.raises(ValueError):
+        p_to_one_condition(ctx, 1, good, other.one)
+    with pytest.raises(ValueError):
+        p_to_one_condition(ctx, 1, [ctx.one, other.one, ctx.zero, ctx.zero], ctx.one)
+    with pytest.raises(ValueError):
+        p_to_one_condition(ctx, 1, [ctx.one, ctx.one, other.zero, ctx.zero], ctx.one)
+    with pytest.raises(TypeError):
+        p_to_one_condition(ctx, 1, [ctx.one, 1, ctx.zero, ctx.zero], ctx.one)
 
 
 def test_trinomial_condition():

@@ -1,5 +1,6 @@
 """Deterministic enumeration, search execution and the claim registry."""
 
+import gc
 import json
 import random
 from collections import deque
@@ -331,6 +332,29 @@ def test_secant_shapes_never_start_a_pool(monkeypatch, p, shape):
     assert hits == serial[0]
     assert (summary.examined, summary.checked, summary.hits_by_degree) == (
         serial[1].examined, serial[1].checked, serial[1].hits_by_degree)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("shape, limit", [("binomial", None), ("binomial", 3), ("trinomial", None)])
+def test_secant_search_restores_gc_state(collecting, shape, limit):
+    # the secant search pauses the cyclic collector while it builds hits and
+    # must leave it as the caller had it, on the early limit return as well
+    job = SearchJob(make_field(3, 2), shape, limit=limit)
+    was = gc.isenabled()
+    try:
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+        hits, summary = run_search(job)
+        assert gc.isenabled() is collecting
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    if limit is not None:
+        assert len(hits) == limit and summary.examined < candidate_count(job)
 
 
 def test_limit_cap():
