@@ -40,12 +40,11 @@ def _table_cap() -> int:
     return int(raw) if raw else DEFAULT_TABLE_CAP
 
 
-def _threads(args) -> int:
+def _threads(args) -> None:
+    # --threads reaches nothing, since every search and claim runs in this
+    # process, but a negative count is still a usage error
     if args.threads < 0:
-        raise ValueError(f"--threads must be 0 (all cores) or more, got {args.threads}")
-    if args.threads == 0:
-        return os.cpu_count() or 1
-    return args.threads
+        raise ValueError(f"--threads must be 0 or more, got {args.threads}")
 
 
 def _parse_vector(text: str) -> list[int]:
@@ -168,13 +167,14 @@ def cmd_search(args) -> int:
         limit=args.limit,
         min_digit_sum=args.min_digit_sum,
     )
-    hits, summary = run_search(job, budget=args.budget, threads=_threads(args))
+    _threads(args)
+    hits, summary = run_search(job, budget=args.budget)
     _emit_hits(hits, summary, args)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    _threads(args)  # still validated, though every claim runs serially
+    _threads(args)
     ids = claim_ids() if args.claim == "all" else [args.claim]
     reports = [reproduce(claim_id) for claim_id in ids]
     if args.format == "json":
@@ -186,6 +186,9 @@ def cmd_reproduce(args) -> int:
             if not r.passed:
                 print(f"     details: {json.dumps(r.details)}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NEGATIVE
+
+
+_THREADS_HELP = "0 or more; accepted for compatibility, every search and claim runs in this process"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,9 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--limit", type=int, default=None,
                     help="stop after this many hits (at least 1)")
     se.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    se.add_argument("--threads", type=int, default=0,
-                    help="monomial and digitsum-reduced: 0 = all cores, 1 = serial; "
-                         "binomial and trinomial always run serially")
+    se.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
     se.add_argument("--format", choices=("json", "csv", "text"), default="json")
     se.add_argument("-o", "--output", default=None, help="write hits to this file")
     se.set_defaults(func=cmd_search)
@@ -243,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     re_ = sub.add_parser("reproduce", help="re-run registered verification claims")
     re_.add_argument("--claim", required=True,
                      help="a claim id or 'all'; see 'gapn reproduce --claim list'")
-    re_.add_argument("--threads", type=int, default=0, help="0 or more; claims always run serially")
+    re_.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
     re_.add_argument("--format", choices=("json", "text"), default="text")
     re_.set_defaults(func=cmd_reproduce)
 

@@ -19,22 +19,21 @@ coefficient offsets.  A raw (non-canonical) space reuses the canonical
 hits, since c*f is GAPN exactly when f is.
 
 Monomials and digitsum-reduced functions are scanned one candidate at a
-time: its present terms go to the line kernel's scan as (coefficient log,
-exponent) pairs.  Serial and pooled runs share one scan over contiguous
-ordinal ranges, each starting the enumeration at its first ordinal and
-yielding (ordinal, descriptor, degree) hit records; the caller turns them
-into hits on the job's own field in range order, so pooled runs return the
-same objects as serial runs.  The registry's claims take no arguments and
-run serially, its searches included.
+time, in this process: its present terms go to the line kernel's scan as
+(coefficient log, exponent) pairs.  A monomial is decided once per
+Frobenius orbit: X^(p*d) is the Frobenius map after X^d, so
+D_a X^(p*d) = (D_a X^d)^p, and since Frobenius is a bijection the two are
+GAPN together (their digit sums, rotated digits, agree as well).  The
+orbit of d in 1..q-1 is walked by d -> (d*p - 1) mod (q-1) + 1, which keeps
+q-1 fixed.  The registry's claims take no arguments and run serially,
+their searches included.
 """
 
 import gc
 import math
-import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice, product, repeat
@@ -181,31 +180,46 @@ def enumerate_candidates(job: SearchJob, start: int = 0):
     return chain(islice(block(first), offset, None), chain.from_iterable(map(block, exponent_tuples)))
 
 
-def _scan_range(job: SearchJob, start: int, stop: int):
-    """Scan the ordinals in [start, stop); returns (examined, checked,
-    records) with one (ordinal, descriptor, degree) record per hit."""
-    kern = _kernel(job.field)
+def _scan_search(job: SearchJob):
+    """(examined, checked, hits) from scanning every candidate in order;
+    a monomial's verdict is reused across its Frobenius orbit."""
+    ctx = job.field
+    kern = _kernel(ctx)
     degree_of = kern.degree
     flt = job.degree_filter
+    p, m = ctx.p, ctx.q - 1
+    monomial = job.shape == "monomial"
+    orbit_gapn = [None] * ctx.q  # monomials: exponent -> GAPN, set per orbit
     examined = checked = 0
-    records = []
-    for ordinal, desc in zip(range(start, stop), enumerate_candidates(job, start)):
+    hits = []
+    for ordinal, desc in enumerate(enumerate_candidates(job)):
         examined += 1
         terms = [(j, e) for e, j in desc if j != -1]
         degree = max([degree_of[e] for _, e in terms], default=None)
         if degree is None or (flt is not None and degree not in flt):
             continue
         checked += 1
-        if kern.scan(terms, fail_fast=True)[1] is None:
-            records.append((ordinal, desc, degree))
-            if len(records) == job.limit:
+        if not monomial:
+            gapn = kern.scan(terms, fail_fast=True)[1] is None
+        else:
+            d = desc[0][0]
+            if orbit_gapn[d] is None:
+                verdict = kern.scan(terms, fail_fast=True)[1] is None
+                for _ in range(ctx.n):  # n Frobenius steps walk the orbit back to d
+                    orbit_gapn[d] = verdict
+                    d = (d * p - 1) % m + 1
+            gapn = orbit_gapn[d]
+        if gapn:
+            hits.append(SearchHit(ordinal, SparsePoly._from_sorted_terms(
+                ctx, tuple((e, FieldElem(ctx, j)) for e, j in desc if j != -1)), degree))
+            if len(hits) == job.limit:
                 break
-    return examined, checked, records
+    return examined, checked, hits
 
 
 def _secant_search(job: SearchJob):
     """(examined, checked, hits) for a binomial or trinomial job, equal to
-    what scanning every candidate with _scan_range gives.  The hits of
+    what scanning every candidate with _scan_search gives.  The hits of
     each exponent tuple are decided together (gapn.secant); a hit's
     ordinal is the tuple's rank times the block size plus its coefficient
     offset.  c*f is
@@ -273,38 +287,6 @@ def _secant_search(job: SearchJob):
             gc.enable()
 
 
-_worker_job: SearchJob | None = None  # set once per pool worker by _init_worker
-
-
-def _init_worker(job: SearchJob) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _scan_worker(start: int, stop: int):
-    return _scan_range(_worker_job, start, stop)
-
-
-def _scan_search(job: SearchJob, total: int, threads: int):
-    """(examined, checked, hits) from scanning every candidate, serially
-    or in a process pool of at most min(threads, CPUs) workers."""
-    workers = min(threads, os.cpu_count() or 1, max(1, total // 500))
-    if workers <= 1 or total < 2000 or job.limit is not None:
-        parts = [_scan_range(job, 0, total)]
-    else:
-        nchunks = min(workers * 4, total // 500)
-        step = -(-total // nchunks)
-        starts = range(0, total, step)
-        stops = [min(lo + step, total) for lo in starts]
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(job,)) as pool:
-            parts = list(pool.map(_scan_worker, starts, stops))
-    ctx = job.field
-    hits = [SearchHit(ordinal, SparsePoly._from_sorted_terms(
-                ctx, tuple((e, FieldElem(ctx, j)) for e, j in desc if j != -1)), degree)
-            for _, _, records in parts for ordinal, desc, degree in records]
-    return sum(part[0] for part in parts), sum(part[1] for part in parts), hits
-
-
 def run_search(
     job: SearchJob,
     budget: int = DEFAULT_BUDGET,
@@ -313,12 +295,10 @@ def run_search(
 ) -> tuple[list[SearchHit], SearchSummary]:
     """Run the job and return (hits, summary); refuses jobs over budget.
 
-    Binomial and trinomial jobs are decided per exponent tuple (see the
-    module docstring), serially; threads reaches only the monomial and
-    digitsum-reduced shapes.  Their pooled runs (threads > 1, at least
-    2000 candidates, no limit) return the same hits and summary as serial
-    runs.  They start at most one worker per CPU and per chunk, since a
-    forked pool starts every worker on the first submit."""
+    Every job runs serially in this process: binomials and trinomials are
+    decided per exponent tuple, monomials per Frobenius orbit and
+    digitsum-reduced functions one at a time (see the module docstring).
+    threads is accepted for compatibility and ignored."""
     total = candidate_count(job)
     if total > budget:
         raise ValueError(
@@ -329,7 +309,7 @@ def run_search(
     if job.shape in ("binomial", "trinomial"):
         examined, checked, hits = _secant_search(job)
     else:
-        examined, checked, hits = _scan_search(job, total, threads)
+        examined, checked, hits = _scan_search(job)
     by_degree = dict(Counter(h.degree for h in hits))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)

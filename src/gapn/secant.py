@@ -40,18 +40,26 @@ def pair_differences(ctx: FieldCtx) -> list[list[int]]:
     """For every exponent d in 1..q-1 (index d), the logs of
     M_d[i] - M_d[j] over the block pairs i < j in lexicographic order, with
     2m for zero.  M_d is D_1 X^d on the q/p blocks (the kernel's
-    monomial_blocks), the zero vector when digit_sum(d) < p-1."""
+    monomial_blocks), the zero vector when digit_sum(d) < p-1.  When
+    X^d = (X^e)^p for an e < d, M_d is M_e raised to the p-th power, and
+    Frobenius is additive, so M_d's differences are M_e's with their logs
+    times p."""
     kern = _kernel(ctx)
-    m = kern.m
+    m, p = kern.m, kern.p
     pairs = list(combinations(range(kern.nblocks), 2))
     first = [i for i, _ in pairs]
     second = [j for _, j in pairs]
     at = kern.packed_at.__getitem__
     zero = [2 * m] * len(pairs)
     out = [zero]
+    root = p ** (ctx.n - 1)  # X^d = (X^e)^p for e = d*p^(n-1) mod m in 1..m
     for d in range(1, ctx.q):
-        if kern.degree[d] < kern.p - 1:
+        if kern.degree[d] < p - 1:
             out.append(zero)
+            continue
+        e = (d * root - 1) % m + 1
+        if e < d:
+            out.append([l if l == 2 * m else l * p % m for l in out[e]])
             continue
         blocks = kern.monomial_blocks(d)
         # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0

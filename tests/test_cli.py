@@ -213,8 +213,8 @@ def test_search_csv_format(tmp_path, capsys):
     rows = out_path.read_text().strip().splitlines()
     assert rows[0] == "ordinal,degree,worst_fiber,p,n,function"
     assert len(rows) > 1
-    # GF(25) binomials: 6,624 candidates, decided per exponent pair without a
-    # pool; stdout is the same for every --threads apart from elapsed_ms
+    # GF(25) binomials: 6,624 candidates; --threads reaches nothing, so stdout
+    # is the same for every count apart from elapsed_ms
     for fmt in ("csv", "json"):
         outs = []
         for threads in ("1", "2"):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import multiprocessing.process
 import random
 from collections import deque
 from itertools import islice
@@ -11,10 +12,10 @@ import pytest
 import gapn.search as search
 from gapn.cli import main
 from gapn.fields import FieldElem, make_field
-from gapn.polynomials import SparsePoly, digit_sum, is_gapn
+from gapn.polynomials import SparsePoly, _LineKernel, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
-    _scan_range,
+    _scan_search,
     candidate_count,
     claim_ids,
     enumerate_candidates,
@@ -119,7 +120,8 @@ def test_run_is_deterministic():
 # digitsum-reduced space with min_digit_sum=2 has 9^6 = 531,441 candidates and
 # is cut by a hit limit after its 4- and 5-term candidates, which take the
 # kernel's gather path; the binomial and trinomial limits stop inside a
-# block of coefficient choices
+# block of coefficient choices; the monomial spaces reuse one kernel scan per
+# Frobenius orbit
 _REFERENCE_JOBS = {
     "gf9-binomial": (3, 2, "binomial", True, {}),
     "gf9-binomial-raw": (3, 2, "binomial", False, {}),
@@ -133,18 +135,27 @@ _REFERENCE_JOBS = {
     "gf25-binomial-limit": (5, 2, "binomial", True, {"limit": 500}),
     "gf27-binomial": (3, 3, "binomial", True, {}),
     "gf27-trinomial-limit": (3, 3, "trinomial", True, {"limit": 200}),
+    "gf27-monomial": (3, 3, "monomial", True, {}),
+    "gf243-monomial": (3, 5, "monomial", True, {}),
+    "gf243-monomial-limit": (3, 5, "monomial", True, {"limit": 30}),
+    "gf125-monomial": (5, 3, "monomial", True, {}),
 }
 
 
 @pytest.mark.parametrize("case", list(_REFERENCE_JOBS.values()), ids=list(_REFERENCE_JOBS))
-def test_search_matches_direct_loop(case):
+def test_search_matches_direct_loop(monkeypatch, case):
     # the search scans descriptors on the line kernel; the reference builds
     # each candidate as a SparsePoly and takes a full is_gapn verdict
     p, n, shape, canonical, options = case
     ctx = make_field(p, n)
     job = SearchJob(ctx, shape, canonicalize=canonical, **options)
-    hits, summary = run_search(job, threads=1)
+    scans = []
+    with monkeypatch.context() as mp:
+        scan = _LineKernel.scan
+        mp.setattr(_LineKernel, "scan", lambda kern, *args, **kw: scans.append(args) or scan(kern, *args, **kw))
+        hits, summary = run_search(job, threads=1)
     want, checked, most = [], 0, 0
+    orbits = set()  # monomials: the Frobenius orbits of the checked exponents
     for ordinal, desc in enumerate(enumerate_candidates(job)):
         f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1])
         degree = f.algebraic_degree()
@@ -152,6 +163,9 @@ def test_search_matches_direct_loop(case):
             continue
         checked += 1
         most = max(most, len(f.terms))
+        if shape == "monomial":
+            (d, _), = f.terms
+            orbits.add(frozenset(d * p ** k % (ctx.q - 1) or ctx.q - 1 for k in range(n)))
         if is_gapn(f).is_gapn:
             want.append((ordinal, f, degree))
             if len(want) == job.limit:
@@ -159,7 +173,9 @@ def test_search_matches_direct_loop(case):
     assert [(h.ordinal, h.function, h.degree) for h in hits] == want
     assert (summary.examined, summary.checked) == (ordinal + 1, checked)
     assert most > p or "min_digit_sum" not in options  # the gather path was taken
-    if "limit" in options and shape != "digitsum-reduced":
+    if shape == "monomial":
+        assert len(scans) == len(orbits) < checked
+    if "limit" in options and shape in ("binomial", "trinomial"):
         m = ctx.q - 1
         block = (1 if canonical else m) * m ** (len(want[0][1].terms) - 1)
         assert len(want) == job.limit and summary.examined % block
@@ -177,28 +193,11 @@ def test_search_matches_direct_loop(case):
                 assert (oracle.verdict(tf, terms)[1] is None) == (ordinal in gapn)
 
 
-def test_partition_soundness():
-    f9 = make_field(3, 2)
-    job = SearchJob(f9, "binomial")
-    total = candidate_count(job)
-    _, _, full_records = _scan_range(job, 0, total)
-    for nparts in (2, 3, 7):
-        merged = []
-        step = -(-total // nparts)
-        for lo in range(0, total, step):
-            _, _, part = _scan_range(job, lo, min(lo + step, total))
-            merged.extend(part)
-        assert merged == full_records
-
-
 def _scan_hits(job):
     """(examined, checked, [(ordinal, function, degree)]) from scanning
     every candidate of job on the line kernel."""
-    ctx = job.field
-    examined, checked, records = _scan_range(job, 0, candidate_count(job))
-    hits = [(o, SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1]), degree)
-            for o, desc, degree in records]
-    return examined, checked, hits
+    examined, checked, hits = _scan_search(job)
+    return examined, checked, [(h.ordinal, h.function, h.degree) for h in hits]
 
 
 def _assert_matches_scan(job):
@@ -264,74 +263,6 @@ _SLOW_SCAN_JOBS = {
 def test_secant_matches_scan_on_whole_space(case):
     p, n, shape, canonical = case
     _assert_matches_scan(SearchJob(make_field(p, n), shape, canonicalize=canonical))
-
-
-def _pooled_job():
-    # binomials and trinomials never pool; GF(25)'s digitsum-reduced space
-    # with digit sums of at least 7 (the exponents 19, 23 and 24) does
-    return SearchJob(make_field(5, 2), "digitsum-reduced", min_digit_sum=7)
-
-
-def test_parallel_matches_serial():
-    # 25^3 = 15,625 candidates, above run_search's serial cutoff, so
-    # threads=2 runs the pool
-    job = _pooled_job()
-    hits_s, sum_s = run_search(job, threads=1)
-    hits_p, sum_p = run_search(job, threads=2)
-    assert hits_s and hits_p == hits_s
-    assert all(h.function.field is job.field for h in hits_p)
-    assert (sum_p.examined, sum_p.checked) == (sum_s.examined, sum_s.checked)
-    assert sum_p.hits_by_degree == sum_s.hits_by_degree
-
-
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    tasks in this process, so no worker process is started."""
-
-    made: list[int] = []
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.made.append(max_workers)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize("cpus", [None, 1, 3])
-def test_pool_workers_capped_by_cpus(monkeypatch, cpus):
-    job = _pooled_job()  # pooled above 1 worker
-    serial = run_search(job, threads=1)
-    monkeypatch.setattr(_InProcessPool, "made", [])
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(search, "_worker_job", None)
-    hits, summary = run_search(job, threads=10_000)
-    assert _InProcessPool.made == ([3] if cpus == 3 else [])
-    assert hits == serial[0]
-    assert (summary.examined, summary.checked, summary.hits_by_degree) == (
-        serial[1].examined, serial[1].checked, serial[1].hits_by_degree)
-
-
-@pytest.mark.parametrize("p, shape", [(5, "binomial"), (3, "trinomial")])
-def test_secant_shapes_never_start_a_pool(monkeypatch, p, shape):
-    job = SearchJob(make_field(p, 2), shape)  # 6,624 and 3,584 candidates
-    assert candidate_count(job) >= 2000
-    serial = run_search(job, threads=1)
-    monkeypatch.setattr(_InProcessPool, "made", [])
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    hits, summary = run_search(job, threads=10_000)
-    assert _InProcessPool.made == []
-    assert hits == serial[0]
-    assert (summary.examined, summary.checked, summary.hits_by_degree) == (
-        serial[1].examined, serial[1].checked, serial[1].hits_by_degree)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -442,16 +373,48 @@ def _reproduce_all_json(capsys, threads: str) -> list[dict]:
     return reports
 
 
+def _refuse_to_start(process):
+    raise AssertionError(f"a process was started: {process!r}")
+
+
+def _results(jobs, threads):
+    """[(hits, summary without elapsed_ms)] of run_search on each job."""
+    out = []
+    for job in jobs:
+        hits, summary = run_search(job, threads=threads)
+        summary = summary.to_json()
+        del summary["elapsed_ms"]
+        out.append((hits, summary))
+    return out
+
+
+def test_no_process_is_started(monkeypatch):
+    # --threads reaches nothing: on the shapes that a pool once served, a
+    # thread count far above the CPUs starts no process and changes no result
+    jobs = [
+        SearchJob(make_field(3, 7), "monomial"),  # 2,186 candidates
+        SearchJob(make_field(5, 2), "digitsum-reduced", min_digit_sum=7),  # 15,625
+    ]
+    serial = _results(jobs, 1)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
+    assert _results(jobs, 10_000) == serial
+
+
+@pytest.mark.parametrize("p, shape", [(5, "binomial"), (3, "trinomial")])
+def test_secant_shapes_never_start_a_pool(monkeypatch, p, shape):
+    job = SearchJob(make_field(p, 2), shape)  # 6,624 and 3,584 candidates
+    assert candidate_count(job) >= 2000
+    serial = _results([job], 1)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
+    assert _results([job], 10_000) == serial
+
+
 def test_reproduce_never_starts_a_pool(monkeypatch, capsys):
     # --threads is validated but reaches no claim, so even a thread count
-    # far above the CPUs starts no pool and changes no report
+    # far above the CPUs starts no process and changes no report
     serial = _reproduce_all_json(capsys, "1")
-    monkeypatch.setattr(_InProcessPool, "made", [])
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(search, "_worker_job", None)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
     assert _reproduce_all_json(capsys, "10000") == serial
-    assert _InProcessPool.made == []
 
 
 def test_condition_claim_checks_every_direction(monkeypatch):
