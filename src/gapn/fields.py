@@ -155,8 +155,8 @@ class FieldElem:
 class FieldCtx:
     """Immutable context for GF(p^n): modulus, tables, canonical generator.
 
-    Safe to share across workers; every operation is a pure function of its
-    inputs.  Do not instantiate directly, use make_field.
+    Every operation is a pure function of its inputs.  Do not instantiate
+    directly, use make_field.
     """
 
     def __init__(self, p, n, modulus, antilog, log):

@@ -8,25 +8,22 @@ streams.  A candidate's degree is read from the kernel's digit-sum table.
 Every hit is GAPN, so a hit carries no verdict; its worst fiber is p by
 definition.
 
-Binomials and trinomials are decided a whole exponent tuple at a time
-(gapn.secant).  D_1 of X^d1 + v*X^d2 + w*X^d3 is p-to-1 exactly when the
+Monomials, binomials and trinomials (k = 1, 2, 3 terms) are decided a
+whole exponent tuple at a time (gapn.secant).  D_1 of X^d1 + v*X^d2 + w*X^d3 is p-to-1 exactly when the
 block values of M_d1 + v*M_d2 + w*M_d3 are distinct, M_d = D_1 X^d on the
 q/p blocks.  So each block pair forbids the (v, w) on one line, and a
 candidate is a hit exactly when the orbit of its coefficients under
-direction scaling, (v*a^(d2-d1), w*a^(d3-d1)), meets no forbidden point.
-The hits' ordinals are the tuple's rank times the block size plus their
-coefficient offsets.  A raw (non-canonical) space reuses the canonical
-hits, since c*f is GAPN exactly when f is.
+direction scaling, (v*a^(d2-d1), w*a^(d3-d1)), meets no forbidden point;
+a monomial X^d is a hit exactly when M_d's block values are distinct,
+decided once per Frobenius orbit of d.  The hits' ordinals are the
+tuple's rank times the block size plus their coefficient offsets.  A raw
+space reuses the canonical hits, since c*f is GAPN exactly when f is.
 
-Monomials and digitsum-reduced functions are scanned one candidate at a
-time, in this process: its present terms go to the line kernel's scan as
-(coefficient log, exponent) pairs.  A monomial is decided once per
-Frobenius orbit: X^(p*d) is the Frobenius map after X^d, so
-D_a X^(p*d) = (D_a X^d)^p, and since Frobenius is a bijection the two are
-GAPN together (their digit sums, rotated digits, agree as well).  The
-orbit of d in 1..q-1 is walked by d -> (d*p - 1) mod (q-1) + 1, which keeps
-q-1 fixed.  The registry's claims take no arguments and run serially,
-their searches included.
+Digitsum-reduced functions are scanned one candidate at a time, in this
+process: its present terms go to the line kernel's scan as (coefficient
+log, exponent) pairs; that loop is also the reference for every shape.
+The registry's claims take no arguments and run serially, their searches
+included.
 """
 
 import gc
@@ -35,8 +32,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
-from itertools import chain, combinations, islice, product, repeat
+from functools import cache, partial
+from itertools import chain, combinations, product, repeat
 from operator import add
 
 from .fields import FieldCtx, FieldElem, make_field
@@ -131,65 +128,52 @@ def _digitsum_slots(job: SearchJob) -> list[int]:
     return [e for e in range(job.field.q) if digit_sum(p, e) >= minds]
 
 
+def _tuple_shape(job: SearchJob) -> tuple[int, range]:
+    """(k, lead coefficient logs) of a k-term job; a monomial's lead is
+    always log 0."""
+    k = {"monomial": 1, "binomial": 2, "trinomial": 3}[job.shape]
+    return k, range(1 if k == 1 or job.canonicalize else job.field.q - 1)
+
+
 def candidate_count(job: SearchJob) -> int:
     """Exact number of candidates the job enumerates."""
-    q = job.field.q
-    m = q - 1
-    if job.shape == "monomial":
-        return m
-    if job.shape == "binomial":
-        return math.comb(m, 2) * (m if job.canonicalize else m * m)
-    if job.shape == "trinomial":
-        return math.comb(m, 3) * (m * m if job.canonicalize else m ** 3)
-    return q ** len(_digitsum_slots(job))
+    if job.shape == "digitsum-reduced":
+        return job.field.q ** len(_digitsum_slots(job))
+    k, leads = _tuple_shape(job)
+    m = job.field.q - 1
+    return math.comb(m, k) * len(leads) * m ** (k - 1)
 
 
-def enumerate_candidates(job: SearchJob, start: int = 0):
-    """Iterate over the candidate descriptors in the documented total
-    order, from the one with ordinal start on.
+def enumerate_candidates(job: SearchJob):
+    """Iterate over the candidate descriptors in the documented total order.
 
     A descriptor is a tuple of (exponent, coefficient_log_index) pairs;
     index -1 marks a zero coefficient (term absent).  Each exponent tuple
     (the k-subsets of 1..q-1 in lexicographic order, or the digitsum-reduced
-    slots) is followed by a block of every tuple of coefficient choices, so
-    the exponent tuples before start are skipped without building their
-    descriptors, and only the first block is walked up to start.
+    slots) is followed by a block of every tuple of coefficient choices.
     """
-    if start < 0:
-        raise ValueError(f"start ordinal must be non-negative, got {start}")
     q = job.field.q
-    units = tuple(range(q - 1))
+    units = range(q - 1)
     if job.shape == "digitsum-reduced":
-        slots = tuple(_digitsum_slots(job))
-        choices = [(-1,) + units] * len(slots)
-        exponent_tuples = iter([slots])
+        slots = _digitsum_slots(job)
+        choices = [[-1, *units]] * len(slots)
+        exponent_tuples = [slots]
     else:
-        k = {"monomial": 1, "binomial": 2, "trinomial": 3}[job.shape]
-        lead = (0,) if job.shape == "monomial" or job.canonicalize else units
-        choices = [lead] + [units] * (k - 1)
+        k, leads = _tuple_shape(job)
+        choices = [leads] + [units] * (k - 1)
         exponent_tuples = combinations(range(1, q), k)
-
-    def block(exps):
-        return product(*[[(e, j) for j in options] for e, options in zip(exps, choices)])
-
-    rank, offset = divmod(start, math.prod(map(len, choices)))
-    exponent_tuples = islice(exponent_tuples, rank, None)
-    first = next(exponent_tuples, None)
-    if first is None:
-        return iter(())
-    return chain(islice(block(first), offset, None), chain.from_iterable(map(block, exponent_tuples)))
+    return chain.from_iterable(
+        product(*[[(e, j) for j in options] for e, options in zip(exps, choices)])
+        for exps in exponent_tuples)
 
 
 def _scan_search(job: SearchJob):
-    """(examined, checked, hits) from scanning every candidate in order;
-    a monomial's verdict is reused across its Frobenius orbit."""
+    """(examined, checked, hits) from scanning every candidate in order on
+    the line kernel."""
     ctx = job.field
     kern = _kernel(ctx)
     degree_of = kern.degree
     flt = job.degree_filter
-    p, m = ctx.p, ctx.q - 1
-    monomial = job.shape == "monomial"
-    orbit_gapn = [None] * ctx.q  # monomials: exponent -> GAPN, set per orbit
     examined = checked = 0
     hits = []
     for ordinal, desc in enumerate(enumerate_candidates(job)):
@@ -199,17 +183,7 @@ def _scan_search(job: SearchJob):
         if degree is None or (flt is not None and degree not in flt):
             continue
         checked += 1
-        if not monomial:
-            gapn = kern.scan(terms, fail_fast=True)[1] is None
-        else:
-            d = desc[0][0]
-            if orbit_gapn[d] is None:
-                verdict = kern.scan(terms, fail_fast=True)[1] is None
-                for _ in range(ctx.n):  # n Frobenius steps walk the orbit back to d
-                    orbit_gapn[d] = verdict
-                    d = (d * p - 1) % m + 1
-            gapn = orbit_gapn[d]
-        if gapn:
+        if kern.scan(terms, fail_fast=True)[1] is None:
             hits.append(SearchHit(ordinal, SparsePoly._from_sorted_terms(
                 ctx, tuple((e, FieldElem(ctx, j)) for e, j in desc if j != -1)), degree))
             if len(hits) == job.limit:
@@ -218,28 +192,25 @@ def _scan_search(job: SearchJob):
 
 
 def _secant_search(job: SearchJob):
-    """(examined, checked, hits) for a binomial or trinomial job, equal to
-    what scanning every candidate with _scan_search gives.  The hits of
-    each exponent tuple are decided together (gapn.secant); a hit's
-    ordinal is the tuple's rank times the block size plus its coefficient
-    offset.  c*f is
-    GAPN exactly when f is, so a raw space's hits with lead log j1 are the
-    canonical hits with j1 added to every coefficient log."""
+    """(examined, checked, hits) for a monomial, binomial or trinomial
+    job, equal to what scanning every candidate with _scan_search gives.
+    The hits of each exponent tuple are decided together (gapn.secant); a
+    hit's ordinal is the tuple's rank times the block size plus its
+    coefficient offset.  c*f is GAPN exactly when f is, so a raw space's
+    hits with lead log j1 are the canonical hits with j1 added to every
+    coefficient log."""
     ctx = job.field
     kern = _kernel(ctx)
     m = kern.m
-    k = 2 if job.shape == "binomial" else 3
+    k, leads = _tuple_shape(job)
     hits_of = tuple_hits(ctx, k)
     width = m ** (k - 1)
-    leads = (0,) if job.canonicalize else range(m)
     block = len(leads) * width
     units = [FieldElem(ctx, j) for j in range(m)]
-    rows = {}  # exponent d -> the term (d, g^j) for each coefficient log j
 
-    def row(d):
-        if d not in rows:
-            rows[d] = [(d, u) for u in units]
-        return rows[d]
+    @cache
+    def row(d):  # the term (d, g^j) for each coefficient log j
+        return [(d, u) for u in units]
 
     poly = partial(SparsePoly._from_sorted_terms, ctx)
     degree_of, flt, limit = kern.degree, job.degree_filter, job.limit
@@ -258,7 +229,7 @@ def _secant_search(job: SearchJob):
             if not found:
                 checked += block
                 continue
-            first, *rest = map(row, exps)
+            rest = [row(d) for d in exps[1:]]
             for j1 in leads:
                 # the hits' offsets within the block of lead log j1, then their terms
                 if j1 == 0:
@@ -269,8 +240,10 @@ def _secant_search(job: SearchJob):
                     offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
                 if limit is not None:
                     offsets = offsets[:limit - len(hits)]
-                lead = first[j1]
-                if k == 2:
+                lead = (exps[0], units[j1])
+                if k == 1:
+                    terms = [(lead,)] * len(offsets)
+                elif k == 2:
                     terms = [(lead, rest[0][o]) for o in offsets]
                 else:
                     terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
@@ -295,9 +268,10 @@ def run_search(
 ) -> tuple[list[SearchHit], SearchSummary]:
     """Run the job and return (hits, summary); refuses jobs over budget.
 
-    Every job runs serially in this process: binomials and trinomials are
-    decided per exponent tuple, monomials per Frobenius orbit and
-    digitsum-reduced functions one at a time (see the module docstring).
+    Every job runs serially in this process: monomials, binomials and
+    trinomials are decided per exponent tuple (monomials once per
+    Frobenius orbit) and digitsum-reduced functions one at a time (see the
+    module docstring).
     threads is accepted for compatibility and ignored."""
     total = candidate_count(job)
     if total > budget:
@@ -306,10 +280,10 @@ def run_search(
             "raise the budget explicitly to run it"
         )
     t0 = time.perf_counter()
-    if job.shape in ("binomial", "trinomial"):
-        examined, checked, hits = _secant_search(job)
-    else:
+    if job.shape == "digitsum-reduced":
         examined, checked, hits = _scan_search(job)
+    else:
+        examined, checked, hits = _secant_search(job)
     by_degree = dict(Counter(h.degree for h in hits))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)
@@ -333,7 +307,7 @@ class Report:
         return asdict(self)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _field(p: int, n: int = 2) -> FieldCtx:
     return make_field(p, n)
 

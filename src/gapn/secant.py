@@ -1,4 +1,4 @@
-"""Whole exponent tuples of binomial and trinomial searches, decided at once.
+"""Whole exponent tuples of k-term searches, k = 1, 2 or 3, decided at once.
 
 With M_d = D_1 X^d on the q/p blocks of p consecutive codes (the line
 kernel's monomial_blocks, zero when digit_sum(d) < p-1), D_1 of
@@ -10,12 +10,15 @@ or all.  By direction scaling, D_a f has the fibers of D_1 f_a, and
 f_a/a^d1 has the coefficients v*a^(d2-d1) and w*a^(d3-d1).  So
 X^d1 + v*X^d2 + w*X^d3 is GAPN exactly when this orbit of (v, w) over the
 units a meets no forbidden point.  One exponent tuple thus costs C(q/p, 2)
-block pairs, whatever the number of its coefficient choices.  Everything
-is kept in discrete logs to base g, with 2m (m = q-1) marking zero.
+block pairs, whatever the number of its coefficient choices.  A monomial
+X^d is GAPN exactly when M_d has distinct block values.  X^(p*d) is X^d
+followed by Frobenius, an additive bijection, so M_(p*d) is M_d with its
+logs times p: both are decided once per Frobenius orbit of exponents.
+Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
 """
 
 import math
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, compress, repeat
 from operator import add, sub
 
@@ -24,11 +27,22 @@ from .polynomials import _kernel
 
 
 def tuple_hits(ctx: FieldCtx, k: int):
-    """The function that maps an exponent tuple d1 < ... < dk of ctx, k = 2
-    or 3, to the ascending offsets of its GAPN canonical coefficient
-    choices: j for X^d1 + g^j*X^d2, jv*m + jw for
-    X^d1 + g^jv*X^d2 + g^jw*X^d3."""
+    """The function that maps an exponent tuple d1 < ... < dk of ctx,
+    k = 1, 2 or 3, to the ascending offsets of its GAPN canonical
+    coefficient choices: 0 for X^d1 when it is GAPN, j for
+    X^d1 + g^j*X^d2, jv*m + jw for X^d1 + g^jv*X^d2 + g^jw*X^d3.
+    A monomial is decided once per Frobenius orbit, at its smallest member."""
     kern = _kernel(ctx)
+    if k == 1:
+        # the smallest member of each exponent's orbit
+        leader = {d: orbit[0] for orbit in frobenius_orbits(ctx) for d in orbit}
+
+        @cache
+        def distinct(d):  # a zero M_d has one value, distinct only when nblocks = 1
+            live = kern.degree[d] >= kern.p - 1
+            return (len(set(kern.monomial_blocks(d))) if live else 1) == kern.nblocks
+
+        return lambda exps: [0] if distinct(leader[exps[0]]) else []
     diffs = pair_differences(ctx)
     if k == 2:
         return partial(binomial_hits, diffs, kern.m)
@@ -36,14 +50,28 @@ def tuple_hits(ctx: FieldCtx, k: int):
     return partial(trinomial_hits, diffs, zech * 2, kern.m)
 
 
+def frobenius_orbits(ctx: FieldCtx):
+    """Each Frobenius orbit of the exponents 1..q-1 as the list d, d*p,
+    d*p^2, ... from its smallest member d, walked by
+    d -> (d*p - 1) mod (q-1) + 1, which keeps q-1 fixed."""
+    m, p = ctx.q - 1, ctx.p
+    seen = set()
+    for d in range(1, ctx.q):
+        if d not in seen:
+            orbit = [d]
+            while (e := (orbit[-1] * p - 1) % m + 1) != d:
+                orbit.append(e)
+            seen.update(orbit)
+            yield orbit
+
+
 def pair_differences(ctx: FieldCtx) -> list[list[int]]:
     """For every exponent d in 1..q-1 (index d), the logs of
     M_d[i] - M_d[j] over the block pairs i < j in lexicographic order, with
     2m for zero.  M_d is D_1 X^d on the q/p blocks (the kernel's
-    monomial_blocks), the zero vector when digit_sum(d) < p-1.  When
-    X^d = (X^e)^p for an e < d, M_d is M_e raised to the p-th power, and
-    Frobenius is additive, so M_d's differences are M_e's with their logs
-    times p."""
+    monomial_blocks), the zero vector when digit_sum(d) < p-1.  Frobenius
+    is additive, so the differences are built once per Frobenius orbit and
+    member d*p^j takes them with their logs times p^j."""
     kern = _kernel(ctx)
     m, p = kern.m, kern.p
     pairs = list(combinations(range(kern.nblocks), 2))
@@ -51,21 +79,18 @@ def pair_differences(ctx: FieldCtx) -> list[list[int]]:
     second = [j for _, j in pairs]
     at = kern.packed_at.__getitem__
     zero = [2 * m] * len(pairs)
-    out = [zero]
-    root = p ** (ctx.n - 1)  # X^d = (X^e)^p for e = d*p^(n-1) mod m in 1..m
-    for d in range(1, ctx.q):
-        if kern.degree[d] < p - 1:
-            out.append(zero)
+    out = [zero] * ctx.q
+    for orbit in frobenius_orbits(ctx):
+        if kern.degree[orbit[0]] < p - 1:
             continue
-        e = (d * root - 1) % m + 1
-        if e < d:
-            out.append([l if l == 2 * m else l * p % m for l in out[e]])
-            continue
-        blocks = kern.monomial_blocks(d)
+        blocks = kern.monomial_blocks(orbit[0])
         # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0
         minus = map(at, map(add, map(blocks.__getitem__, second), repeat(m // 2)))
         sums = list(map(add, map(at, map(blocks.__getitem__, first)), minus))
-        out.append(list(map(kern.logz.__getitem__, kern.unpack(sums))))
+        base = list(map(kern.logz.__getitem__, kern.unpack(sums)))
+        for j, d in enumerate(orbit):
+            scale = p ** j
+            out[d] = [l if l == 2 * m else l * scale % m for l in base]
     return out
 
 

@@ -2,17 +2,17 @@
 
 import gc
 import json
+import math
 import multiprocessing.process
 import random
-from collections import deque
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
 import gapn.search as search
 from gapn.cli import main
 from gapn.fields import FieldElem, make_field
-from gapn.polynomials import SparsePoly, _LineKernel, digit_sum, is_gapn
+from gapn.polynomials import SparsePoly, _LineKernel, _kernel, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
     _scan_search,
@@ -22,6 +22,7 @@ from gapn.search import (
     reproduce,
     run_search,
 )
+from gapn.secant import pair_differences
 
 import oracle
 
@@ -29,10 +30,15 @@ import oracle
 def test_candidate_counts():
     f49 = make_field(7, 2)
     assert candidate_count(SearchJob(f49, "monomial")) == 48
+    assert candidate_count(SearchJob(f49, "monomial", canonicalize=False)) == 48
     assert candidate_count(SearchJob(f49, "binomial")) == 1128 * 48
     f9 = make_field(3, 2)
     assert candidate_count(SearchJob(f9, "digitsum-reduced")) == 9 ** 3
     assert candidate_count(SearchJob(f9, "binomial", canonicalize=False)) == 28 * 64
+    assert candidate_count(SearchJob(f9, "trinomial")) == 56 * 64
+    assert candidate_count(SearchJob(f9, "trinomial", canonicalize=False)) == 56 * 512
+    for job in (SearchJob(f9, "monomial", canonicalize=False), SearchJob(f9, "trinomial")):
+        assert candidate_count(job) == sum(1 for _ in enumerate_candidates(job))
 
 
 def test_digitsum_reduced_slots():
@@ -55,8 +61,8 @@ def test_enumeration_order_binomial():
     assert first[8] == ((1, 0), (3, 0))
 
 
-# ordinals walked by the reference enumeration in one start-ordinal case;
-# only GF(25)'s trinomial spaces (1.2 M and 27.9 M candidates) are larger
+# ordinals walked in one case; only GF(25)'s trinomial spaces (1.2 M and
+# 27.9 M candidates) are larger
 _WALK_CAP = 600_000
 
 
@@ -64,37 +70,35 @@ _WALK_CAP = 600_000
 @pytest.mark.parametrize("shape", ["monomial", "binomial", "trinomial", "digitsum-reduced"])
 @pytest.mark.parametrize("p", [3, 5])
 def test_enumeration_starts_at_ordinal(p, shape, canonical):
+    # exponent tuple r's block of coefficient choices starts at ordinal
+    # r * block, and the choices inside it run in product order: the
+    # secant search's ordinals rest on this layout
     ctx = make_field(p, 2)
-    # digit sum >= 7 keeps 3 of GF(25)'s exponents (25^3 candidates)
-    job = SearchJob(ctx, shape, canonicalize=canonical, min_digit_sum=7 if p == 5 else None)
+    minds = 7 if p == 5 else 3  # digit sum >= 7 keeps 3 of GF(25)'s exponents
+    job = SearchJob(ctx, shape, canonicalize=canonical, min_digit_sum=minds)
+    units = list(range(ctx.q - 1))
+    if shape == "digitsum-reduced":
+        tuples = [[e for e in range(ctx.q) if digit_sum(p, e) >= minds]]
+        choices = [[-1] + units] * len(tuples[0])
+    else:
+        k = {"monomial": 1, "binomial": 2, "trinomial": 3}[shape]
+        tuples = list(combinations(range(1, ctx.q), k))
+        choices = [[0] if shape == "monomial" or canonical else units] + [units] * (k - 1)
+    block = math.prod(map(len, choices))
     total = candidate_count(job)
-    m = ctx.q - 1
-    lead = 1 if shape == "monomial" or canonical else m
-    inner = {"monomial": 1, "binomial": lead * m, "trinomial": lead * m * m}.get(shape, total)
-    starts = {0, 1, total - 1, total}
-    starts |= {b + d for b in range(inner, total, inner) for d in (-1, 0)}
-    # whole tails where they are short, else one block and two more, so
-    # every window crosses the next exponent tuple's boundary
-    width = total if total <= 2000 else inner + 2
-    ref = enumerate_candidates(job)
-    buf, at = deque(), 0  # buf holds ref's descriptors from ordinal at on
-    for s in sorted(x for x in starts if x <= _WALK_CAP or x >= total - 1):
-        if s > _WALK_CAP:  # a trinomial space's last descriptor, without walking to it
-            last = ((ctx.q - 3, m - 1 if lead > 1 else 0), (ctx.q - 2, m - 1), (ctx.q - 1, m - 1))
-            assert list(enumerate_candidates(job, s)) == ([last] if s < total else [])
-            continue
-        drop = min(s - at, len(buf))
-        for _ in range(drop):
-            buf.popleft()
-        deque(islice(ref, s - at - drop), maxlen=0)
-        at = s
-        buf.extend(islice(ref, width - len(buf)))
-        assert list(islice(enumerate_candidates(job, s), width)) == list(buf), s
-
-
-def test_enumeration_rejects_negative_start():
-    with pytest.raises(ValueError, match="non-negative"):
-        enumerate_candidates(SearchJob(make_field(3, 2), "monomial"), -1)
+    assert total == len(tuples) * block
+    starts = {0, 1, total - 1} | {b + d for b in range(block, total, block) for d in (-1, 0)}
+    walked = 0
+    for s, desc in enumerate(islice(enumerate_candidates(job), _WALK_CAP + 1)):
+        walked += 1
+        if s in starts:
+            rank, rest = divmod(s, block)
+            picks = []
+            for options in reversed(choices):
+                rest, i = divmod(rest, len(options))
+                picks.append(options[i])
+            assert desc == tuple(zip(tuples[rank], reversed(picks))), s
+    assert walked == min(total, _WALK_CAP + 1)
 
 
 def test_unknown_shape_rejected():
@@ -120,8 +124,8 @@ def test_run_is_deterministic():
 # digitsum-reduced space with min_digit_sum=2 has 9^6 = 531,441 candidates and
 # is cut by a hit limit after its 4- and 5-term candidates, which take the
 # kernel's gather path; the binomial and trinomial limits stop inside a
-# block of coefficient choices; the monomial spaces reuse one kernel scan per
-# Frobenius orbit
+# block of coefficient choices; the monomial spaces build one block table
+# per Frobenius orbit
 _REFERENCE_JOBS = {
     "gf9-binomial": (3, 2, "binomial", True, {}),
     "gf9-binomial-raw": (3, 2, "binomial", False, {}),
@@ -149,10 +153,11 @@ def test_search_matches_direct_loop(monkeypatch, case):
     p, n, shape, canonical, options = case
     ctx = make_field(p, n)
     job = SearchJob(ctx, shape, canonicalize=canonical, **options)
-    scans = []
+    scans, tables = [], []
     with monkeypatch.context() as mp:
-        scan = _LineKernel.scan
+        scan, blocks = _LineKernel.scan, _LineKernel.monomial_blocks
         mp.setattr(_LineKernel, "scan", lambda kern, *args, **kw: scans.append(args) or scan(kern, *args, **kw))
+        mp.setattr(_LineKernel, "monomial_blocks", lambda kern, d: tables.append(d) or blocks(kern, d))
         hits, summary = run_search(job, threads=1)
     want, checked, most = [], 0, 0
     orbits = set()  # monomials: the Frobenius orbits of the checked exponents
@@ -173,8 +178,12 @@ def test_search_matches_direct_loop(monkeypatch, case):
     assert [(h.ordinal, h.function, h.degree) for h in hits] == want
     assert (summary.examined, summary.checked) == (ordinal + 1, checked)
     assert most > p or "min_digit_sum" not in options  # the gather path was taken
+    assert bool(scans) == (shape == "digitsum-reduced")
     if shape == "monomial":
-        assert len(scans) == len(orbits) < checked
+        # one block table per Frobenius orbit met with a nonzero M_d, read
+        # at its smallest member
+        assert tables == sorted(min(o) for o in orbits if digit_sum(p, min(o)) >= p - 1)
+        assert len(tables) < checked
     if "limit" in options and shape in ("binomial", "trinomial"):
         m = ctx.q - 1
         block = (1 if canonical else m) * m ** (len(want[0][1].terms) - 1)
@@ -237,16 +246,21 @@ def test_gf121_even_degree_census():
     assert (summary.examined, summary.checked) == (candidate_count(job), 285_000)
     rng = random.Random(121)
     assert all(is_gapn(h.function).is_gapn for h in rng.sample(hits, 40))
+    # 200 of the checked non-hits, drawn by their index among them and
+    # read off in one ordered pass
     found = {h.ordinal for h in hits}
+    picks = set(rng.sample(range(summary.checked - len(hits)), 200))
+    degree_of = [digit_sum(11, e) for e in range(ctx.q)]
     misses = 0
-    while misses < 200:
-        ordinal = rng.randrange(summary.examined)
-        desc = next(enumerate_candidates(job, ordinal))
-        f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc])
-        if ordinal in found or f.algebraic_degree() not in job.degree_filter:
+    for ordinal, desc in enumerate(enumerate_candidates(job)):
+        (d1, _), (d2, _) = desc
+        if max(degree_of[d1], degree_of[d2]) not in job.degree_filter or ordinal in found:
             continue
-        assert not is_gapn(f).is_gapn, ordinal
+        if misses in picks:
+            f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc])
+            assert not is_gapn(f).is_gapn, ordinal
         misses += 1
+    assert misses == summary.checked - len(hits)
 
 
 # whole spaces that take the scan from about 5 s to 2 min each
@@ -255,6 +269,7 @@ _SLOW_SCAN_JOBS = {
     "gf27-binomial-raw": (3, 3, "binomial", False),
     "gf25-trinomial": (5, 2, "trinomial", True),
     "gf27-trinomial": (3, 3, "trinomial", True),
+    "gf6561-monomial": (3, 8, "monomial", True),  # 72 hits
 }
 
 
@@ -263,6 +278,42 @@ _SLOW_SCAN_JOBS = {
 def test_secant_matches_scan_on_whole_space(case):
     p, n, shape, canonical = case
     _assert_matches_scan(SearchJob(make_field(p, n), shape, canonicalize=canonical))
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
+@pytest.mark.parametrize("shape", ["monomial", "binomial", "trinomial"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_prime_field_shapes_match_scan(p, shape, canonical):
+    # over GF(p) a line is one block, so every D_a f is constant and every
+    # candidate is GAPN; the block pair lists are empty
+    job = SearchJob(make_field(p, 1), shape, canonicalize=canonical)
+    hits, summary = _assert_matches_scan(job)
+    assert len(hits) == summary.checked == summary.examined == candidate_count(job)
+
+
+@pytest.mark.parametrize("p, n", [(7, 2), (3, 3), (3, 4), (5, 3)])
+def test_pair_differences_match_block_tables(p, n):
+    # every exponent's list against the differences of its own block
+    # table, with no reuse across its Frobenius orbit
+    ctx = make_field(p, n)
+    kern = _kernel(ctx)
+    zero = 2 * (ctx.q - 1)
+    diffs = pair_differences(ctx)
+    assert len(diffs) == ctx.q
+    for d in range(1, ctx.q):
+        blocks = [ctx.zero if x == zero else FieldElem(ctx, x) for x in kern.monomial_blocks(d)]
+        want = [zero if x == y else (x - y).idx for x, y in combinations(blocks, 2)]
+        assert diffs[d] == want, d
+
+
+def test_pair_differences_build_one_table_per_orbit(monkeypatch):
+    # GF(3^5) has 50 Frobenius orbits of exponents; X^1's has digit sum 1
+    # and a zero table, so 49 block tables are built
+    built = []
+    blocks = _LineKernel.monomial_blocks
+    monkeypatch.setattr(_LineKernel, "monomial_blocks", lambda kern, d: built.append(d) or blocks(kern, d))
+    pair_differences(make_field(3, 5))
+    assert len(built) == len(set(built)) == 49
 
 
 @pytest.mark.parametrize("collecting", [True, False])
