@@ -225,17 +225,28 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
 
 def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:
     """Whether 2v*A^5 + u*A^4 + u^p*A + 2v^p is nonzero on the whole
-    subgroup of (p-1)-th powers (the p+1 solutions of A^(p+1) = 1)."""
+    subgroup of (p-1)-th powers (the p+1 solutions of A^(p+1) = 1).
+
+    The sum is evaluated in the log domain: for A = g^j, j = 0, p-1,
+    2(p-1), ..., each term is one antilog lookup, at log 2v + 5j, log u + 4j,
+    p*log u + j and p*log 2v (2v^p = (2v)^p), added on element codes.
+    """
     if ctx.n != 2:
         raise ValueError("trinomial condition is specific to quadratic extensions")
+    check = ctx.one._check_same
+    check(u)
+    check(v)
     if u.is_zero() or v.is_zero():
         raise ValueError("u and v must be nonzero")
-    two = ctx.scalar(2)
-    up = u.frobenius(1)
-    vp = v.frobenius(1)
-    for big_a in ctx.subgroup(ctx.p - 1):
-        val = two * v * big_a ** 5 + u * big_a ** 4 + up * big_a + two * vp
-        if val.is_zero():
+    p, m = ctx.p, ctx.q - 1
+    antilog, add = ctx.antilog, ctx.add_code
+    log_2v = ctx.log[2] + v.idx
+    log_up = u.idx * p
+    code_2vp = antilog[log_2v * p % m]
+    for j in range(0, m, p - 1):
+        val = add(add(antilog[(log_2v + 5 * j) % m], antilog[(u.idx + 4 * j) % m]),
+                  add(antilog[(log_up + j) % m], code_2vp))
+        if val == 0:
             return False
     return True
 

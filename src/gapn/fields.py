@@ -12,6 +12,11 @@ are the coefficients in the basis {1, x, ..., x^(n-1)}, constant term first.
 Nonzero elements are carried as discrete-log indices, which turns
 multiplication into index addition and powering by huge exponents into a
 single modular multiply; addition drops down to coefficient vectors.
+
+The tables come from one walk: multiplying by x is F_p-linear, so the
+table of x*v over all q codes is built from whole-list operations (p
+blocks, each a few list comprehensions over rotated digit columns), and
+antilog is the walk 1, x, x^2, ... through it.
 """
 
 import math
@@ -246,33 +251,37 @@ class FieldCtx:
 def _build_tables(p: int, n: int, lower: list[int]):
     """Fill antilog/log for x modulo the monic polynomial with the given
     lower coefficients; returns None unless x has full order q-1 (which
-    certifies the modulus both irreducible and primitive)."""
+    certifies the modulus both irreducible and primitive).
+
+    Multiplying by x is F_p-linear: for v = low + t*p^(n-1), x*v has digit 0
+    equal to t*(-c_0) and digit i equal to low_(i-1) + t*(-c_i), so the
+    times-x table over all q codes is p blocks, each built digit by digit
+    with one list comprehension per digit.
+    antilog is the walk 1, x, x^2, ... through that table; x has order q-1
+    exactly when the walk meets neither 0 nor a repeated code in q-1 steps
+    and then returns to 1."""
     q = p ** n
     mneg = [(-c) % p for c in lower]
+    # base[i][d] = d*p^i; rotating it by s gives digit i = (d + s) % p
+    base = [[d * p ** i for d in range(p)] for i in range(n)]
+    times_x = []
+    for t in range(p):
+        # block t: the codes of x*v for v = low + t*p^(n-1), low ascending
+        block = [t * mneg[0] % p]
+        for i in range(1, n):
+            s = t * mneg[i] % p
+            block = [x + c for c in base[i][s:] + base[i][:s] for x in block]
+        times_x += block
     antilog = [0] * (q - 1)
     log = [_ZERO_IDX] * q
-    antilog[0] = 1
-    log[1] = 0
-    cur = [1] + [0] * (n - 1)
-
-    def shift(digits):
-        carry = digits[-1]
-        digits = [0] + digits[:-1]
-        if carry:
-            for i in range(n):
-                digits[i] = (digits[i] + carry * mneg[i]) % p
-        return digits
-
-    for k in range(1, q - 1):
-        cur = shift(cur)
-        code = 0
-        for i in range(n - 1, -1, -1):
-            code = code * p + cur[i]
-        if code == 0 or log[code] != _ZERO_IDX:
-            return None
-        antilog[k] = code
-        log[code] = k
-    if shift(cur) != [1] + [0] * (n - 1):
+    v = 1
+    for k in range(q - 1):
+        antilog[k] = v
+        log[v] = k
+        v = times_x[v]
+    # x*0 = 0, so ending at 1 means the walk never met 0; then its q-1
+    # writes cover the q-1 nonzero codes exactly when no code repeats
+    if v != 1 or log.count(_ZERO_IDX) != 1:
         return None
     return antilog, log
 
@@ -356,8 +365,11 @@ def _is_irreducible(p: int, n: int, lower) -> bool:
 
 def _order_screen(p: int, n: int, lower, factors) -> bool:
     """Exact primitivity test for the monic modulus with the given lower
-    coefficients: it is irreducible, and x generates the whole unit group,
-    i.e. x^((q-1)/r) != 1 for every prime r | q-1."""
+    coefficients: its constant term is nonzero, it is irreducible, and x
+    generates the whole unit group, i.e. x^((q-1)/r) != 1 for every prime
+    r | q-1."""
+    if lower[0] % p == 0:
+        return False  # X divides the modulus: its root is 0 (n = 1) or it is reducible
     if not _is_irreducible(p, n, lower):
         return False
     q = p ** n

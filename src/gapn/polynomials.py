@@ -39,7 +39,7 @@ with a fiber above p.
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add, and_, itemgetter, mod, mul, rshift
 
 from .fields import (
@@ -207,9 +207,13 @@ class _LineKernel:
         self.nlines = nlines = m // (p - 1)
         self.nblocks = q // p
         self.antilog = ctx.antilog
-        # g^k lies on line k mod nlines; dict order is first appearance by
-        # ascending code, so the lines come sorted by their smallest code
-        self.lines = list(dict.fromkeys(map(mod, islice(ctx.log, 1, None), repeat(nlines))))
+        # g^k lies on line k mod nlines.  The directions of a line share
+        # their leading base-p digit's position, and its digit runs over
+        # F_p*, so each line has exactly one direction with leading digit 1:
+        # its smallest code.  Those codes, p^i..2p^i-1 for each i, ascend,
+        # so the lines come sorted by their smallest code
+        log = ctx.log
+        self.lines = [log[c] % nlines for i in range(n) for c in range(p ** i, 2 * p ** i)]
         # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
         self.by_log = itemgetter(*ctx.log)
         # log form: the log of a nonzero code, 2m for zero
@@ -225,9 +229,12 @@ class _LineKernel:
         # algebraic degree of X^d; D_1 X^d vanishes exactly when it is < p-1
         self.degree = sums
         # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
-        # log-form entry plus a shift in 0..m-1 reads its scaled value
-        packed = list(map(pack.__getitem__, ctx.antilog))
-        self.packed_at = packed * 2 + [0] * m
+        # log-form entry plus a shift in 0..m-1 reads its scaled value;
+        # extended in place, so no temporary copy of the table is made
+        packed_at = list(map(pack.__getitem__, ctx.antilog))
+        packed_at += packed_at
+        packed_at += repeat(0, m)
+        self.packed_at = packed_at
         # k digits share one lookup table of at most 2q entries; when not
         # even two fit, each digit is reduced with % p instead
         top = p * (p - 1) + 1

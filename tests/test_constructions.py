@@ -248,6 +248,50 @@ def test_trinomial_condition_matches_root_enumeration():
             assert trinomial_condition(ctx, u, v) == (not has_root)
 
 
+def _trinomial_condition_by_elements(ctx, u, v):
+    # the condition evaluated with FieldElem arithmetic, term by term
+    two = ctx.scalar(2)
+    up = u.frobenius(1)
+    vp = v.frobenius(1)
+    return not any((two * v * big_a ** 5 + u * big_a ** 4 + up * big_a + two * vp).is_zero()
+                   for big_a in ctx.subgroup(ctx.p - 1))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_trinomial_condition_matches_element_arithmetic(p):
+    ctx = make_field(p, 2)
+    units = list(ctx.units())
+    for u in units:
+        for v in units:
+            assert trinomial_condition(ctx, u, v) == _trinomial_condition_by_elements(ctx, u, v)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_find_trinomial_u_matches_element_arithmetic(p):
+    ctx = make_field(p, 2)
+    half = ctx.scalar(2).inv()
+    first = next(u for u in ctx.units() if _trinomial_condition_by_elements(ctx, u, half))
+    assert find_trinomial_u(ctx) == first
+
+
+def test_trinomial_condition_errors():
+    ctx = make_field(5, 2)
+    other = make_field(7, 2)
+    cubic = make_field(5, 3)
+    with pytest.raises(ValueError):
+        trinomial_condition(cubic, cubic.one, cubic.one)
+    with pytest.raises(ValueError):
+        trinomial_condition(ctx, ctx.one, ctx.zero)
+    with pytest.raises(ValueError):
+        trinomial_condition(ctx, other.one, ctx.one)
+    with pytest.raises(ValueError):
+        trinomial_condition(ctx, ctx.one, other.one)
+    with pytest.raises(TypeError):
+        trinomial_condition(ctx, 1, ctx.one)
+    with pytest.raises(TypeError):
+        trinomial_condition(ctx, ctx.one, 1)
+
+
 def test_find_trinomial_u():
     ctx = make_field(7, 2)
     u = find_trinomial_u(ctx)

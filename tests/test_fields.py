@@ -150,7 +150,8 @@ def test_subgroup():
         assert -c.one in c.subgroup(p - 1)
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                 (7, 2), (11, 2)])
 def test_order_screen_agrees_with_table_build(p, n):
     # the fast primitivity screen must accept exactly the moduli whose
     # full table construction succeeds, over every monic candidate; the
@@ -167,6 +168,30 @@ def test_order_screen_agrees_with_table_build(p, n):
         assert screened == built, f"disagreement at modulus {list(tail) + [1]}"
         if built:
             assert tail[0] in norm_ok
+
+
+# the pinned verify-wide moduli of the benchmark, then two default moduli
+@pytest.mark.parametrize("p,n,modulus", [
+    (3, 7, [1, 0, 0, 0, 0, 1, 2, 1]),
+    (5, 4, [2, 0, 2, 1, 1]),
+    (47, 2, [5, 2, 1]),
+    (211, 2, [2, 4, 1]),
+    (3, 8, None),
+    (5, 3, None),
+], ids=["3^7", "5^4", "47^2", "211^2", "3^8", "5^3"])
+def test_tables_match_oracle_powers_of_x(p, n, modulus):
+    # antilog[k] is the code of x^k, walked by the oracle's schoolbook
+    # multiplication, and log inverts antilog
+    ctx = make_field(p, n, modulus=modulus)
+    tf = oracle.tuple_field_of(ctx)
+    x = tf.from_code(p)
+    cur = tf.one
+    for k in range(ctx.q - 1):
+        assert ctx.antilog[k] == tf.to_code(cur), f"x^{k}"
+        cur = tf.mul(cur, x)
+    assert cur == tf.one
+    assert len(ctx.log) == ctx.q and ctx.log[0] == -1
+    assert [ctx.log[c] for c in ctx.antilog] == list(range(ctx.q - 1))
 
 
 def test_higher_extension_degree_construction():

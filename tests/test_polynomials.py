@@ -13,6 +13,7 @@ from gapn.polynomials import (
     is_gapn,
     is_p_to_one,
     verify_power_identity,
+    _kernel,
 )
 
 import oracle
@@ -450,3 +451,18 @@ def test_verdict_json_shape():
     assert obj["witness"] is not None and set(obj["witness"]) == {"a", "b"}
     ok = is_gapn(SparsePoly.monomial(ctx, 5)).to_json()
     assert ok["witness"] is None
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (3, 3), (7, 2), (3, 5), (5, 3)])
+def test_lines_ordered_by_smallest_code(p, n):
+    # the kernel scans lines by their smallest direction code, and that
+    # code is the line's one direction whose leading base-p digit is 1
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    kern = _kernel(ctx)
+    smallest = [oracle.line_min_code(tf, ctx.antilog[t]) for t in range(kern.nlines)]
+    assert kern.lines == sorted(range(kern.nlines), key=smallest.__getitem__)
+    for code in smallest:
+        while code >= p:
+            code //= p
+        assert code == 1
