@@ -13,12 +13,13 @@ units a meets no forbidden point.  One exponent tuple thus costs C(q/p, 2)
 block pairs, whatever the number of its coefficient choices.  A monomial
 X^d is GAPN exactly when M_d has distinct block values.  X^(p*d) is X^d
 followed by Frobenius, an additive bijection, so M_(p*d) is M_d with its
-logs times p: both are decided once per Frobenius orbit of exponents.
+logs times p: monomial verdicts and block pair differences are built once
+per Frobenius orbit of exponents, at the first member read (_OrbitTable).
 Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
 """
 
 import math
-from functools import cache, partial
+from functools import partial
 from itertools import combinations, compress, repeat
 from operator import add, sub
 
@@ -31,72 +32,89 @@ def tuple_hits(ctx: FieldCtx, k: int):
     k = 1, 2 or 3, to the ascending offsets of its GAPN canonical
     coefficient choices: 0 for X^d1 when it is GAPN, j for
     X^d1 + g^j*X^d2, jv*m + jw for X^d1 + g^jv*X^d2 + g^jw*X^d3.
-    A monomial is decided once per Frobenius orbit, at its smallest member."""
+    A monomial is decided once per Frobenius orbit, at the first member read."""
     kern = _kernel(ctx)
     if k == 1:
-        # the smallest member of each exponent's orbit
-        leader = {d: orbit[0] for orbit in frobenius_orbits(ctx) for d in orbit}
-
-        @cache
         def distinct(d):  # a zero M_d has one value, distinct only when nblocks = 1
             live = kern.degree[d] >= kern.p - 1
             return (len(set(kern.monomial_blocks(d))) if live else 1) == kern.nblocks
 
-        return lambda exps: [0] if distinct(leader[exps[0]]) else []
+        verdicts = _OrbitTable(ctx, distinct, lambda verdict, scale: verdict)
+        return lambda exps: [0] if verdicts[exps[0]] else []
     diffs = pair_differences(ctx)
     if k == 2:
-        return partial(binomial_hits, diffs, kern.m)
+        return partial(binomial_hits, diffs, negated_differences(ctx, diffs), kern.m)
     zech = [kern.logz[ctx.add_code(1, x)] for x in ctx.antilog]
     return partial(trinomial_hits, diffs, zech * 2, kern.m)
 
 
-def frobenius_orbits(ctx: FieldCtx):
-    """Each Frobenius orbit of the exponents 1..q-1 as the list d, d*p,
-    d*p^2, ... from its smallest member d, walked by
-    d -> (d*p - 1) mod (q-1) + 1, which keeps q-1 fixed."""
-    m, p = ctx.q - 1, ctx.p
-    seen = set()
-    for d in range(1, ctx.q):
-        if d not in seen:
-            orbit = [d]
-            while (e := (orbit[-1] * p - 1) % m + 1) != d:
-                orbit.append(e)
-            seen.update(orbit)
-            yield orbit
+class _OrbitTable(dict):
+    """A value per exponent in 1..q-1, filled one Frobenius orbit at a time.
+    Reading a missing exponent d builds build(d) and gives each further
+    member d*p^j of d's orbit image(build(d), p^j mod (q-1)).  The orbit is
+    walked by d -> (d*p - 1) mod (q-1) + 1, which keeps q-1 fixed."""
+
+    __slots__ = ("m", "p", "build", "image")
+
+    def __init__(self, ctx: FieldCtx, build, image):
+        super().__init__()
+        self.m, self.p, self.build, self.image = ctx.q - 1, ctx.p, build, image
+
+    def __missing__(self, d):
+        m, p = self.m, self.p
+        value = self[d] = self.build(d)
+        e, scale = (d * p - 1) % m + 1, p % m
+        while e != d:
+            self[e] = self.image(value, scale)
+            e, scale = (e * p - 1) % m + 1, scale * p % m
+        return value
 
 
-def pair_differences(ctx: FieldCtx) -> list[list[int]]:
-    """For every exponent d in 1..q-1 (index d), the logs of
+def _scaled_logs(m: int, logs: list[int], scale: int) -> list[int]:
+    """logs times scale mod m; an entry of m or more (a zero) stays."""
+    return [l if l >= m else l * scale % m for l in logs]
+
+
+def pair_differences(ctx: FieldCtx) -> _OrbitTable:
+    """The table that maps each exponent d in 1..q-1 to the logs of
     M_d[i] - M_d[j] over the block pairs i < j in lexicographic order, with
     2m for zero.  M_d is D_1 X^d on the q/p blocks (the kernel's
     monomial_blocks), the zero vector when digit_sum(d) < p-1.  Frobenius
-    is additive, so the differences are built once per Frobenius orbit and
-    member d*p^j takes them with their logs times p^j."""
+    is additive, so an orbit's lists are built from the first member d read,
+    and member d*p^j takes d's with their logs times p^j."""
     kern = _kernel(ctx)
-    m, p = kern.m, kern.p
+    m = kern.m
     pairs = list(combinations(range(kern.nblocks), 2))
     first = [i for i, _ in pairs]
     second = [j for _, j in pairs]
     at = kern.packed_at.__getitem__
     zero = [2 * m] * len(pairs)
-    out = [zero] * ctx.q
-    for orbit in frobenius_orbits(ctx):
-        if kern.degree[orbit[0]] < p - 1:
-            continue
-        blocks = kern.monomial_blocks(orbit[0])
+
+    def build(d):
+        if kern.degree[d] < kern.p - 1:
+            return zero
+        blocks = kern.monomial_blocks(d)
         # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0
         minus = map(at, map(add, map(blocks.__getitem__, second), repeat(m // 2)))
         sums = list(map(add, map(at, map(blocks.__getitem__, first)), minus))
-        base = list(map(kern.logz.__getitem__, kern.unpack(sums)))
-        for j, d in enumerate(orbit):
-            scale = p ** j
-            out[d] = [l if l == 2 * m else l * scale % m for l in base]
-    return out
+        return list(map(kern.logz.__getitem__, kern.unpack(sums)))
+
+    return _OrbitTable(ctx, build, partial(_scaled_logs, m))
 
 
-def binomial_hits(diffs, m: int, exps) -> list[int]:
+def negated_differences(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
+    """The table that maps each exponent d to log(-D) for the entries D of
+    diffs[d] (pair_differences), with 4m for zero.  p is odd, so
+    (-x)^(p^j) = -x^(p^j): an orbit's lists are logs times p^j as well."""
+    m = ctx.q - 1
+    half = m // 2  # -x is x times g^(m/2)
+    return _OrbitTable(ctx, lambda d: [4 * m if l == 2 * m else (l + half) % m for l in diffs[d]],
+                       partial(_scaled_logs, m))
+
+
+def binomial_hits(diffs, minus, m: int, exps) -> list[int]:
     """The coefficient logs j, ascending, for which X^d1 + g^j*X^d2 is
-    GAPN.
+    GAPN; minus is negated_differences of diffs.
 
     D_1 f_a is a^d1 times M_d1 + w*M_d2 with w = g^j*a^(d2-d1), and it is
     p-to-1 exactly when its block values are distinct.  A block pair with
@@ -106,12 +124,10 @@ def binomial_hits(diffs, m: int, exps) -> list[int]:
     so j is a hit exactly when j mod G is the residue of no forbidden log.
     """
     d1, d2 = exps
-    zero, half = 2 * m, m // 2
     # log(-D1) with 4m for zero, minus log(D2) with 2m for zero: two logs
     # give a slope in (-m, m), both zero give 2m, one zero lies outside
-    minus = [4 * m if l == zero else (l + half) % m for l in diffs[d1]]
-    slopes = set(map(sub, minus, diffs[d2]))
-    if zero in slopes:
+    slopes = set(map(sub, minus[d1], diffs[d2]))
+    if 2 * m in slopes:
         return []
     g = math.gcd(d2 - d1, m)
     bad = {s % g for s in slopes if -m < s < m}

@@ -22,7 +22,7 @@ from gapn.search import (
     reproduce,
     run_search,
 )
-from gapn.secant import pair_differences
+from gapn.secant import negated_differences, pair_differences
 
 import oracle
 
@@ -291,29 +291,65 @@ def test_prime_field_shapes_match_scan(p, shape, canonical):
     assert len(hits) == summary.checked == summary.examined == candidate_count(job)
 
 
+def _record_block_tables(monkeypatch):
+    # the exponents whose block tables are asked for, in order
+    built = []
+    blocks = _LineKernel.monomial_blocks
+    monkeypatch.setattr(_LineKernel, "monomial_blocks", lambda kern, d: built.append(d) or blocks(kern, d))
+    return built
+
+
+def _orbit(ctx, d):
+    # d, d*p, d*p^2, ... as exponents in 1..q-1
+    m = ctx.q - 1
+    return {(d * ctx.p ** j - 1) % m + 1 for j in range(ctx.n)}
+
+
 @pytest.mark.parametrize("p, n", [(7, 2), (3, 3), (3, 4), (5, 3)])
 def test_pair_differences_match_block_tables(p, n):
-    # every exponent's list against the differences of its own block
-    # table, with no reuse across its Frobenius orbit
+    # every exponent's lists against the differences of its own block
+    # table; read in descending order, so each orbit is built from its
+    # largest member and the others are images of it
     ctx = make_field(p, n)
     kern = _kernel(ctx)
     zero = 2 * (ctx.q - 1)
     diffs = pair_differences(ctx)
-    assert len(diffs) == ctx.q
-    for d in range(1, ctx.q):
+    minus = negated_differences(ctx, diffs)
+    for d in range(ctx.q - 1, 0, -1):
         blocks = [ctx.zero if x == zero else FieldElem(ctx, x) for x in kern.monomial_blocks(d)]
-        want = [zero if x == y else (x - y).idx for x, y in combinations(blocks, 2)]
-        assert diffs[d] == want, d
+        pairs = list(combinations(blocks, 2))
+        assert diffs[d] == [zero if x == y else (x - y).idx for x, y in pairs], d
+        assert minus[d] == [2 * zero if x == y else (y - x).idx for x, y in pairs], d
+    assert sorted(diffs) == sorted(minus) == list(range(1, ctx.q))
 
 
 def test_pair_differences_build_one_table_per_orbit(monkeypatch):
     # GF(3^5) has 50 Frobenius orbits of exponents; X^1's has digit sum 1
-    # and a zero table, so 49 block tables are built
-    built = []
-    blocks = _LineKernel.monomial_blocks
-    monkeypatch.setattr(_LineKernel, "monomial_blocks", lambda kern, d: built.append(d) or blocks(kern, d))
-    pair_differences(make_field(3, 5))
+    # and a zero table, so 49 block tables are built, each from the first
+    # member read: here the orbit's largest
+    ctx = make_field(3, 5)
+    built = _record_block_tables(monkeypatch)
+    diffs = pair_differences(ctx)
+    for d in range(ctx.q - 1, 0, -1):
+        diffs[d]
     assert len(built) == len(set(built)) == 49
+    assert all(d == max(_orbit(ctx, d)) for d in built)
+    assert len({min(_orbit(ctx, d)) for d in range(1, ctx.q)}) == 50
+
+
+@pytest.mark.parametrize("degrees, limit", [(None, 1), (frozenset({9}), 50)])
+def test_limited_search_builds_only_what_it_reads(monkeypatch, degrees, limit):
+    # a whole GF(3^5) binomial space reads all 49 live orbits; a limited or
+    # degree-filtered run stops before it has read them all
+    ctx = make_field(3, 5)
+    job = SearchJob(ctx, "binomial", degree_filter=degrees, limit=limit)
+    built = _record_block_tables(monkeypatch)
+    hits, summary = run_search(job)
+    assert len(built) < 49
+    monkeypatch.undo()
+    got = [(h.ordinal, h.function, h.degree) for h in hits]
+    assert len(hits) == limit
+    assert (summary.examined, summary.checked, got) == _scan_hits(job)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
