@@ -56,7 +56,7 @@ def cmd_field_info(args) -> int:
     info = ctx.to_json()
     info["q"] = ctx.q
     info["primitive_element"] = list(ctx.primitive_element.vector())
-    info["subgroup_size"] = len(ctx.subgroup(ctx.p - 1))
+    info["subgroup_size"] = (ctx.q - 1) // (ctx.p - 1)
     if args.format == "text":
         print(f"GF({ctx.p}^{ctx.n}), q = {ctx.q}")
         print(f"modulus (constant term first): {list(ctx.modulus)}")
@@ -175,6 +175,10 @@ def cmd_search(args) -> int:
 
 def cmd_reproduce(args) -> int:
     _threads(args)
+    if args.claim == "list":
+        for cid, desc in claim_descriptions().items():
+            print(f"{cid}: {desc}")
+        return EXIT_OK
     ids = claim_ids() if args.claim == "all" else [args.claim]
     reports = [reproduce(claim_id) for claim_id in ids]
     if args.format == "json":
@@ -257,10 +261,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "claim", None) == "list":
-        for cid, desc in claim_descriptions().items():
-            print(f"{cid}: {desc}")
-        return EXIT_OK
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

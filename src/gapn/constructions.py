@@ -89,18 +89,19 @@ def binomial_gapn_sufficient(ctx: FieldCtx, d1: int, d2: int, u: FieldElem) -> b
     """Sufficient condition for X^d1 + u*X^d2 over GF(p^2) to be GAPN, given
     a GAPN X^d1 (the caller's obligation): either d2 is odd and u is a
     non-square, or d2 is even and some odd N >= 3 divides both p+1 and
-    d2 - d1 with u not an N-th power."""
+    d2 - d1 with u not an N-th power.
+
+    With u = g^j: u is a square iff j is even, and for N | p+1 | q-1 an
+    N-th power iff N | j.  An odd N >= 3 dividing G = gcd(p+1, d2-d1) with
+    N not dividing j exists iff the odd part of G does not divide j."""
     if ctx.n != 2:
         raise ValueError("binomial criterion is specific to quadratic extensions")
     if u.is_zero():
         raise ValueError("u must be nonzero")
-    p = ctx.p
     if d2 % 2 == 1:
-        return not u.is_nth_power(2)
-    for n_th in range(3, p + 2, 2):
-        if (p + 1) % n_th == 0 and (d2 - d1) % n_th == 0 and not u.is_nth_power(n_th):
-            return True
-    return False
+        return u.idx % 2 == 1
+    g = math.gcd(ctx.p + 1, d2 - d1)
+    return u.idx % (g // (g & -g)) != 0  # g & -g is the largest power of 2 dividing g
 
 
 def odd_part(m: int) -> int:

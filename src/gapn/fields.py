@@ -134,13 +134,13 @@ class FieldElem:
         return m // math.gcd(self.idx, m)
 
     def is_nth_power(self, n_th: int) -> bool:
-        """Whether y = z^N for some z, tested as y^((q-1)/gcd(N, q-1)) == 1."""
+        """Whether y = z^N for some z: the N-th powers g^(N*i) are the
+        g^k with gcd(N, q-1) | k."""
         if self.idx == _ZERO_IDX:
             raise ValueError("the N-th power test requires a nonzero element")
         if n_th <= 0:
             raise ValueError("N must be a positive integer")
-        e = (self.ctx.q - 1) // math.gcd(n_th, self.ctx.q - 1)
-        return (self ** e).idx == 0
+        return self.idx % math.gcd(n_th, self.ctx.q - 1) == 0
 
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
@@ -172,9 +172,20 @@ class FieldCtx:
         self.antilog = antilog
         self.log = log
         self.key = (p, n, self.modulus)
-        self.zero = FieldElem(self, _ZERO_IDX)
-        self.one = FieldElem(self, 0)
-        self.primitive_element = FieldElem(self, 1)
+
+    # built on each read: an element kept on the field would put every
+    # field in a reference cycle, freed only by the cyclic collector
+    @property
+    def zero(self) -> FieldElem:
+        return FieldElem(self, _ZERO_IDX)
+
+    @property
+    def one(self) -> FieldElem:
+        return FieldElem(self, 0)
+
+    @property
+    def primitive_element(self) -> FieldElem:
+        return FieldElem(self, 1)
 
     def code_to_vector(self, code: int) -> tuple[int, ...]:
         out = []
@@ -364,19 +375,17 @@ def _is_irreducible(p: int, n: int, lower) -> bool:
 
 
 def _order_screen(p: int, n: int, lower, factors) -> bool:
-    """Exact primitivity test for the monic modulus with the given lower
-    coefficients: its constant term is nonzero, it is irreducible, and x
-    generates the whole unit group, i.e. x^((q-1)/r) != 1 for every prime
-    r | q-1."""
-    if lower[0] % p == 0:
-        return False  # X divides the modulus: its root is 0 (n = 1) or it is reducible
-    if not _is_irreducible(p, n, lower):
-        return False
+    """Exact primitivity test for the monic modulus m with the given lower
+    coefficients: x^(q-1) == 1 and x^((q-1)/r) != 1 for every prime r | q-1.
+    Then x has q-1 distinct unit powers mod m, so every nonzero residue is a
+    unit and F_p[x]/(m) is a field generated by x.  A zero constant term
+    makes x a zero divisor, so x^(q-1) != 1."""
     q = p ** n
     mneg = [(-c) % p for c in lower]
     x = [0, 1] + [0] * (n - 2) if n > 1 else [mneg[0] % p]
     one = [1] + [0] * (n - 1)
-    return all(_poly_pow(p, n, mneg, x, (q - 1) // r) != one for r in factors)
+    return _poly_pow(p, n, mneg, x, q - 1) == one and all(
+        _poly_pow(p, n, mneg, x, (q - 1) // r) != one for r in factors)
 
 
 def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:

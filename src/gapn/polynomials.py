@@ -182,6 +182,8 @@ def function_from_json(obj: dict, table_cap=None) -> SparsePoly:
     """
     cap = DEFAULT_TABLE_CAP if table_cap is None else table_cap
     ctx = field_from_json(obj["field"], table_cap=cap)
+    if not isinstance(obj["terms"], list):
+        raise ValueError(f"terms must be a list, got {type(obj['terms']).__name__}")
     terms = [(json_int(t["exp"], "exp"), ctx.element(json_int_list(t["coeff"], "coeff")))
              for t in obj["terms"]]
     return SparsePoly(ctx, terms)

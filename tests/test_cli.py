@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import gapn
 from gapn.cli import main
-from gapn.fields import make_field
+from gapn.fields import FieldCtx, make_field
 from gapn.polynomials import SparsePoly
 
 
@@ -95,6 +96,7 @@ _MALFORMED_ARGV = {
     "search-limit-negative": ["search", "-p", "3", "--shape", "monomial", "--limit", "-1"],
     "search-threads-negative": ["search", "-p", "3", "--shape", "monomial", "--threads", "-5"],
     "reproduce-threads-negative": ["reproduce", "--claim", "gold-monomials", "--threads", "-2"],
+    "reproduce-list-threads-negative": ["reproduce", "--claim", "list", "--threads", "-1"],
     "field-info-huge-p": ["field-info", "-p", "1000000000000000003"],
 }
 
@@ -102,6 +104,8 @@ _MALFORMED_ARGV = {
 _MALFORMED_TEXT = {
     "verify-deep-nesting": "[" * 200_000 + "]" * 200_000,
     "verify-huge-n": json.dumps({"field": {"p": 3, "n": 50_000_000}, "terms": []}),
+    "verify-terms-object": json.dumps({"field": _GOOD_FIELD, "terms": {}}),
+    "verify-terms-string": json.dumps({"field": _GOOD_FIELD, "terms": ""}),
 }
 
 
@@ -286,3 +290,194 @@ def test_table_cap_env_override(monkeypatch, capsys):
     assert "table cap" in capsys.readouterr().err
     monkeypatch.setenv("GAPN_TABLE_CAP", "100")
     assert main(["field-info", "-p", "5", "-n", "2"]) == 0
+
+
+def test_field_info_counts_the_subgroup_without_listing_it(monkeypatch, capsys):
+    # <g^(p-1)> has (q-1)/(p-1) elements; field-info reports that count
+    def refuse(self, m):
+        raise AssertionError("field-info must not enumerate the subgroup")
+
+    monkeypatch.setattr(FieldCtx, "subgroup", refuse)
+    for p, n, size in ((7, 2, 8), (3, 1, 1)):
+        for fmt in ("json", "text"):
+            assert main(["field-info", "-p", str(p), "-n", str(n), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                assert json.loads(out)["subgroup_size"] == size
+            else:
+                assert f"subgroup <g^(p-1)> size: {size}\n" in out
+
+
+def _is_prime(m):
+    return m > 1 and all(m % f for f in range(2, m))
+
+
+def _slots(node, path=()):
+    # (path, value) for every value of a JSON document, the root included
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _slots(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _mutate_values(rng, doc):
+    # a verify document of the right shape whose values may still be refused
+    field, terms = doc["field"], doc["terms"]
+    for _ in range(rng.randrange(1, 4)):
+        what = rng.randrange(8)
+        if what == 0:
+            field["p"] = rng.choice([-1, 0, 1, 2, 3, 4, 5, 7, 9])
+        elif what == 1:
+            field["n"] = rng.choice([-1, 0, 1, 2, 3])
+        elif what == 2:
+            field.pop("modulus", None)
+        elif what == 3 and field.get("modulus"):
+            modulus = field["modulus"]
+            modulus[rng.randrange(len(modulus))] = rng.randint(-3, 10)
+            if rng.random() < 0.3:
+                modulus.append(1)
+        elif what == 4 and terms:
+            rng.choice(terms)["exp"] = rng.choice([-1, 0, 1, 8, 9, 24, 25, 26, 10 ** 12])
+        elif what == 5 and terms:
+            coeff = rng.choice(terms)["coeff"]
+            coeff.append(rng.randint(-10, 10))
+            if rng.random() < 0.5:
+                del coeff[0]
+        elif what == 6:
+            terms.append({"exp": rng.randrange(1, 25), "coeff": [rng.randint(0, 4), rng.randint(0, 4)]})
+        elif what == 7 and terms:
+            terms.pop(rng.randrange(len(terms)))
+    return doc
+
+
+_REQUIRED_KEYS = ("field", "terms", "p", "n", "exp", "coeff")
+
+
+def _break_schema(rng, doc):
+    # one integer of the wrong JSON type, one required key missing, or one
+    # container of the wrong kind
+    slots = list(_slots(doc))
+    what = rng.randrange(3)
+    if what == 0:
+        path, value = rng.choice([(path, v) for path, v in slots if isinstance(v, int)])
+        return _replaced(doc, path, rng.choice([value + 0.5, float(value), str(value), True, False]))
+    if what == 1:
+        path = rng.choice([path for path, _ in slots if path and path[-1] in _REQUIRED_KEYS])
+        del _at(doc, path[:-1])[path[-1]]
+        return doc
+    path, value = rng.choice([(path, v) for path, v in slots if isinstance(v, (dict, list))])
+    wrong = [{}, {"0": 1}, "", "x", 7] if isinstance(value, list) else [[], [1], "", "x", 7]
+    return _replaced(doc, path, rng.choice(wrong))
+
+
+def _fuzz_main(argv):
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - t0 < 1, argv
+    assert code in (0, 1, 2), argv
+    return code
+
+
+def test_fuzzed_verify_documents_exit_cleanly(tmp_path, capsys):
+    # seeded mutations of well-formed GF(9) and GF(25) documents: main never
+    # raises, and every document that breaks the schema exits 2
+    f9, f25 = make_field(3, 2), make_field(5, 2)
+    bases = [
+        SparsePoly(f9, [(5, f9.one), (7, f9.primitive_element)]).to_json(),
+        SparsePoly(f25, [(9, f25.one)]).to_json(),
+        SparsePoly(f25, [(9, f25.one), (13, f25.primitive_element), (18, f25.one)]).to_json(),
+    ]
+    rng = random.Random(20221)
+    path = tmp_path / "fn.json"
+    for i in range(200):
+        doc = json.loads(json.dumps(rng.choice(bases)))
+        if rng.random() < 0.5:
+            doc = _mutate_values(rng, doc)
+        broken = i % 2 == 0
+        if broken:
+            doc = _break_schema(rng, doc)
+        path.write_text(json.dumps(doc))
+        code = _fuzz_main(["verify", str(path)])
+        if broken:
+            assert code == 2, doc
+        capsys.readouterr()
+
+
+_FAST_CLAIMS = ["gold-monomials", "inverse-monomials", "odd-binomial-degrees",
+                "even-binomial-degrees", "p7-trinomial-even-degrees", "p7-binomial-even-gaps",
+                "derivative-power-identity", "conjugate-premise-obstruction",
+                "list", "no-such-claim"]
+
+
+def _random_argv(rng, files):
+    # (argv, must_refuse): must_refuse when the argv has a negative
+    # --threads, --limit 0, a non-prime p or n < 1
+    p = rng.choice([3, 5, 7] * 4 + [-3, 0, 1, 2, 4, 9])
+    n = rng.choice([1, 2, 2, 3] * 3 + [-1, 0])
+    threads = rng.choice([0, 1, 2] * 3 + [-1])
+    command = rng.choice(["field-info", "verify", "construct", "search", "reproduce"])
+    fmt = ["--format", rng.choice(["json", "text"])] if rng.random() < 0.5 else []
+    if command == "field-info":
+        return ["field-info", "-p", str(p), "-n", str(n)] + fmt, not _is_prime(p) or n < 1
+    if command == "verify":
+        return ["verify", rng.choice(files)] + fmt, False
+    if command == "construct":
+        family = rng.choice(["odd-binomial", "mod3-binomial", "even-binomial", "trinomial"])
+        argv = ["construct", "--family", family, "-p", str(p)]
+        for flag in ("--h", "--k", "--l"):
+            if rng.random() < 0.7:
+                argv += [flag, str(rng.randint(-1, max(p, 1)))]
+        for flag in ("--u", "--v"):
+            if rng.random() < 0.2:
+                argv += [flag, rng.choice(["1,0", "0,1", "2", "1,x", ""])]
+        return argv + fmt, not _is_prime(p)
+    if command == "search":
+        shape = rng.choice(["monomial", "binomial", "trinomial", "digitsum-reduced"])
+        # a digitsum-reduced candidate is checked on its own, the other shapes per exponent tuple
+        budgets = [-1, 0, 1, 50, 1000] + ([] if shape == "digitsum-reduced" else [10_000] * 3)
+        argv = ["search", "-p", str(p), "-n", str(n), "--shape", shape,
+                "--budget", str(rng.choice(budgets)), "--threads", str(threads)]
+        limit = rng.choice([None] * 4 + [1, 3] * 2 + [0, -1])
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        if rng.random() < 0.3:
+            argv += ["--degree", str(rng.randint(0, 6))]
+        if rng.random() < 0.2:
+            argv.append("--no-canonical")
+        if rng.random() < 0.3:
+            argv += ["--min-digit-sum", str(rng.randint(-1, 6))]
+        if rng.random() < 0.5:
+            argv += ["--format", rng.choice(["json", "csv", "text"])]
+        return argv, not _is_prime(p) or n < 1 or threads < 0 or limit == 0
+    argv = ["reproduce", "--claim", rng.choice(_FAST_CLAIMS), "--threads", str(threads)]
+    return argv + fmt, threads < 0
+
+
+def test_fuzzed_argv_exit_cleanly(tmp_path, capsys):
+    # seeded command lines over all five subcommands, kept to p <= 7,
+    # n <= 3 and small budgets: main never raises, and a negative --threads,
+    # --limit 0, a non-prime p or n < 1 exits 2
+    good = _function_file(tmp_path, SparsePoly.monomial(make_field(5, 2), 9))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"field": {"p": 5, "n": 2}, "terms": {}}')
+    files = [good, str(bad), str(tmp_path / "missing.json")]
+    rng = random.Random(20222)
+    for _ in range(200):
+        argv, must_refuse = _random_argv(rng, files)
+        code = _fuzz_main(argv)
+        if must_refuse:
+            assert code == 2, argv
+        capsys.readouterr()

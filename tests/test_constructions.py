@@ -24,6 +24,8 @@ from gapn.constructions import (
 from gapn.fields import FieldElem, make_field
 from gapn.polynomials import SparsePoly, derivative, is_gapn, is_p_to_one
 
+import oracle
+
 
 def test_monomial_sufficient_examples():
     assert monomial_gapn_sufficient(7, 2, 3, 4, 1, 0)
@@ -86,6 +88,29 @@ def test_binomial_sufficient():
     assert is_gapn(SparsePoly(f49, [(25, f49.one), (46, f49.one)])).is_gapn
     with pytest.raises(ValueError):
         binomial_gapn_sufficient(ctx, 9, 13, ctx.zero)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_binomial_sufficient_matches_paper_statement(p):
+    # the criterion as the paper states it, with the N-th powers {z^N}
+    # walked by the oracle's schoolbook powering: d2 odd and u a non-square,
+    # or d2 even and some odd N >= 3 dividing p+1 and d2 - d1 with u not an
+    # N-th power
+    ctx = make_field(p, 2)
+    tf = oracle.tuple_field_of(ctx)
+    powers = {
+        n_th: {tf.to_code(tf.pow(tf.from_code(c), n_th)) for c in range(1, ctx.q)}
+        for n_th in [2] + [n for n in range(3, p + 2, 2) if (p + 1) % n == 0]
+    }
+    d1 = 2 * p - 1
+    for d2 in range(1, ctx.q):
+        for u in ctx.units():
+            if d2 % 2 == 1:
+                stated = u.code not in powers[2]
+            else:
+                stated = any((d2 - d1) % n_th == 0 and u.code not in codes
+                             for n_th, codes in powers.items() if n_th > 2)
+            assert binomial_gapn_sufficient(ctx, d1, d2, u) == stated, (d2, u)
 
 
 def test_odd_part_and_mersenne():

@@ -139,6 +139,18 @@ def test_nth_power_tests():
         g.is_nth_power(0)
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_nth_power_matches_brute_force_power_sets(p, n):
+    # y is an N-th power exactly when it lies in {z^N}, the set walked by
+    # the oracle's schoolbook powering
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    for n_th in range(1, ctx.q):
+        powers = {tf.to_code(tf.pow(tf.from_code(c), n_th)) for c in range(1, ctx.q)}
+        for y in ctx.units():
+            assert y.is_nth_power(n_th) == (y.code in powers), (n_th, y)
+
+
 def test_subgroup():
     ctx = make_field(7, 2)
     assert ctx.subgroup(ctx.q - 1) == [ctx.one]
@@ -151,7 +163,7 @@ def test_subgroup():
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
-                                 (7, 2), (11, 2)])
+                                 (7, 2), (11, 2), (3, 5), (3, 6), (5, 4), (7, 3), (13, 2)])
 def test_order_screen_agrees_with_table_build(p, n):
     # the fast primitivity screen must accept exactly the moduli whose
     # full table construction succeeds, over every monic candidate; the
@@ -250,6 +262,29 @@ def test_reducible_modulus_with_factor_degrees_of_lcm_n():
 def test_supplied_primitive_modulus_accepted():
     ctx = make_field(3, 2, modulus=[2, 1, 1])
     assert ctx.primitive_element.order() == 8
+
+
+def test_dropped_field_is_freed_without_the_cyclic_collector():
+    # a field holds no reference back to itself, so the last reference going
+    # away frees it and its tables at once, with the collector off
+    import gc
+    import weakref
+
+    from gapn.polynomials import SparsePoly, is_gapn
+    from gapn.search import SearchJob, run_search
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = make_field(5, 2)
+        assert is_gapn(SparsePoly.monomial(ctx, 9)).is_gapn
+        assert run_search(SearchJob(ctx, "binomial", limit=3))[0]
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_mixed_field_operations_rejected():
