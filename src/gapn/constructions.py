@@ -12,7 +12,7 @@ remaining primes, subject to a root-freeness condition on the subgroup of
 import math
 from dataclasses import dataclass
 
-from .fields import FieldCtx, FieldElem, make_field
+from .fields import _ZERO_IDX, FieldCtx, FieldElem, make_field
 from .polynomials import SparsePoly, derivative
 
 
@@ -189,6 +189,15 @@ def build_even_binomial(p: int, h: int, ctx: FieldCtx | None = None) -> Construc
     )
 
 
+def _check_in(ctx: FieldCtx, x) -> None:
+    """Raise as FieldElem._check_same does unless x is an element of ctx,
+    testing ctx.key directly so that no element of ctx is built."""
+    if not isinstance(x, FieldElem):
+        raise TypeError(f"expected a field element, got {type(x).__name__}")
+    if x.ctx is not ctx and x.ctx.key != ctx.key:
+        raise ValueError("elements from different fields cannot be combined")
+
+
 def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
     """Closed-form test that the derivative at direction a of
     sum_{i=s}^{p-1} c_i X^(i*p + (p-1+s-i)) over GF(p^2) is p-to-1:
@@ -196,7 +205,8 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
 
     coeffs lists c_s..c_{p-1}; zero entries are allowed.  The sum is
     evaluated in the log domain: each nonzero term is one antilog lookup at
-    log C(p-1-s, i) + log c_{i+s} + i * log(-a^(p-1)), added on element codes.
+    log C(p-1-s, i) + log c_{i+s} + i * log(-a^(p-1)), and the terms' two
+    base-p digits are summed apart and reduced mod p once.
     """
     if ctx.n != 2:
         raise ValueError("condition is specific to quadratic extensions")
@@ -205,8 +215,7 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
         raise ValueError(f"s must lie in 1..{p - 2}")
     if math.gcd(s, ctx.q - 1) != 1:
         raise ValueError(f"s must be coprime to {ctx.q - 1}")
-    check = ctx.one._check_same
-    check(a)
+    _check_in(ctx, a)
     if a.is_zero():
         raise ValueError("direction a must be nonzero")
     coeffs = list(coeffs)
@@ -214,14 +223,16 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
         raise ValueError(f"expected {p - s} coefficients c_{s}..c_{p - 1}")
     m = ctx.q - 1
     step = (a.idx * (p - 1) + m // 2) % m  # log of -a^(p-1)
-    log, antilog, add = ctx.log, ctx.antilog, ctx.add_code
-    acc = 0
+    log, antilog = ctx.log, ctx.antilog
+    low = high = 0
     for i, c in enumerate(coeffs):
-        check(c)
+        _check_in(ctx, c)
         # C(p-1-s, i) is a unit mod p since p-1-s < p
-        if not c.is_zero():
-            acc = add(acc, antilog[(log[math.comb(p - 1 - s, i) % p] + c.idx + i * step) % m])
-    return acc != 0
+        if c.idx != _ZERO_IDX:
+            code = antilog[(log[math.comb(p - 1 - s, i) % p] + c.idx + i * step) % m]
+            low += code % p
+            high += code // p
+    return low % p != 0 or high % p != 0
 
 
 def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:
@@ -230,24 +241,26 @@ def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:
 
     The sum is evaluated in the log domain: for A = g^j, j = 0, p-1,
     2(p-1), ..., each term is one antilog lookup, at log 2v + 5j, log u + 4j,
-    p*log u + j and p*log 2v (2v^p = (2v)^p), added on element codes.
+    p*log u + j and p*log 2v (2v^p = (2v)^p), and the sum is zero when both
+    base-p digit sums of the four codes are 0 mod p.
     """
     if ctx.n != 2:
         raise ValueError("trinomial condition is specific to quadratic extensions")
-    check = ctx.one._check_same
-    check(u)
-    check(v)
+    _check_in(ctx, u)
+    _check_in(ctx, v)
     if u.is_zero() or v.is_zero():
         raise ValueError("u and v must be nonzero")
     p, m = ctx.p, ctx.q - 1
-    antilog, add = ctx.antilog, ctx.add_code
+    antilog = ctx.antilog
     log_2v = ctx.log[2] + v.idx
     log_up = u.idx * p
-    code_2vp = antilog[log_2v * p % m]
+    high_2vp, low_2vp = divmod(antilog[log_2v * p % m], p)
     for j in range(0, m, p - 1):
-        val = add(add(antilog[(log_2v + 5 * j) % m], antilog[(u.idx + 4 * j) % m]),
-                  add(antilog[(log_up + j) % m], code_2vp))
-        if val == 0:
+        x = antilog[(log_2v + 5 * j) % m]
+        y = antilog[(u.idx + 4 * j) % m]
+        z = antilog[(log_up + j) % m]
+        if ((x % p + y % p + z % p + low_2vp) % p == 0
+                and (x // p + y // p + z // p + high_2vp) % p == 0):
             return False
     return True
 

@@ -25,9 +25,12 @@ Both derivative() and is_gapn() run on one line kernel, built on three facts:
   once from the X^d tables instead, and each line gathers q entries of it
   rotated by log(a).
 - Packed sums.  Values are stored digit-wise in bit fields wide enough for a
-  sum of p digits, so up to p scaled values add as plain ints.  Small
-  per-field tables (or % p) map each packed sum back to an element code,
-  and longer sums are reduced after every p-1 further terms.
+  sum of p digits, so up to p scaled values add as plain ints.  Per-field
+  tables of at most max(2q, 4096) entries map each packed sum back to an
+  element code, as many digits per lookup as fit: fields up to GF(3^4),
+  GF(5^2) and GF(7^2) need one lookup, and where not even two digits fit
+  each digit is reduced with % p.  Longer sums are reduced after every p-1
+  further terms.
 
 The kernel takes f as (coefficient log, exponent) pairs, so a search scans
 its descriptors as they are; is_gapn turns a scan into a GapnVerdict.  Lines
@@ -237,11 +240,13 @@ class _LineKernel:
         packed_at += packed_at
         packed_at += repeat(0, m)
         self.packed_at = packed_at
-        # k digits share one lookup table of at most 2q entries; when not
-        # even two fit, each digit is reduced with % p instead
+        # k digits share one lookup table of at most max(2q, 4096) entries,
+        # so fields up to GF(3^4), GF(5^2) and GF(7^2) unpack a sum with one
+        # lookup; when not even two digits fit, each is reduced with % p
         top = p * (p - 1) + 1
+        cap = max(2 * q, 1 << 12)
         k = 0
-        while k < n and top << (w * k) <= 2 * q:
+        while k < n and top << (w * k) <= cap:
             k += 1
         if k < 2:
             self.chunks = [(w * i, (1 << w) - 1 if i < n - 1 else 0, p.__rmod__, p ** i)
@@ -486,10 +491,9 @@ class GapnVerdict:
 def _directions(ctx: FieldCtx, scanned: dict) -> list[tuple[FieldElem, int]]:
     """(a, max fiber) for every direction a on a scanned line, by
     ascending code; scanned maps each line to its max fiber."""
-    kern = _kernel(ctx)
-    log = ctx.log
-    dirs = sorted(chain.from_iterable(kern.antilog[t::kern.nlines] for t in scanned))
-    return [(FieldElem(ctx, log[a]), scanned[log[a] % kern.nlines]) for a in dirs]
+    nlines = _kernel(ctx).nlines
+    # ctx.log[1:] lists the logs of codes 1..q-1; g^k lies on line k mod nlines
+    return [(FieldElem(ctx, k), scanned[t]) for k in ctx.log[1:] if (t := k % nlines) in scanned]
 
 
 def is_gapn(f: SparsePoly, fail_fast: bool = False) -> GapnVerdict:

@@ -245,6 +245,17 @@ def test_p_to_one_condition_rejects_bad_parameters():
         p_to_one_condition(ctx, 1, [ctx.one, ctx.one, other.zero, ctx.zero], ctx.one)
     with pytest.raises(TypeError):
         p_to_one_condition(ctx, 1, [ctx.one, 1, ctx.zero, ctx.zero], ctx.one)
+    # checked in order: a's field, a nonzero, the length, each coefficient
+    with pytest.raises(ValueError, match="different fields"):
+        p_to_one_condition(ctx, 1, [other.one, 1], other.zero)
+    with pytest.raises(ValueError, match="direction a must be nonzero"):
+        p_to_one_condition(ctx, 1, [ctx.one, other.one, ctx.zero, ctx.zero], ctx.zero)
+    with pytest.raises(ValueError, match="expected 4 coefficients"):
+        p_to_one_condition(ctx, 1, [ctx.one, 1], ctx.one)
+    with pytest.raises(TypeError):
+        p_to_one_condition(ctx, 1, [ctx.one, 1, other.one, ctx.zero], ctx.one)
+    with pytest.raises(ValueError, match="different fields"):
+        p_to_one_condition(ctx, 1, [ctx.one, other.one, 1, ctx.zero], ctx.one)
 
 
 def test_trinomial_condition():
@@ -315,6 +326,43 @@ def test_trinomial_condition_errors():
         trinomial_condition(ctx, 1, ctx.one)
     with pytest.raises(TypeError):
         trinomial_condition(ctx, ctx.one, 1)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_conditions_never_read_field_constants(p, monkeypatch):
+    # both conditions check their arguments against the field's key, so
+    # they answer (and reject) the same with ctx.one and ctx.zero unreadable
+    ctx = make_field(p, 2)
+    twin = make_field(p, 2)  # an equal field, built apart
+    other = make_field(3, 2)
+    rng = random.Random(9100 + p)
+
+    def elem(field, zero_rate=0.0):
+        return field.zero if rng.random() < zero_rate else FieldElem(field, rng.randrange(field.q - 1))
+
+    s_values = [s for s in range(1, p - 1) if math.gcd(s, ctx.q - 1) == 1]
+    conds = [(s, [elem(rng.choice((ctx, twin)), 0.3) for _ in range(s, p)], elem(ctx))
+             for s in s_values for _ in range(60)]
+    pairs = [(elem(ctx), elem(twin)) for _ in range(60)]
+    expected = ([p_to_one_condition(ctx, s, cs, a) for s, cs, a in conds],
+                [trinomial_condition(ctx, u, v) for u, v in pairs])
+
+    def unreadable(self):
+        raise AssertionError("field constant read")
+
+    monkeypatch.setattr(type(ctx), "one", property(unreadable))
+    monkeypatch.setattr(type(ctx), "zero", property(unreadable))
+    assert ([p_to_one_condition(ctx, s, cs, a) for s, cs, a in conds],
+            [trinomial_condition(ctx, u, v) for u, v in pairs]) == expected
+    unit = FieldElem(ctx, 0)
+    with pytest.raises(ValueError, match="different fields"):
+        p_to_one_condition(ctx, 1, [unit] * (p - 1), FieldElem(other, 0))
+    with pytest.raises(ValueError, match="different fields"):
+        p_to_one_condition(ctx, 1, [unit, FieldElem(other, 0)] + [unit] * (p - 3), unit)
+    with pytest.raises(TypeError):
+        trinomial_condition(ctx, unit, 1)
+    with pytest.raises(ValueError, match="different fields"):
+        trinomial_condition(ctx, FieldElem(other, 0), unit)
 
 
 def test_find_trinomial_u():

@@ -270,6 +270,7 @@ def test_dropped_field_is_freed_without_the_cyclic_collector():
     import gc
     import weakref
 
+    from gapn.constructions import p_to_one_condition, trinomial_condition
     from gapn.polynomials import SparsePoly, is_gapn
     from gapn.search import SearchJob, run_search
 
@@ -279,6 +280,8 @@ def test_dropped_field_is_freed_without_the_cyclic_collector():
         ctx = make_field(5, 2)
         assert is_gapn(SparsePoly.monomial(ctx, 9)).is_gapn
         assert run_search(SearchJob(ctx, "binomial", limit=3))[0]
+        assert p_to_one_condition(ctx, 1, [ctx.one, ctx.zero, ctx.zero, ctx.zero], ctx.one)
+        assert not trinomial_condition(ctx, ctx.one, ctx.one)
         ref = weakref.ref(ctx)
         del ctx
         assert ref() is None

@@ -466,3 +466,39 @@ def test_lines_ordered_by_smallest_code(p, n):
         while code >= p:
             code //= p
         assert code == 1
+
+
+def _chunk_layout(kern):
+    """'one table', 'tables' or '% p': how the kernel unpacks a packed sum."""
+    tables = [lookup.__self__ for _, _, lookup, _ in kern.chunks if isinstance(lookup.__self__, list)]
+    if not tables:
+        return "% p"
+    assert len(tables) == len(kern.chunks)
+    return "one table" if len(tables) == 1 else "tables"
+
+
+@pytest.mark.parametrize("p,n,layout", [
+    (3, 1, "% p"), (3, 2, "one table"), (3, 3, "one table"), (3, 4, "one table"),
+    (3, 5, "tables"), (3, 6, "tables"), (3, 7, "tables"),
+    (5, 1, "% p"), (5, 2, "one table"), (5, 3, "tables"), (5, 4, "tables"),
+    (7, 2, "one table"), (7, 3, "tables"),
+    (11, 2, "% p"), (13, 2, "% p"), (67, 1, "% p"),
+])
+def test_unpack_matches_digitwise_reduction(p, n, layout):
+    # every chunk layout maps a packed sum of at most p packed values to the
+    # code whose base-p digits are the bit fields' sums mod p
+    ctx = make_field(p, n)
+    kern = _kernel(ctx)
+    assert _chunk_layout(kern) == layout
+    for _, _, lookup, _ in kern.chunks:
+        if isinstance(lookup.__self__, list):
+            assert len(lookup.__self__) <= max(2 * ctx.q, 4096)
+    w = (p * (p - 1)).bit_length()
+
+    def reduce_digits(total):
+        return sum(((total >> (w * i)) & ((1 << w) - 1)) % p * p ** i for i in range(n))
+
+    rng = random.Random(1400 + 10 * p + n)
+    sums = [p * kern.pack[-1]]  # every field at its largest sum p*(p-1)
+    sums += [sum(rng.choices(kern.pack, k=rng.randint(1, p))) for _ in range(2000)]
+    assert kern.unpack(sums) == [reduce_digits(s) for s in sums]
