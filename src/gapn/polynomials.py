@@ -16,10 +16,13 @@ Both derivative() and is_gapn() run on one line kernel, built on three facts:
   f_a = sum of (c*a^d) * X^d over f's terms c*X^d, so on each block
   D_1 f_a = sum of (c*a^d) * M_d, where M_d is D_1 X^d on the q/p blocks.
   M_d vanishes exactly when digit_sum(d) < p-1, so those terms are dropped.
-  Each M_d is built from X^d's log-order table g^(d*k), kept in log form
-  (a bounded per-field cache), so scaling it by c*a^d is an index shift
-  into one table.  A line costs T*q/p lookups for T surviving terms, and
-  no q-entry table of f is built.  With one surviving term every line is
+  M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*, so each M_d is
+  summed only at block 0 and one block per F_p* orbit of blocks, and the
+  other blocks shift their orbit's log by d*log(lambda): about
+  q/(p-1) + q/p lookups, not 2q.  M_d is kept in log form (a bounded
+  per-field cache), so scaling it by c*a^d is an index shift into one
+  table.  A line costs T*q/p lookups for T surviving terms, and no
+  q-entry table of f is built.  With one surviving term every line is
   a nonzero multiple of the first, so all lines share its fibers.  When T
   is large next to p, a log-order table of f's surviving terms is summed
   once from the X^d tables instead, and each line gathers q entries of it
@@ -42,8 +45,8 @@ with a fiber above p.
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, repeat
-from operator import add, and_, itemgetter, mod, mul, rshift
+from itertools import chain, compress, count, repeat
+from operator import add, and_, floordiv, itemgetter, mod, mul, rshift
 
 from .fields import (
     DEFAULT_TABLE_CAP,
@@ -196,14 +199,16 @@ class _LineKernel:
     """Per-field tables of the line kernel (see the module docstring).
 
     Built once per FieldCtx by _kernel and kept on it, so the tables are
-    freed with the field.  The field tables hold O(q) entries.  Exponent
-    block tables hold q/p entries each and are cached up to 8*p of them
-    (8*q entries), so a job that meets many exponents, such as a monomial
-    search, keeps the kernel at O(q).
+    freed with the field.  The field tables hold O(q) entries, and the map
+    from each block to its F_p* orbit's representative and scale O(q/p).
+    Exponent block tables, each summed at the orbit representatives and
+    filled by log shifts (monomial_blocks), hold q/p entries each and are
+    cached up to 8*p of them (8*q entries), so a job that meets many
+    exponents, such as a monomial search, keeps the kernel at O(q).
     """
 
     __slots__ = ("p", "m", "nlines", "nblocks", "antilog", "lines", "by_log", "logz",
-                 "pack", "degree", "packed_at", "chunks", "blocks")
+                 "pack", "degree", "packed_at", "chunks", "orbit_logs", "scales", "fill", "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
@@ -215,10 +220,25 @@ class _LineKernel:
         # g^k lies on line k mod nlines.  The directions of a line share
         # their leading base-p digit's position, and its digit runs over
         # F_p*, so each line has exactly one direction with leading digit 1:
-        # its smallest code.  Those codes, p^i..2p^i-1 for each i, ascend,
-        # so the lines come sorted by their smallest code
+        # its smallest code.  Those codes, 1 and p^i..2p^i-1 for
+        # i = 1..n-1, ascend, so the lines come sorted by their smallest code.
+        # Block b is y + F_p for y = b*p, and the nonzero y fall into F_p*
+        # orbits the same way: the y of leading digit 1 is its orbit's
+        # representative, and the representatives' blocks hold the codes
+        # p^i..2p^i-1.  orbit_logs lists the logs of block 0's nonzero
+        # codes, then of those codes, p per block and y first
         log = ctx.log
-        self.lines = [log[c] % nlines for i in range(n) for c in range(p ** i, 2 * p ** i)]
+        self.orbit_logs = log[1:p] + list(chain.from_iterable(log[p ** i:2 * p ** i] for i in range(1, n)))
+        self.lines = [0] + list(map(mod, self.orbit_logs[p - 1:], repeat(nlines)))
+        # p-1 copies of the representatives' y, the jth scaled by
+        # lambda = g^(j*nlines) in F_p*: scales holds log(lambda) per entry,
+        # and fill the entry that each block reads, block 0 one past them
+        rep_logs = self.orbit_logs[p - 1::p]
+        self.scales = list(chain.from_iterable(map(repeat, range(0, m, nlines), repeat(len(rep_logs)))))
+        block_of = list(map(floordiv, map(ctx.antilog.__getitem__,
+                                          map(mod, map(add, rep_logs * (p - 1), self.scales), repeat(m))),
+                            repeat(p)))
+        self.fill = [len(block_of)] + sorted(range(len(block_of)), key=block_of.__getitem__)
         # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
         self.by_log = itemgetter(*ctx.log)
         # log form: the log of a nonzero code, 2m for zero
@@ -228,7 +248,7 @@ class _LineKernel:
         w = (p * (p - 1)).bit_length()
         pack, sums = [0], [0]
         for i in range(n):
-            pack = [x + (d << (w * i)) for d in range(p) for x in pack]
+            pack = [x + s for s in [d << (w * i) for d in range(p)] for x in pack]
             sums = [s + d for d in range(p) for s in sums]
         self.pack = pack
         # algebraic degree of X^d; D_1 X^d vanishes exactly when it is < p-1
@@ -329,20 +349,32 @@ class _LineKernel:
         return scanned, failing
 
     def monomial_blocks(self, d: int) -> list[int]:
-        """D_1 X^d on each block of p consecutive codes, in log form, for
-        digit_sum(d) >= p-1 (cached).  D_1 X^d = -sum of C(d,k)*X^(d-k) over
-        k > 0 with (p-1) | k, and by Lucas such a k with C(d,k) != 0 mod p
-        exists exactly when digit_sum(d) >= p-1."""
+        """M_d = D_1 X^d on each block of p consecutive codes, in log form,
+        for digit_sum(d) >= p-1 (cached).  D_1 X^d = -sum of C(d,k)*X^(d-k)
+        over k > 0 with (p-1) | k, and by Lucas such a k with C(d,k) != 0
+        mod p exists exactly when digit_sum(d) >= p-1.
+
+        M_d(y) = sum of (y+c)^d over c in F_p, and c/lambda runs over F_p
+        too, so M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*.  So
+        only block 0 and the (q/p-1)/(p-1) orbit representatives are summed,
+        about q/(p-1) packed values; every other block shifts its
+        representative's log by d*log(lambda), about q/p more lookups."""
         blocks = self.blocks.get(d)
         if blocks is None:
             if len(self.blocks) >= 8 * self.p:
                 self.blocks.clear()
-            m = self.m
-            # X^d in log order is g^(d*k), then 0 at x = 0 (d > 0 here)
-            table = list(map(self.packed_at.__getitem__, map(mod, range(0, d * m, d), repeat(m))))
-            table.append(0)
-            sums = list(map(sum, zip(*[iter(self.by_log(table))] * self.p)))
-            blocks = self.blocks[d] = list(map(self.logz.__getitem__, self.unpack(sums)))
+            p, m, zero = self.p, self.m, 2 * self.m
+            # sums of p values (y+c)^d = g^(d*log(y+c)) over block 0, led by
+            # 0^d = 0 (d > 0 here), and over each representative's block
+            vals = map(self.packed_at.__getitem__, map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
+            sums = list(map(sum, zip(*[chain((0,), vals)] * p)))
+            at0, *reps = map(self.logz.__getitem__, self.unpack(sums))
+            # a scaled copy adds d*log(lambda) to the logs; a zero stays zero
+            scaled = list(map(mod, map(add, reps * (p - 1), map(mul, self.scales, repeat(d))), repeat(m)))
+            for i in compress(count(), map(zero.__eq__, reps)):
+                scaled[i::len(reps)] = [zero] * (p - 1)
+            scaled.append(at0)
+            blocks = self.blocks[d] = list(map(scaled.__getitem__, self.fill))
         return blocks
 
     def line_codes(self, terms, t: int) -> list[int]:

@@ -388,6 +388,98 @@ def test_monomial_block_cache_is_bounded():
     assert 0 < sum(map(len, blocks.values())) <= 8 * ctx.q
 
 
+def _block_codes(kern, blocks):
+    """Element codes of a block table in log form (2m for zero)."""
+    return [0 if v >= kern.m else kern.antilog[v] for v in blocks]
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                                 (11, 2), (3, 5)])
+def test_monomial_blocks_match_oracle(p, n):
+    # M_d = D_1 X^d, by the oracle's direct summation, read at the first
+    # code b*p of each block, for every d whose derivative does not vanish
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    kern = _kernel(ctx)
+    for d in _surviving_exponents(ctx):
+        want = oracle.derivative_table(tf, [(d, tf.one)], tf.one)[::p]
+        assert _block_codes(kern, kern.monomial_blocks(d)) == [tf.to_code(v) for v in want], d
+
+
+@pytest.mark.parametrize("p,modulus", [(47, [5, 2, 1]), (211, [2, 4, 1])])
+def test_monomial_blocks_match_direct_sums_on_wide_fields(p, modulus):
+    # block 0 and 50 seeded blocks b (all p blocks when p <= 51) against
+    # M_d(y) = sum of (y+c)^d over c in F_p, y = b*p, in element arithmetic
+    ctx = make_field(p, 2, modulus=modulus)
+    kern = _kernel(ctx)
+    rng = random.Random(p)
+    for d in (2 * p - 1, ctx.q - 2):
+        codes = _block_codes(kern, kern.monomial_blocks(d))
+        for b in [0] + rng.sample(range(1, p), min(50, p - 1)):
+            y = ctx.from_code(b * p)
+            total = ctx.zero
+            for c in range(p):
+                total = total + (y + ctx.from_code(c)) ** d
+            assert codes[b] == total.code, (d, b)
+
+
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_monomial_blocks_sum_only_orbit_representatives(monkeypatch):
+    # M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*: one p-term sum
+    # per F_p* orbit of blocks, plus a log shift per block, and no q-entry
+    # table of X^d
+    p = 211
+    ctx = make_field(p, 2, modulus=[2, 4, 1])
+    q = ctx.q
+    kern = _kernel(ctx)
+    want = kern.monomial_blocks(421)
+    counting = _CountingList(kern.packed_at)
+
+    def by_log(*args):
+        raise AssertionError("monomial_blocks read by_log")
+
+    monkeypatch.setattr(kern, "packed_at", counting)
+    monkeypatch.setattr(kern, "by_log", by_log)
+    monkeypatch.setattr(kern, "blocks", {})
+    assert kern.monomial_blocks(421) == want
+    assert 0 < counting.reads <= q // (p - 1) + q // p + p
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2), (3, 5), (5, 3)])
+def test_block_orbit_map(p, n):
+    # every nonzero block b reads the copy of its representative r scaled
+    # by lambda in F_p*: b = lambda*r digit-wise, r has leading digit 1,
+    # and block 0 reads the entry one past the copies
+    ctx = make_field(p, n)
+    kern = _kernel(ctx)
+    nreps = len(kern.scales) // (p - 1)
+    assert nreps == (kern.nblocks - 1) // (p - 1)
+    assert sorted(kern.fill) == list(range(kern.nblocks))
+    assert kern.fill[0] == len(kern.scales)
+
+    def digits(u):
+        return [u // p ** i % p for i in range(n - 1)]
+
+    for b in range(1, kern.nblocks):
+        k = kern.fill[b]
+        lam = kern.antilog[kern.scales[k]]
+        rep = kern.antilog[kern.orbit_logs[p - 1 + k % nreps * p]] // p
+        assert 0 < lam < p
+        assert digits(b) == [lam * x % p for x in digits(rep)]
+        while rep >= p:
+            rep //= p
+        assert rep == 1
+
+
 def test_fail_fast_matches_full_verdict():
     ctx = make_field(5, 2)
     rng = random.Random(17)
