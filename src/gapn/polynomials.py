@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, floordiv, itemgetter, mod, mul, rshift
+from operator import add, and_, floordiv, itemgetter, mod, mul, rshift, sub
 
 from .fields import (
     DEFAULT_TABLE_CAP,
@@ -199,24 +199,35 @@ class _LineKernel:
     """Per-field tables of the line kernel (see the module docstring).
 
     Built once per FieldCtx by _kernel and kept on it, so the tables are
-    freed with the field.  The field tables hold O(q) entries, and the map
-    from each block to its F_p* orbit's representative and scale O(q/p).
+    freed with the field.  Construction builds only what every path reads,
+    O(q/p) entries: the line order, the map from each block to its F_p*
+    orbit's representative and scale, the lift that packs a code, and the
+    unpack chunks.  A check whose function has at most one surviving term
+    reads nothing more: its block table packs the codes it reads from
+    antilog, and its line reads antilog.  The five O(q) tables -- pack
+    (packed code), degree (digit sum), packed_at (packed g^k, 3(q-1)
+    entries), logz (log form of a code) and by_log (an itemgetter over
+    log) -- are None until with_tables builds them: on the first line of
+    more than one surviving term (which includes every gather), and for
+    derivative and the searches.
     Exponent block tables, each summed at the orbit representatives and
     filled by log shifts (monomial_blocks), hold q/p entries each and are
     cached up to 8*p of them (8*q entries), so a job that meets many
     exponents, such as a monomial search, keeps the kernel at O(q).
     """
 
-    __slots__ = ("p", "m", "nlines", "nblocks", "antilog", "lines", "by_log", "logz",
-                 "pack", "degree", "packed_at", "chunks", "orbit_logs", "scales", "fill", "blocks")
+    __slots__ = ("p", "n", "m", "nlines", "nblocks", "antilog", "log", "lift", "lines", "by_log",
+                 "logz", "pack", "degree", "packed_at", "chunks", "orbit_logs", "scales", "fill",
+                 "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
-        self.p = p
+        self.p, self.n = p, n
         self.m = m = q - 1
         self.nlines = nlines = m // (p - 1)
         self.nblocks = q // p
         self.antilog = ctx.antilog
+        self.log = log = ctx.log
         # g^k lies on line k mod nlines.  The directions of a line share
         # their leading base-p digit's position, and its digit runs over
         # F_p*, so each line has exactly one direction with leading digit 1:
@@ -227,7 +238,6 @@ class _LineKernel:
         # representative, and the representatives' blocks hold the codes
         # p^i..2p^i-1.  orbit_logs lists the logs of block 0's nonzero
         # codes, then of those codes, p per block and y first
-        log = ctx.log
         self.orbit_logs = log[1:p] + list(chain.from_iterable(log[p ** i:2 * p ** i] for i in range(1, n)))
         self.lines = [0] + list(map(mod, self.orbit_logs[p - 1:], repeat(nlines)))
         # p-1 copies of the representatives' y, the jth scaled by
@@ -239,27 +249,15 @@ class _LineKernel:
                                           map(mod, map(add, rep_logs * (p - 1), self.scales), repeat(m))),
                             repeat(p)))
         self.fill = [len(block_of)] + sorted(range(len(block_of)), key=block_of.__getitem__)
-        # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
-        self.by_log = itemgetter(*ctx.log)
-        # log form: the log of a nonzero code, 2m for zero
-        self.logz = [2 * m] + ctx.log[1:]
-        # one bit field per digit, wide enough for a sum of p digits; and
-        # the digit sum of every u < q
+        # one bit field per digit, wide enough for a sum of p digits: with
+        # u = a + p*b, a < p, u packs to a + (b packed) << w, which is
+        # u + lift[b] with lift[b] = (b packed) << w - p*b, q/p entries
         w = (p * (p - 1)).bit_length()
-        pack, sums = [0], [0]
-        for i in range(n):
-            pack = [x + s for s in [d << (w * i) for d in range(p)] for x in pack]
-            sums = [s + d for d in range(p) for s in sums]
-        self.pack = pack
-        # algebraic degree of X^d; D_1 X^d vanishes exactly when it is < p-1
-        self.degree = sums
-        # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
-        # log-form entry plus a shift in 0..m-1 reads its scaled value;
-        # extended in place, so no temporary copy of the table is made
-        packed_at = list(map(pack.__getitem__, ctx.antilog))
-        packed_at += packed_at
-        packed_at += repeat(0, m)
-        self.packed_at = packed_at
+        upper = [0]
+        for i in range(1, n):
+            upper = [x + s for s in [d << (w * i) for d in range(p)] for x in upper]
+        self.lift = list(map(sub, upper, range(0, q, p)))
+        self.by_log = self.logz = self.pack = self.degree = self.packed_at = None
         # k digits share one lookup table of at most max(2q, 4096) entries,
         # so fields up to GF(3^4), GF(5^2) and GF(7^2) unpack a sum with one
         # lookup; when not even two digits fit, each is reduced with % p
@@ -276,6 +274,30 @@ class _LineKernel:
                             _chunk_table(p, w, lo, min(lo + k, n)).__getitem__, 1)
                            for lo in range(0, n, k)]
         self.blocks = {}
+
+    def with_tables(self) -> "_LineKernel":
+        """This kernel, with its O(q) tables built on the first call."""
+        if self.packed_at is None:
+            p, n, m = self.p, self.n, self.m
+            # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
+            self.by_log = itemgetter(*self.log)
+            # log form: the log of a nonzero code, 2m for zero
+            self.logz = [2 * m] + self.log[1:]
+            # the packed value of every u < q
+            self.pack = pack = [a + s for s in map(add, self.lift, range(0, m + 1, p)) for a in range(p)]
+            # algebraic degree of X^d; D_1 X^d vanishes exactly when it is < p-1
+            sums = [0]
+            for _ in range(n):
+                sums = [s + d for d in range(p) for s in sums]
+            self.degree = sums
+            # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
+            # log-form entry plus a shift in 0..m-1 reads its scaled value;
+            # extended in place, so no temporary copy of the table is made
+            packed_at = list(map(pack.__getitem__, self.antilog))
+            packed_at += packed_at
+            packed_at += repeat(0, m)
+            self.packed_at = packed_at
+        return self
 
     def unpack(self, sums: list[int]) -> list[int]:
         """Element codes of packed sums of at most p packed values."""
@@ -312,12 +334,15 @@ class _LineKernel:
         lookups, or a gather of q entries from a log-order table of f that
         costs T*q lookups to build.  The gather is used beyond p terms, and
         for a full scan (every line is read, so the table pays off) beyond
-        p/2 terms, where a gathered line costs less than the sum."""
-        degree, low = self.degree, self.p - 1
-        terms = [(ci, d) for ci, d in terms if degree[d] >= low]
+        p/2 terms, where a gathered line costs less than the sum.  The
+        kernel's O(q) tables are built for more than one surviving term."""
+        p = self.p
+        terms = [(ci, d) for ci, d in terms if digit_sum(p, d) >= p - 1]
         if not terms:
             return (lambda t: [0] * self.nblocks), 0
-        if len(terms) > (self.p // 2 if full else self.p):
+        if len(terms) > 1:
+            self.with_tables()
+        if len(terms) > (p // 2 if full else p):
             return partial(self.gather, self.log_values(terms)), len(terms)
         return partial(self.line_codes, [(ci, d, self.monomial_blocks(d)) for ci, d in terms]), len(terms)
 
@@ -358,22 +383,28 @@ class _LineKernel:
         too, so M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*.  So
         only block 0 and the (q/p-1)/(p-1) orbit representatives are summed,
         about q/(p-1) packed values; every other block shifts its
-        representative's log by d*log(lambda), about q/p more lookups."""
+        representative's log by d*log(lambda), about q/p more lookups.
+        The values are read from antilog and packed through lift, so no
+        O(q) table is read."""
         blocks = self.blocks.get(d)
         if blocks is None:
             if len(self.blocks) >= 8 * self.p:
                 self.blocks.clear()
             p, m, zero = self.p, self.m, 2 * self.m
-            # sums of p values (y+c)^d = g^(d*log(y+c)) over block 0, led by
-            # 0^d = 0 (d > 0 here), and over each representative's block
-            vals = map(self.packed_at.__getitem__, map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
-            sums = list(map(sum, zip(*[chain((0,), vals)] * p)))
-            at0, *reps = map(self.logz.__getitem__, self.unpack(sums))
+            # sums of p packed values (y+c)^d = g^(d*log(y+c)) over block 0,
+            # led by 0^d = 0 (d > 0 here), and over each representative's
+            # block; code u packs to u + lift[u // p]
+            codes = [0]
+            codes += map(self.antilog.__getitem__, map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
+            vals = map(add, codes, map(self.lift.__getitem__, map(floordiv, codes, repeat(p))))
+            sums = list(map(sum, zip(*[vals] * p)))
+            # log[0] = -1 marks a zero sum
+            at0, *reps = map(self.log.__getitem__, self.unpack(sums))
             # a scaled copy adds d*log(lambda) to the logs; a zero stays zero
             scaled = list(map(mod, map(add, reps * (p - 1), map(mul, self.scales, repeat(d))), repeat(m)))
-            for i in compress(count(), map(zero.__eq__, reps)):
+            for i in compress(count(), map((-1).__eq__, reps)):
                 scaled[i::len(reps)] = [zero] * (p - 1)
-            scaled.append(at0)
+            scaled.append(zero if at0 < 0 else at0)
             blocks = self.blocks[d] = list(map(scaled.__getitem__, self.fill))
         return blocks
 
@@ -381,8 +412,16 @@ class _LineKernel:
         """Codes of D_1 f_a on each block, a = g^t, for f's surviving terms
         as (coefficient log, exponent, block table).  Term c*X^d contributes
         (c*a^d) * D_1 X^d: its block table shifted by log(c*a^d) reads the
-        packed scaled values."""
+        scaled values, as codes from antilog for one term and else as
+        packed values to sum."""
         m = self.m
+        if len(terms) == 1:
+            (ci, d, blocks), = terms
+            shifted = map(mod, map(add, blocks, repeat((ci + d * t) % m)), repeat(m))
+            codes = list(map(self.antilog.__getitem__, shifted))
+            for i in compress(count(), map((2 * m).__eq__, blocks)):
+                codes[i] = 0
+            return codes
         at = self.packed_at.__getitem__
         return self.sum_codes([map(at, map(add, blocks, repeat((ci + d * t) % m)))
                                for ci, d, blocks in terms])
@@ -455,7 +494,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
         raise ValueError("direction from a different field")
     if a.is_zero():
         raise ValueError("derivative direction must be nonzero")
-    kern = _kernel(ctx)
+    kern = _kernel(ctx).with_tables()
     t = a.idx
     codes = kern.reader([(c.idx, d) for d, c in f.terms])[0](t)
     at_y = list(chain.from_iterable(map(repeat, codes, repeat(ctx.p))))

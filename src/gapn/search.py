@@ -171,7 +171,7 @@ def _scan_search(job: SearchJob):
     """(examined, checked, hits) from scanning every candidate in order on
     the line kernel."""
     ctx = job.field
-    kern = _kernel(ctx)
+    kern = _kernel(ctx).with_tables()
     degree_of = kern.degree
     flt = job.degree_filter
     examined = checked = 0
@@ -200,7 +200,7 @@ def _secant_search(job: SearchJob):
     hits with lead log j1 are the canonical hits with j1 added to every
     coefficient log."""
     ctx = job.field
-    kern = _kernel(ctx)
+    kern = _kernel(ctx).with_tables()
     m = kern.m
     k, leads = _tuple_shape(job)
     hits_of = tuple_hits(ctx, k)
@@ -546,20 +546,20 @@ def _condition_matches_brute_force(ctx, c1, c2, a) -> bool:
 
 
 def _claim_condition_equivalence():
-    # p=5: one full scan per function gives every direction's max fiber
+    # p=5: one full scan per function gives every direction's max fiber.  The
+    # condition reads a only through a^(p-1), which a.idx mod p+1 fixes, so
+    # it is evaluated once per class and compared at every direction
     ctx5 = _field(5)
+    p = ctx5.p
     exhaustive = 0
     ok = True
     units5 = list(ctx5.units())
     for c1 in units5:
         for c2 in units5:
             coeffs = [c1, c2, ctx5.zero, ctx5.zero]
-            fibers = [0] * len(units5)  # max fiber of each direction, by a.idx
+            preds = [p_to_one_condition(ctx5, 1, coeffs, a) for a in units5[:p + 1]]
             for a, fiber in is_gapn(SparsePoly(ctx5, [(9, c1), (13, c2)])).per_direction:
-                fibers[a.idx] = fiber
-            for a in units5:
-                pred = p_to_one_condition(ctx5, 1, coeffs, a)
-                ok = ok and pred == (fibers[a.idx] == ctx5.p)
+                ok = ok and preds[a.idx % (p + 1)] == (fiber == p)
                 exhaustive += 1
     ctx7 = _field(7)
     rng = random.Random(0x51E7)

@@ -33,7 +33,7 @@ def tuple_hits(ctx: FieldCtx, k: int):
     coefficient choices: 0 for X^d1 when it is GAPN, j for
     X^d1 + g^j*X^d2, jv*m + jw for X^d1 + g^jv*X^d2 + g^jw*X^d3.
     A monomial is decided once per Frobenius orbit, at the first member read."""
-    kern = _kernel(ctx)
+    kern = _kernel(ctx).with_tables()
     if k == 1:
         def distinct(d):  # a zero M_d has one value, distinct only when nblocks = 1
             live = kern.degree[d] >= kern.p - 1
@@ -82,7 +82,7 @@ def pair_differences(ctx: FieldCtx) -> _OrbitTable:
     monomial_blocks), the zero vector when digit_sum(d) < p-1.  Frobenius
     is additive, so an orbit's lists are built from the first member d read,
     and member d*p^j takes d's with their logs times p^j."""
-    kern = _kernel(ctx)
+    kern = _kernel(ctx).with_tables()
     m = kern.m
     pairs = list(combinations(range(kern.nblocks), 2))
     first = [i for i, _ in pairs]

@@ -222,6 +222,31 @@ def test_p_to_one_condition_every_admissible_s(p, admissible):
             assert p_to_one_condition(ctx, s, coeffs, a) == actual, (s, coeffs, a)
 
 
+def test_p_to_one_condition_depends_on_a_mod_p_plus_one():
+    # the condition reads a only through a^(p-1), and g^(k*(p-1)) depends only
+    # on k mod p+1, so every direction of one class of a.idx mod p+1 agrees:
+    # all (c1, c2, a) over GF(25), then seeded coefficients over GF(49)
+    def classes_agree(ctx, s, coeffs):
+        p = ctx.p
+        by_class = {}
+        for a in ctx.units():
+            value = p_to_one_condition(ctx, s, coeffs, a)
+            assert by_class.setdefault(a.idx % (p + 1), value) == value, (s, coeffs, a)
+
+    ctx = make_field(5, 2)
+    zero = ctx.zero
+    for c1 in ctx.elements():
+        for c2 in ctx.elements():
+            classes_agree(ctx, 1, [c1, c2, zero, zero])
+    ctx = make_field(7, 2)
+    rng = random.Random(0x7A11)
+    for _ in range(200):
+        s = rng.choice([1, 5])
+        coeffs = [ctx.zero if rng.random() < 0.3 else FieldElem(ctx, rng.randrange(ctx.q - 1))
+                  for _ in range(s, 7)]
+        classes_agree(ctx, s, coeffs)
+
+
 def test_p_to_one_condition_rejects_bad_parameters():
     ctx = make_field(5, 2)
     good = [ctx.one] * 4

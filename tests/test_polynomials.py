@@ -15,6 +15,7 @@ from gapn.polynomials import (
     verify_power_identity,
     _kernel,
 )
+from gapn.search import SearchJob, run_search
 
 import oracle
 
@@ -308,11 +309,13 @@ def _assert_verdict_matches_oracle(f):
         assert [(a.code, m) for a, m in v.per_direction] == sorted(want_dirs.items())
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
 def test_verdict_matches_oracle_every_monomial(p, n):
+    # at most one surviving term: the line path that builds no O(q) table
     ctx = make_field(p, n)
     for d in range(ctx.q):
         _assert_verdict_matches_oracle(SparsePoly.monomial(ctx, d))
+    assert _built_tables(ctx) == []
 
 
 @pytest.mark.parametrize("p,n,count", [(7, 2, 8), (5, 3, 3)])
@@ -369,6 +372,7 @@ def test_verdict_matches_oracle_scaled_monomials(p, n):
     c = ctx.primitive_element
     for d in range(ctx.q):
         _assert_verdict_matches_oracle(SparsePoly.monomial(ctx, d, c))
+    assert _built_tables(ctx) == []
 
 
 def test_verdict_matches_oracle_zero_and_constant():
@@ -435,23 +439,19 @@ class _CountingList(list):
 
 def test_monomial_blocks_sum_only_orbit_representatives(monkeypatch):
     # M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*: one p-term sum
-    # per F_p* orbit of blocks, plus a log shift per block, and no q-entry
-    # table of X^d
+    # per F_p* orbit of blocks, plus a log shift per block, with the values
+    # read from antilog and no q-entry table of X^d or of the kernel
     p = 211
     ctx = make_field(p, 2, modulus=[2, 4, 1])
     q = ctx.q
     kern = _kernel(ctx)
     want = kern.monomial_blocks(421)
-    counting = _CountingList(kern.packed_at)
-
-    def by_log(*args):
-        raise AssertionError("monomial_blocks read by_log")
-
-    monkeypatch.setattr(kern, "packed_at", counting)
-    monkeypatch.setattr(kern, "by_log", by_log)
+    counting = _CountingList(kern.antilog)
+    monkeypatch.setattr(kern, "antilog", counting)
     monkeypatch.setattr(kern, "blocks", {})
     assert kern.monomial_blocks(421) == want
     assert 0 < counting.reads <= q // (p - 1) + q // p + p
+    assert _built_tables(ctx) == []
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2), (3, 5), (5, 3)])
@@ -590,7 +590,81 @@ def test_unpack_matches_digitwise_reduction(p, n, layout):
     def reduce_digits(total):
         return sum(((total >> (w * i)) & ((1 << w) - 1)) % p * p ** i for i in range(n))
 
+    packed = [_pack_digitwise(p, n, c) for c in range(ctx.q)]
     rng = random.Random(1400 + 10 * p + n)
-    sums = [p * kern.pack[-1]]  # every field at its largest sum p*(p-1)
-    sums += [sum(rng.choices(kern.pack, k=rng.randint(1, p))) for _ in range(2000)]
+    sums = [p * packed[-1]]  # every field at its largest sum p*(p-1)
+    sums += [sum(rng.choices(packed, k=rng.randint(1, p))) for _ in range(2000)]
     assert kern.unpack(sums) == [reduce_digits(s) for s in sums]
+
+
+_TABLES = ("pack", "degree", "packed_at", "logz", "by_log")
+
+
+def _built_tables(ctx):
+    """The line kernel's O(q) tables that have been built on ctx."""
+    return [name for name in _TABLES if getattr(_kernel(ctx), name) is not None]
+
+
+def _pack_digitwise(p, n, code):
+    """code with base-p digit i in bit field i, as wide as a sum of p digits."""
+    w = (p * (p - 1)).bit_length()
+    return sum((code // p ** i % p) << (w * i) for i in range(n))
+
+
+def test_single_term_check_builds_no_kernel_table():
+    # X^421 plus terms of digit sum below p-1, which the derivative kills: the
+    # block table and the line read antilog, and no O(q) table is built
+    p = 211
+    ctx = make_field(p, 2, modulus=[2, 4, 1])
+    rng = random.Random(211)
+    low = [(lo + p * hi, ctx.from_code(rng.randrange(1, ctx.q)))
+           for lo, hi in [(0, 0), (5, 17), (208, 1), (0, 209)]]
+    assert all(digit_sum(p, e) < p - 1 for e, _ in low)
+    for fail_fast in (False, True):
+        v = is_gapn(SparsePoly(ctx, [(421, ctx.one)] + low), fail_fast=fail_fast)
+        assert (v.is_gapn, v.worst_fiber, v.witness) == (True, p, None)
+    assert _built_tables(ctx) == []
+
+
+def _two_term_check(ctx):
+    is_gapn(SparsePoly(ctx, [(2 * ctx.p - 1, ctx.one), (ctx.q - 2, ctx.primitive_element)]))
+
+
+def _derivative(ctx):
+    derivative(SparsePoly.monomial(ctx, 2 * ctx.p - 1), ctx.primitive_element)
+
+
+def _search(ctx):
+    run_search(SearchJob(ctx, "monomial"))
+
+
+@pytest.mark.parametrize("build", [_two_term_check, _derivative, _search])
+def test_paths_that_build_the_kernel_tables(build):
+    ctx = make_field(5, 2)
+    assert _built_tables(ctx) == []
+    build(ctx)
+    assert _built_tables(ctx) == list(_TABLES)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (7, 2)])
+def test_kernel_tables_match_independent_construction(p, n):
+    # digit sums and digit-wise packing from oracle digits, and the powers of
+    # g by tuple arithmetic
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    kern = _kernel(ctx).with_tables()
+    q, m = ctx.q, ctx.q - 1
+    assert kern.degree == [sum(tf.from_code(c)) for c in range(q)]
+    assert kern.pack == [_pack_digitwise(p, n, c) for c in range(q)]
+    g = tuple(ctx.primitive_element.vector())
+    powers = [tf.one]
+    for _ in range(m - 1):
+        powers.append(tf.mul(powers[-1], g))
+    codes = [tf.to_code(x) for x in powers]
+    assert kern.packed_at == [_pack_digitwise(p, n, c) for c in codes] * 2 + [0] * m
+    want_logz = [2 * m] + [None] * m
+    want_by_log = ["zero"] + [None] * m
+    for k, c in enumerate(codes):
+        want_logz[c] = want_by_log[c] = k
+    assert kern.logz == want_logz
+    assert list(kern.by_log(list(range(m)) + ["zero"])) == want_by_log

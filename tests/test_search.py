@@ -12,7 +12,7 @@ import pytest
 import gapn.search as search
 from gapn.cli import main
 from gapn.fields import FieldElem, make_field
-from gapn.polynomials import SparsePoly, _LineKernel, _kernel, digit_sum, is_gapn
+from gapn.polynomials import GapnVerdict, SparsePoly, _LineKernel, _kernel, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
     _scan_search,
@@ -505,18 +505,29 @@ def test_reproduce_never_starts_a_pool(monkeypatch, capsys):
 
 
 def test_condition_claim_checks_every_direction(monkeypatch):
-    # a = 2 lies on the F_5-line of 1, so a claim that tests the closed form
-    # once per line (or once per function) would miss this one wrong answer
+    # the closed form reads a only through a^(p-1), so the claim evaluates it
+    # once per class of a.idx mod p+1 (one F_5-line); a wrong closed form on
+    # one line of one function is caught, and so is a wrong brute-force fiber
+    # at a = 2 alone, which lies on the line of 1
     ctx = make_field(5, 2)
-    target = (ctx.one, ctx.primitive_element, ctx.scalar(2))
-    real = search.p_to_one_condition
+    g, two = ctx.primitive_element, ctx.scalar(2)
+    real_condition, real_is_gapn = search.p_to_one_condition, search.is_gapn
 
-    def flipped(fctx, s, coeffs, a):
-        answer = real(fctx, s, coeffs, a)
-        if fctx.p == 5 and (coeffs[0], coeffs[1], a) == target:
+    def flipped_condition(fctx, s, coeffs, a):
+        answer = real_condition(fctx, s, coeffs, a)
+        if fctx.p == 5 and (coeffs[0], coeffs[1]) == (ctx.one, g) and a.idx % 6 == two.idx % 6:
             return not answer
         return answer
 
+    def flipped_fiber(f, fail_fast=False):
+        v = real_is_gapn(f, fail_fast)
+        if f.field.p == 5 and f.terms == ((9, ctx.one), (13, g)):
+            per = [(a, (10 if fiber == 5 else 5) if a == two else fiber) for a, fiber in v.per_direction]
+            v = GapnVerdict(v.is_gapn, v.worst_fiber, v.witness, per)
+        return v
+
     assert reproduce("derivative-condition-equivalence").passed
-    monkeypatch.setattr(search, "p_to_one_condition", flipped)
-    assert reproduce("derivative-condition-equivalence").passed is False
+    for name, mutant in (("p_to_one_condition", flipped_condition), ("is_gapn", flipped_fiber)):
+        with monkeypatch.context() as patch:
+            patch.setattr(search, name, mutant)
+            assert reproduce("derivative-condition-equivalence").passed is False, name
