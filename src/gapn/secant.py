@@ -9,12 +9,17 @@ Dk = M_dk[i] - M_dk[j]; a binomial has no w, so a pair forbids one v, none
 or all.  By direction scaling, D_a f has the fibers of D_1 f_a, and
 f_a/a^d1 has the coefficients v*a^(d2-d1) and w*a^(d3-d1).  So
 X^d1 + v*X^d2 + w*X^d3 is GAPN exactly when this orbit of (v, w) over the
-units a meets no forbidden point.  One exponent tuple thus costs C(q/p, 2)
-block pairs, whatever the number of its coefficient choices.  A monomial
-X^d is GAPN exactly when M_d has distinct block values.  X^(p*d) is X^d
-followed by Frobenius, an additive bijection, so M_(p*d) is M_d with its
-logs times p: monomial verdicts and block pair differences are built once
-per Frobenius orbit of exponents, at the first member read (_OrbitTable).
+units a meets no forbidden point.  One exponent tuple thus costs at most
+C(q/p, 2) block pairs, whatever the number of its coefficient choices.  A
+binomial pair forbids every v only when both of its differences are zero,
+so one AND of the two exponents' zero patterns, kept as int bitmasks
+(zero_masks), decides most empty binomial tuples before a slope is read;
+the walk over the other tuples' slopes stops at the first one that leaves
+no coefficient log free.  A monomial X^d is GAPN exactly when M_d has
+distinct block values.  X^(p*d) is X^d followed by Frobenius, an additive
+bijection, so M_(p*d) is M_d with its logs times p: monomial verdicts,
+block pair differences and their zero patterns are built once per
+Frobenius orbit of exponents, at the first member read (_OrbitTable).
 Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
 """
 
@@ -43,7 +48,7 @@ def tuple_hits(ctx: FieldCtx, k: int):
         return lambda exps: [0] if verdicts[exps[0]] else []
     diffs = pair_differences(ctx)
     if k == 2:
-        return partial(binomial_hits, diffs, negated_differences(ctx, diffs), kern.m)
+        return partial(binomial_hits, diffs, negated_differences(ctx, diffs), zero_masks(ctx, diffs), kern.m)
     zech = [kern.logz[ctx.add_code(1, x)] for x in ctx.antilog]
     return partial(trinomial_hits, diffs, zech * 2, kern.m)
 
@@ -112,9 +117,23 @@ def negated_differences(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
                        partial(_scaled_logs, m))
 
 
-def binomial_hits(diffs, minus, m: int, exps) -> list[int]:
+def zero_masks(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
+    """The table that maps each exponent d to the int whose bit k is set
+    when the k-th entry of diffs[d] (pair_differences) is zero, that is
+    when M_d has equal values at the k-th block pair; every bit when
+    digit_sum(d) < p-1.  Frobenius keeps zero and nonzero apart, so an
+    orbit shares one mask."""
+    zero = 2 * (ctx.q - 1)
+
+    def build(d):  # the last entry is the leading binary digit
+        return int("0" + "".join(["01"[l == zero] for l in reversed(diffs[d])]), 2)
+
+    return _OrbitTable(ctx, build, lambda mask, scale: mask)
+
+
+def binomial_hits(diffs, minus, masks, m: int, exps) -> list[int]:
     """The coefficient logs j, ascending, for which X^d1 + g^j*X^d2 is
-    GAPN; minus is negated_differences of diffs.
+    GAPN; minus is negated_differences of diffs and masks zero_masks.
 
     D_1 f_a is a^d1 times M_d1 + w*M_d2 with w = g^j*a^(d2-d1), and it is
     p-to-1 exactly when its block values are distinct.  A block pair with
@@ -122,17 +141,23 @@ def binomial_hits(diffs, minus, m: int, exps) -> list[int]:
     is, and else the one w with log(-D1) - log(D2).  As a runs over the
     units, j + t*(d2-d1) runs over the class of j mod G = gcd(d2-d1, m),
     so j is a hit exactly when j mod G is the residue of no forbidden log.
+    A block pair where both are zero shows as a common bit of the two
+    masks, which decides the tuple before any slope is read; otherwise the
+    slopes are walked one at a time and the walk stops as soon as their
+    residues cover all G classes.
     """
     d1, d2 = exps
-    # log(-D1) with 4m for zero, minus log(D2) with 2m for zero: two logs
-    # give a slope in (-m, m), both zero give 2m, one zero lies outside
-    slopes = set(map(sub, minus[d1], diffs[d2]))
-    if 2 * m in slopes:
+    if masks[d1] & masks[d2]:
         return []
     g = math.gcd(d2 - d1, m)
-    bad = {s % g for s in slopes if -m < s < m}
-    if len(bad) == g:
-        return []
+    bad = set()
+    # log(-D1) with 4m for zero, minus log(D2) with 2m for zero: two logs
+    # give a slope in (-m, m), one zero lies outside
+    for s in map(sub, minus[d1], diffs[d2]):
+        if -m < s < m:
+            bad.add(s % g)
+            if len(bad) == g:
+                return []
     return list(compress(range(m), [s not in bad for s in range(g)] * (m // g)))
 
 

@@ -22,7 +22,7 @@ from gapn.search import (
     reproduce,
     run_search,
 )
-from gapn.secant import negated_differences, pair_differences
+from gapn.secant import binomial_hits, negated_differences, pair_differences, tuple_hits, zero_masks
 
 import oracle
 
@@ -263,6 +263,29 @@ def test_gf121_even_degree_census():
     assert misses == summary.checked - len(hits)
 
 
+def test_gf243_binomial_space():
+    # the whole canonical GF(3^5) binomial space: 29,161 exponent pairs,
+    # every one checked, so each pair's block pairs are screened or walked
+    ctx = make_field(3, 5)
+    hits, summary = run_search(SearchJob(ctx, "binomial"))
+    assert summary.examined == summary.checked == 7_056_962
+    assert summary.hits_by_degree == {3: 159_115, 5: 76_230, 7: 25_410, 9: 25_410}
+    assert len(hits) == 286_165
+    # (ordinal, [(exponent, coefficient log)], degree)
+    ends = [(h.ordinal, [(e, c.idx) for e, c in h.function.terms], h.degree) for h in (hits[0], hits[-1])]
+    assert ends == [(726, [(1, 0), (5, 0)], 3), (7_055_992, [(239, 0), (241, 240)], 9)]
+
+
+@pytest.mark.slow
+def test_gf961_even_degree_census():
+    # GF(31^2), p Mersenne: canonical binomials of even degree 32...60
+    # (441.9 M candidates, above the default budget) have hits at four degrees only
+    job = SearchJob(make_field(31, 2), "binomial", degree_filter=frozenset(range(32, 61, 2)))
+    hits, summary = run_search(job, budget=500_000_000)
+    assert (summary.examined, summary.checked) == (441_907_200, 158_760_000)
+    assert summary.hits_by_degree == {46: 201_600, 52: 96_768, 56: 44_800, 58: 24_192}
+
+
 # whole spaces that take the scan from about 5 s to 2 min each
 _SLOW_SCAN_JOBS = {
     "gf25-binomial-raw": (5, 2, "binomial", False),
@@ -307,20 +330,68 @@ def _orbit(ctx, d):
 
 @pytest.mark.parametrize("p, n", [(7, 2), (3, 3), (3, 4), (5, 3)])
 def test_pair_differences_match_block_tables(p, n):
-    # every exponent's lists against the differences of its own block
-    # table; read in descending order, so each orbit is built from its
-    # largest member and the others are images of it
+    # every exponent's lists and zero mask against the differences of its
+    # own block table; read in descending order, so each orbit is built
+    # from its largest member and the others are images of it.  Bit k of
+    # a mask is set when the block table is equal at the k-th block pair,
+    # so a digit sum below p-1 (a zero table) sets every bit
     ctx = make_field(p, n)
     kern = _kernel(ctx)
     zero = 2 * (ctx.q - 1)
     diffs = pair_differences(ctx)
     minus = negated_differences(ctx, diffs)
+    masks = zero_masks(ctx, diffs)
+    npairs = math.comb(kern.nblocks, 2)
     for d in range(ctx.q - 1, 0, -1):
         blocks = [ctx.zero if x == zero else FieldElem(ctx, x) for x in kern.monomial_blocks(d)]
         pairs = list(combinations(blocks, 2))
         assert diffs[d] == [zero if x == y else (x - y).idx for x, y in pairs], d
         assert minus[d] == [2 * zero if x == y else (y - x).idx for x, y in pairs], d
-    assert sorted(diffs) == sorted(minus) == list(range(1, ctx.q))
+        assert masks[d] == sum(1 << k for k, (x, y) in enumerate(pairs) if x == y), d
+        assert masks[d] == (1 << npairs) - 1 or digit_sum(p, d) >= p - 1, d
+    assert sorted(diffs) == sorted(minus) == sorted(masks) == list(range(1, ctx.q))
+
+
+def _binomial_hits_by_slope_set(diffs, minus, m, exps):
+    # the reference: every slope of the pair built before any is looked at
+    d1, d2 = exps
+    slopes = {a - b for a, b in zip(minus[d1], diffs[d2])}
+    if 2 * m in slopes:
+        return []
+    g = math.gcd(d2 - d1, m)
+    bad = {s % g for s in slopes if -m < s < m}
+    return [j for j in range(m) if j % g not in bad]
+
+
+@pytest.mark.parametrize("ctx", [make_field(5, 2), make_field(3, 3), make_field(3, 4), make_field(5, 3),
+                                 *_primitive_quadratics(7)],
+                         ids=["gf25", "gf27", "gf81", "gf125", *(f"gf49-{i}" for i in range(8))])
+def test_binomial_hits_match_slope_set(ctx):
+    # the screened, early-exit decision against building every slope, on
+    # every exponent pair of the field
+    m = ctx.q - 1
+    hits_of = tuple_hits(ctx, 2)
+    diffs = pair_differences(ctx)
+    minus = negated_differences(ctx, diffs)
+    empty = 0
+    for exps in combinations(range(1, ctx.q), 2):
+        want = _binomial_hits_by_slope_set(diffs, minus, m, exps)
+        assert hits_of(exps) == want, exps
+        empty += not want
+    assert 0 < empty < math.comb(m, 2)
+
+
+class _Unread:
+    def __getitem__(self, d):
+        raise AssertionError(f"read the pair differences of X^{d}")
+
+
+def test_binomial_hits_screen_reads_no_slope():
+    # a block pair where both differences are zero empties the tuple from
+    # the masks alone, before any difference list is read
+    assert binomial_hits(_Unread(), _Unread(), {1: 0b0110, 2: 0b1100}, 48, (1, 2)) == []
+    with pytest.raises(AssertionError, match="read the pair differences"):
+        binomial_hits(_Unread(), _Unread(), {1: 0b0110, 2: 0b1001}, 48, (1, 2))
 
 
 def test_pair_differences_build_one_table_per_orbit(monkeypatch):
