@@ -35,11 +35,10 @@ Both derivative() and is_gapn() run on one line kernel, built on three facts:
   each digit is reduced with % p.  Longer sums are reduced after every p-1
   further terms.
 
-The kernel takes f as (coefficient log, exponent) pairs, so a search scans
-its descriptors as they are; is_gapn turns a scan into a GapnVerdict.  Lines
-are scanned in order of their smallest direction code, which makes the
-witness the smallest failing direction code, then the smallest image code
-with a fiber above p.
+The kernel takes f as (coefficient log, exponent) pairs; is_gapn turns a
+scan into a GapnVerdict.  Lines are scanned in order of their smallest
+direction code, which makes the witness the smallest failing direction
+code, then the smallest image code with a fiber above p.
 """
 
 from collections import Counter

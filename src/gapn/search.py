@@ -19,9 +19,9 @@ decided once per Frobenius orbit of d.  The hits' ordinals are the
 tuple's rank times the block size plus their coefficient offsets.  A raw
 space reuses the canonical hits, since c*f is GAPN exactly when f is.
 
-Digitsum-reduced functions are scanned one candidate at a time, in this
-process: its present terms go to the line kernel's scan as (coefficient
-log, exponent) pairs; that loop is also the reference for every shape.
+A digitsum-reduced sum of c_e*X^e is GAPN exactly when no unit a and block
+pair i < j make sum of c_e*a^e*(M_e[i] - M_e[j]) zero, so each choice of all
+but the last c_e forbids at most one last c_e per (a, i, j), or all of them.
 The registry's claims take no arguments and run serially, their searches
 included.
 """
@@ -33,7 +33,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from operator import add
 
 from .fields import FieldCtx, FieldElem, make_field
@@ -46,7 +46,7 @@ from .polynomials import (
     is_p_to_one,
     verify_power_identity,
 )
-from .secant import tuple_hits
+from .secant import digitsum_hits, tuple_hits
 from .constructions import (
     binomial_gapn_sufficient,
     binomial_reduction_vanishes,
@@ -167,33 +167,33 @@ def enumerate_candidates(job: SearchJob):
         for exps in exponent_tuples)
 
 
-def _scan_search(job: SearchJob):
-    """(examined, checked, hits) from scanning every candidate in order on
-    the line kernel."""
-    ctx = job.field
-    kern = _kernel(ctx).with_tables()
-    degree_of = kern.degree
-    flt = job.degree_filter
-    examined = checked = 0
-    hits = []
-    for ordinal, desc in enumerate(enumerate_candidates(job)):
-        examined += 1
-        terms = [(j, e) for e, j in desc if j != -1]
-        degree = max([degree_of[e] for _, e in terms], default=None)
-        if degree is None or (flt is not None and degree not in flt):
-            continue
-        checked += 1
-        if kern.scan(terms, fail_fast=True)[1] is None:
-            hits.append(SearchHit(ordinal, SparsePoly._from_sorted_terms(
-                ctx, tuple((e, FieldElem(ctx, j)) for e, j in desc if j != -1)), degree))
-            if len(hits) == job.limit:
-                break
-    return examined, checked, hits
+def _digitsum_search(job: SearchJob):
+    """(examined, checked, hits) of a digitsum-reduced job (gapn.secant)."""
+    ctx, slots = job.field, _digitsum_slots(job)
+    if not slots:
+        return 1, 0, []
+    q, flt, limit = ctx.q, job.degree_filter, job.limit
+    degrees = [digit_sum(ctx.p, e) for e in slots]
+    checked, hits = 0, []
+    for rank, (prefix, found) in enumerate(digitsum_hits(ctx, slots)):
+        # the degrees with the last slot zero (-1 for the zero function) and present
+        head = max(compress(degrees, prefix), default=-1)
+        full = max(head, degrees[-1])
+        zero_ok, full_ok = [d >= 0 and (flt is None or d in flt) for d in (head, full)]
+        for x in found:
+            if full_ok if x else zero_ok:
+                terms = [(e, FieldElem(ctx, c - 1)) for e, c in zip(slots, (*prefix, x)) if c]
+                hits.append(SearchHit(rank * q + x, SparsePoly._from_sorted_terms(ctx, tuple(terms)),
+                                      full if x else head))
+                if len(hits) == limit:
+                    return rank * q + x + 1, checked + zero_ok + x * full_ok, hits
+        checked += zero_ok + (q - 1) * full_ok
+    return q ** len(slots), checked, hits
 
 
 def _secant_search(job: SearchJob):
     """(examined, checked, hits) for a monomial, binomial or trinomial
-    job, equal to what scanning every candidate with _scan_search gives.
+    job, equal to what scanning each candidate on the line kernel gives.
     The hits of each exponent tuple are decided together (gapn.secant); a
     hit's ordinal is the tuple's rank times the block size plus its
     coefficient offset.  c*f is GAPN exactly when f is, so a raw space's
@@ -216,48 +216,40 @@ def _secant_search(job: SearchJob):
     degree_of, flt, limit = kern.degree, job.degree_filter, job.limit
     checked = 0
     hits = []
-    # the hits hold no reference cycles, so the cyclic collector would only
-    # re-walk them as they pile up; it is restored as the caller left it
-    collect = gc.isenabled()
-    gc.disable()
-    try:
-        for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
-            degree = max(map(degree_of.__getitem__, exps))
-            if flt is not None and degree not in flt:
-                continue
-            found = hits_of(exps)
-            if not found:
-                checked += block
-                continue
-            rest = [row(d) for d in exps[1:]]
-            for j1 in leads:
-                # the hits' offsets within the block of lead log j1, then their terms
-                if j1 == 0:
-                    offsets = found
-                elif k == 2:
-                    offsets = sorted((o + j1) % m for o in found)
-                else:
-                    offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
-                if limit is not None:
-                    offsets = offsets[:limit - len(hits)]
-                lead = (exps[0], units[j1])
-                if k == 1:
-                    terms = [(lead,)] * len(offsets)
-                elif k == 2:
-                    terms = [(lead, rest[0][o]) for o in offsets]
-                else:
-                    terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
-                at = j1 * width
-                hits.extend(map(SearchHit, map(add, offsets, repeat(rank * block + at)),
-                                map(poly, terms), repeat(degree)))
-                if len(hits) == limit:
-                    last = at + offsets[-1]
-                    return rank * block + last + 1, checked + last + 1, hits
+    for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
+        degree = max(map(degree_of.__getitem__, exps))
+        if flt is not None and degree not in flt:
+            continue
+        found = hits_of(exps)
+        if not found:
             checked += block
-        return candidate_count(job), checked, hits
-    finally:
-        if collect:
-            gc.enable()
+            continue
+        rest = [row(d) for d in exps[1:]]
+        for j1 in leads:
+            # the hits' offsets within the block of lead log j1, then their terms
+            if j1 == 0:
+                offsets = found
+            elif k == 2:
+                offsets = sorted((o + j1) % m for o in found)
+            else:
+                offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
+            if limit is not None:
+                offsets = offsets[:limit - len(hits)]
+            lead = (exps[0], units[j1])
+            if k == 1:
+                terms = [(lead,)] * len(offsets)
+            elif k == 2:
+                terms = [(lead, rest[0][o]) for o in offsets]
+            else:
+                terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
+            at = j1 * width
+            hits.extend(map(SearchHit, map(add, offsets, repeat(rank * block + at)),
+                            map(poly, terms), repeat(degree)))
+            if len(hits) == limit:
+                last = at + offsets[-1]
+                return rank * block + last + 1, checked + last + 1, hits
+        checked += block
+    return candidate_count(job), checked, hits
 
 
 def run_search(
@@ -270,8 +262,8 @@ def run_search(
 
     Every job runs serially in this process: monomials, binomials and
     trinomials are decided per exponent tuple (monomials once per
-    Frobenius orbit) and digitsum-reduced functions one at a time (see the
-    module docstring).
+    Frobenius orbit) and digitsum-reduced functions per choice of all but
+    the last coefficient (see the module docstring).
     threads is accepted for compatibility and ignored."""
     total = candidate_count(job)
     if total > budget:
@@ -280,10 +272,15 @@ def run_search(
             "raise the budget explicitly to run it"
         )
     t0 = time.perf_counter()
-    if job.shape == "digitsum-reduced":
-        examined, checked, hits = _scan_search(job)
-    else:
-        examined, checked, hits = _secant_search(job)
+    # the hits hold no reference cycles: pause the collector, restored as the caller left it
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        search = _digitsum_search if job.shape == "digitsum-reduced" else _secant_search
+        examined, checked, hits = search(job)
+    finally:
+        if collect:
+            gc.enable()
     by_degree = dict(Counter(h.degree for h in hits))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)

@@ -1,4 +1,4 @@
-"""Whole exponent tuples of k-term searches, k = 1, 2 or 3, decided at once.
+"""k-term exponent tuples (k = 1, 2, 3) and digitsum-reduced spaces, decided whole.
 
 With M_d = D_1 X^d on the q/p blocks of p consecutive codes (the line
 kernel's monomial_blocks, zero when digit_sum(d) < p-1), D_1 of
@@ -20,6 +20,8 @@ distinct block values.  X^(p*d) is X^d followed by Frobenius, an additive
 bijection, so M_(p*d) is M_d with its logs times p: monomial verdicts,
 block pair differences and their zero patterns are built once per
 Frobenius orbit of exponents, at the first member read (_OrbitTable).
+A sum of c_e*X^e is GAPN exactly when sum of c_e*a^e*(M_e[i] - M_e[j]) is
+nonzero for every unit a and block pair i < j (digitsum_hits).
 Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
 """
 
@@ -48,7 +50,7 @@ def tuple_hits(ctx: FieldCtx, k: int):
         return lambda exps: [0] if verdicts[exps[0]] else []
     diffs = pair_differences(ctx)
     if k == 2:
-        return partial(binomial_hits, diffs, negated_differences(ctx, diffs), zero_masks(ctx, diffs), kern.m)
+        return partial(binomial_hits, diffs, zero_masks(ctx, diffs), kern.m)
     zech = [kern.logz[ctx.add_code(1, x)] for x in ctx.antilog]
     return partial(trinomial_hits, diffs, zech * 2, kern.m)
 
@@ -107,16 +109,6 @@ def pair_differences(ctx: FieldCtx) -> _OrbitTable:
     return _OrbitTable(ctx, build, partial(_scaled_logs, m))
 
 
-def negated_differences(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
-    """The table that maps each exponent d to log(-D) for the entries D of
-    diffs[d] (pair_differences), with 4m for zero.  p is odd, so
-    (-x)^(p^j) = -x^(p^j): an orbit's lists are logs times p^j as well."""
-    m = ctx.q - 1
-    half = m // 2  # -x is x times g^(m/2)
-    return _OrbitTable(ctx, lambda d: [4 * m if l == 2 * m else (l + half) % m for l in diffs[d]],
-                       partial(_scaled_logs, m))
-
-
 def zero_masks(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
     """The table that maps each exponent d to the int whose bit k is set
     when the k-th entry of diffs[d] (pair_differences) is zero, that is
@@ -131,9 +123,9 @@ def zero_masks(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
     return _OrbitTable(ctx, build, lambda mask, scale: mask)
 
 
-def binomial_hits(diffs, minus, masks, m: int, exps) -> list[int]:
+def binomial_hits(diffs, masks, m: int, exps) -> list[int]:
     """The coefficient logs j, ascending, for which X^d1 + g^j*X^d2 is
-    GAPN; minus is negated_differences of diffs and masks zero_masks.
+    GAPN; masks is zero_masks of diffs.
 
     D_1 f_a is a^d1 times M_d1 + w*M_d2 with w = g^j*a^(d2-d1), and it is
     p-to-1 exactly when its block values are distinct.  A block pair with
@@ -151,14 +143,14 @@ def binomial_hits(diffs, minus, masks, m: int, exps) -> list[int]:
         return []
     g = math.gcd(d2 - d1, m)
     bad = set()
-    # log(-D1) with 4m for zero, minus log(D2) with 2m for zero: two logs
-    # give a slope in (-m, m), one zero lies outside
-    for s in map(sub, minus[d1], diffs[d2]):
+    # log(D1) - log(D2), 2m for zero: after the screen two logs give a slope
+    # in (-m, m), one zero lies outside; log(-D1/D2) is the slope plus m/2
+    for s in map(sub, diffs[d1], diffs[d2]):
         if -m < s < m:
             bad.add(s % g)
             if len(bad) == g:
                 return []
-    return list(compress(range(m), [s not in bad for s in range(g)] * (m // g)))
+    return list(compress(range(m), [(r - m // 2) % g not in bad for r in range(g)] * (m // g)))
 
 
 def trinomial_hits(diffs, zech: list[int], m: int, exps) -> list[int]:
@@ -219,3 +211,35 @@ def trinomial_hits(diffs, zech: list[int], m: int, exps) -> list[int]:
         rot = -shift[jv] % h
         hits.extend(compress(range(jv * m, jv * m + m), tiles[jv % g2][rot:rot + m]))
     return hits
+
+
+def digitsum_hits(ctx: FieldCtx, slots: list[int]):
+    """For f = sum of c_e*X^e over slots e_1 < ... < e_s, (prefix, ascending
+    GAPN choices of c_(e_s)) per choice prefix of the others, in enumeration
+    order; choice 0 is c = 0, 1 + j is c = g^j.  The functionals above, one
+    unit a per line, are kept once up to scaling; the walk carries their sums."""
+    kern = _kernel(ctx).with_tables()
+    q, m, zero = ctx.q, kern.m, 2 * kern.m
+    diffs = pair_differences(ctx)  # X^0 reads X's zero column: 0 is in no Frobenius orbit
+    normals = set()
+    for t in range(kern.nlines if len(slots) > 1 else 1):  # g^k lies on line k mod nlines
+        for row in zip(*[[l if l == zero else (l + e * t) % m for l in diffs[e or 1]] for e in slots]):
+            lead = next((l for l in row if l != zero), 0)
+            normals.add(tuple([l if l == zero else (l - lead) % m for l in row]))
+    *heads, last = list(zip(*normals)) or [()] * len(slots)
+    # per partial sum P: the last choice -P/n, or for n = 0 all (-1) if P = 0 and else none (q)
+    forbids = [[-1] + [q] * m if n == zero else [0] + [1 + (l + m // 2 - n) % m for l in kern.logz[1:]]
+               for n in last]
+
+    def walk(prefix, sums, heads):
+        if heads:
+            yield from walk(prefix + (0,), sums, heads[1:])
+            packed = list(map(kern.pack.__getitem__, sums))
+            for j in range(m):
+                scaled = map(kern.packed_at.__getitem__, map(add, heads[0], repeat(j)))  # g^j * column
+                yield from walk(prefix + (j + 1,), kern.unpack(list(map(add, packed, scaled))), heads[1:])
+        else:
+            bad = set(map(list.__getitem__, forbids, sums))
+            yield prefix, [] if -1 in bad else [x for x in range(q) if x not in bad]
+
+    return walk((), [0] * len(normals), heads)

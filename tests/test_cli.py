@@ -446,8 +446,7 @@ def _random_argv(rng, files):
         return argv + fmt, not _is_prime(p)
     if command == "search":
         shape = rng.choice(["monomial", "binomial", "trinomial", "digitsum-reduced"])
-        # a digitsum-reduced candidate is checked on its own, the other shapes per exponent tuple
-        budgets = [-1, 0, 1, 50, 1000] + ([] if shape == "digitsum-reduced" else [10_000] * 3)
+        budgets = [-1, 0, 1, 50, 1000] + [10_000] * 3
         argv = ["search", "-p", str(p), "-n", str(n), "--shape", shape,
                 "--budget", str(rng.choice(budgets)), "--threads", str(threads)]
         limit = rng.choice([None] * 4 + [1, 3] * 2 + [0, -1])

@@ -15,14 +15,13 @@ from gapn.fields import FieldElem, make_field
 from gapn.polynomials import GapnVerdict, SparsePoly, _LineKernel, _kernel, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
-    _scan_search,
     candidate_count,
     claim_ids,
     enumerate_candidates,
     reproduce,
     run_search,
 )
-from gapn.secant import binomial_hits, negated_differences, pair_differences, tuple_hits, zero_masks
+from gapn.secant import binomial_hits, pair_differences, tuple_hits, zero_masks
 
 import oracle
 
@@ -148,8 +147,8 @@ _REFERENCE_JOBS = {
 
 @pytest.mark.parametrize("case", list(_REFERENCE_JOBS.values()), ids=list(_REFERENCE_JOBS))
 def test_search_matches_direct_loop(monkeypatch, case):
-    # the search scans descriptors on the line kernel; the reference builds
-    # each candidate as a SparsePoly and takes a full is_gapn verdict
+    # the search decides candidates without scanning them; the reference
+    # builds each candidate as a SparsePoly and takes a full is_gapn verdict
     p, n, shape, canonical, options = case
     ctx = make_field(p, n)
     job = SearchJob(ctx, shape, canonicalize=canonical, **options)
@@ -177,8 +176,8 @@ def test_search_matches_direct_loop(monkeypatch, case):
                 break
     assert [(h.ordinal, h.function, h.degree) for h in hits] == want
     assert (summary.examined, summary.checked) == (ordinal + 1, checked)
-    assert most > p or "min_digit_sum" not in options  # the gather path was taken
-    assert bool(scans) == (shape == "digitsum-reduced")
+    assert most > p or "min_digit_sum" not in options  # the reference took the gather path
+    assert not scans  # no shape scans a candidate's lines
     if shape == "monomial":
         # one block table per Frobenius orbit met with a nonzero M_d, read
         # at its smallest member
@@ -204,13 +203,29 @@ def test_search_matches_direct_loop(monkeypatch, case):
 
 def _scan_hits(job):
     """(examined, checked, [(ordinal, function, degree)]) from scanning
-    every candidate of job on the line kernel."""
-    examined, checked, hits = _scan_search(job)
-    return examined, checked, [(h.ordinal, h.function, h.degree) for h in hits]
+    every candidate of job in order on the line kernel, with fail_fast:
+    the per-candidate reference for every shape."""
+    ctx = job.field
+    kern = _kernel(ctx).with_tables()
+    examined = checked = 0
+    hits = []
+    for ordinal, desc in enumerate(enumerate_candidates(job)):
+        examined += 1
+        terms = [(j, e) for e, j in desc if j != -1]
+        degree = max([kern.degree[e] for _, e in terms], default=None)
+        if degree is None or (job.degree_filter is not None and degree not in job.degree_filter):
+            continue
+        checked += 1
+        if kern.scan(terms, fail_fast=True)[1] is None:
+            f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1])
+            hits.append((ordinal, f, degree))
+            if len(hits) == job.limit:
+                break
+    return examined, checked, hits
 
 
-def _assert_matches_scan(job):
-    hits, summary = run_search(job, threads=1)
+def _assert_matches_scan(job, budget=search.DEFAULT_BUDGET):
+    hits, summary = run_search(job, budget=budget, threads=1)
     got = [(h.ordinal, h.function, h.degree) for h in hits]
     assert (summary.examined, summary.checked, got) == _scan_hits(job)
     return hits, summary
@@ -288,19 +303,67 @@ def test_gf961_even_degree_census():
 
 # whole spaces that take the scan from about 5 s to 2 min each
 _SLOW_SCAN_JOBS = {
-    "gf25-binomial-raw": (5, 2, "binomial", False),
-    "gf27-binomial-raw": (3, 3, "binomial", False),
-    "gf25-trinomial": (5, 2, "trinomial", True),
-    "gf27-trinomial": (3, 3, "trinomial", True),
-    "gf6561-monomial": (3, 8, "monomial", True),  # 72 hits
+    "gf25-binomial-raw": (5, 2, "binomial", False, {}),
+    "gf27-binomial-raw": (3, 3, "binomial", False, {}),
+    "gf25-trinomial": (5, 2, "trinomial", True, {}),
+    "gf27-trinomial": (3, 3, "trinomial", True, {}),
+    "gf6561-monomial": (3, 8, "monomial", True, {}),  # 72 hits
+    "gf9-digitsum-2": (3, 2, "digitsum-reduced", True, {"min_digit_sum": 2}),  # 531,441 candidates
+    "gf27-digitsum-5": (3, 3, "digitsum-reduced", True, {"min_digit_sum": 5}),  # 531,441 candidates
 }
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("case", list(_SLOW_SCAN_JOBS.values()), ids=list(_SLOW_SCAN_JOBS))
 def test_secant_matches_scan_on_whole_space(case):
-    p, n, shape, canonical = case
-    _assert_matches_scan(SearchJob(make_field(p, n), shape, canonicalize=canonical))
+    p, n, shape, canonical, options = case
+    _assert_matches_scan(SearchJob(make_field(p, n), shape, canonicalize=canonical, **options))
+
+
+@pytest.mark.parametrize("p, n, minds, hits_by_degree, ends", [
+    (3, 2, 2, {3: 34_992}, (9, 531_423)),
+    (3, 3, 5, {5: 11_232}, (27, 531_387)),
+], ids=["gf9-digitsum-2", "gf27-digitsum-5"])
+def test_digitsum_whole_space(p, n, minds, hits_by_degree, ends):
+    # 9^6 and 27^4 candidates, every one checked but the zero function;
+    # the slow test above compares both spaces with the scan
+    hits, summary = run_search(SearchJob(make_field(p, n), "digitsum-reduced", min_digit_sum=minds))
+    assert (summary.examined, summary.checked) == (531_441, 531_440)
+    assert summary.hits_by_degree == hits_by_degree
+    assert (hits[0].ordinal, hits[-1].ordinal) == ends
+
+
+# (p, n, options, budget): no slots (one candidate, the zero function);
+# prime fields, which have no block pairs, so every nonzero candidate is a
+# hit; slots whose digit sum is below p-1 (a zero column), and the slot
+# X^0 when min_digit_sum <= 0, where a limit cuts GF(9)'s 9^8 and 9^9
+# candidates; degree filters and limits on the default and larger spaces
+_DIGITSUM_JOBS = {
+    "gf9-no-slots": (3, 2, {"min_digit_sum": 5}, None),
+    "gf5-no-slots": (5, 1, {}, None),
+    "gf5-all-slots": (5, 1, {"min_digit_sum": 0}, None),
+    "gf7-below-zero": (7, 1, {"min_digit_sum": -1, "limit": 500}, None),
+    "gf3-low-slots": (3, 1, {"min_digit_sum": 1}, None),
+    "gf9-low-slots-limit": (3, 2, {"min_digit_sum": 1, "limit": 60}, 10 ** 8),
+    "gf9-zero-slot-limit": (3, 2, {"min_digit_sum": 0, "limit": 60}, 10 ** 9),
+    "gf9-below-zero-degree-3": (3, 2, {"min_digit_sum": -1, "limit": 40, "degree_filter": {3}}, 10 ** 9),
+    "gf9-degree-4": (3, 2, {"degree_filter": {4}}, None),
+    "gf9-digitsum-2-limit-1": (3, 2, {"min_digit_sum": 2, "limit": 1}, None),
+    "gf9-digitsum-2-limit-300": (3, 2, {"min_digit_sum": 2, "limit": 300}, None),
+    "gf25-digitsum-7": (5, 2, {"min_digit_sum": 7}, None),
+    "gf27-digitsum-5-limit": (3, 3, {"min_digit_sum": 5, "limit": 200}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIGITSUM_JOBS.values()), ids=list(_DIGITSUM_JOBS))
+def test_digitsum_matches_scan(case):
+    p, n, options, budget = case
+    job = SearchJob(make_field(p, n), "digitsum-reduced", **options)
+    hits, summary = _assert_matches_scan(job, budget or search.DEFAULT_BUDGET)
+    if "min_digit_sum" in options and options["min_digit_sum"] > n * (p - 1):
+        assert (summary.examined, summary.checked, hits) == (1, 0, [])
+    if n == 1 and "limit" not in options:
+        assert len(hits) == summary.checked == summary.examined - 1
 
 
 @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "raw"])
@@ -339,23 +402,23 @@ def test_pair_differences_match_block_tables(p, n):
     kern = _kernel(ctx)
     zero = 2 * (ctx.q - 1)
     diffs = pair_differences(ctx)
-    minus = negated_differences(ctx, diffs)
     masks = zero_masks(ctx, diffs)
     npairs = math.comb(kern.nblocks, 2)
     for d in range(ctx.q - 1, 0, -1):
         blocks = [ctx.zero if x == zero else FieldElem(ctx, x) for x in kern.monomial_blocks(d)]
         pairs = list(combinations(blocks, 2))
         assert diffs[d] == [zero if x == y else (x - y).idx for x, y in pairs], d
-        assert minus[d] == [2 * zero if x == y else (y - x).idx for x, y in pairs], d
         assert masks[d] == sum(1 << k for k, (x, y) in enumerate(pairs) if x == y), d
         assert masks[d] == (1 << npairs) - 1 or digit_sum(p, d) >= p - 1, d
-    assert sorted(diffs) == sorted(minus) == sorted(masks) == list(range(1, ctx.q))
+    assert sorted(diffs) == sorted(masks) == list(range(1, ctx.q))
 
 
-def _binomial_hits_by_slope_set(diffs, minus, m, exps):
-    # the reference: every slope of the pair built before any is looked at
+def _binomial_hits_by_slope_set(diffs, m, exps):
+    # the reference: every slope log(-D1) - log(D2) of the pair built
+    # before any is looked at, with 4m for a zero D1 and 2m for a zero D2
     d1, d2 = exps
-    slopes = {a - b for a, b in zip(minus[d1], diffs[d2])}
+    minus = [4 * m if l == 2 * m else (l + m // 2) % m for l in diffs[d1]]
+    slopes = {a - b for a, b in zip(minus, diffs[d2])}
     if 2 * m in slopes:
         return []
     g = math.gcd(d2 - d1, m)
@@ -372,10 +435,9 @@ def test_binomial_hits_match_slope_set(ctx):
     m = ctx.q - 1
     hits_of = tuple_hits(ctx, 2)
     diffs = pair_differences(ctx)
-    minus = negated_differences(ctx, diffs)
     empty = 0
     for exps in combinations(range(1, ctx.q), 2):
-        want = _binomial_hits_by_slope_set(diffs, minus, m, exps)
+        want = _binomial_hits_by_slope_set(diffs, m, exps)
         assert hits_of(exps) == want, exps
         empty += not want
     assert 0 < empty < math.comb(m, 2)
@@ -389,9 +451,9 @@ class _Unread:
 def test_binomial_hits_screen_reads_no_slope():
     # a block pair where both differences are zero empties the tuple from
     # the masks alone, before any difference list is read
-    assert binomial_hits(_Unread(), _Unread(), {1: 0b0110, 2: 0b1100}, 48, (1, 2)) == []
+    assert binomial_hits(_Unread(), {1: 0b0110, 2: 0b1100}, 48, (1, 2)) == []
     with pytest.raises(AssertionError, match="read the pair differences"):
-        binomial_hits(_Unread(), _Unread(), {1: 0b0110, 2: 0b1001}, 48, (1, 2))
+        binomial_hits(_Unread(), {1: 0b0110, 2: 0b1001}, 48, (1, 2))
 
 
 def test_pair_differences_build_one_table_per_orbit(monkeypatch):
