@@ -234,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--degree", type=int, action="append",
                     help="keep only candidates of this algebraic degree (repeatable)")
     se.add_argument("--no-canonical", action="store_true",
-                    help="also enumerate the first coefficient instead of fixing it to 1")
+                    help="binomial, trinomial: also enumerate the first coefficient instead of fixing "
+                         "it to 1 (no effect on monomial and digitsum-reduced)")
     se.add_argument("--min-digit-sum", type=int, default=None,
                     help="digitsum-reduced: exponent digit-sum threshold (default p; 0 = raw space)")
     se.add_argument("--limit", type=int, default=None,

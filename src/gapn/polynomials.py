@@ -23,10 +23,7 @@ Both derivative() and is_gapn() run on one line kernel, built on three facts:
   per-field cache), so scaling it by c*a^d is an index shift into one
   table.  A line costs T*q/p lookups for T surviving terms, and no
   q-entry table of f is built.  With one surviving term every line is
-  a nonzero multiple of the first, so all lines share its fibers.  When T
-  is large next to p, a log-order table of f's surviving terms is summed
-  once from the X^d tables instead, and each line gathers q entries of it
-  rotated by log(a).
+  a nonzero multiple of the first, so all lines share its fibers.
 - Packed sums.  Values are stored digit-wise in bit fields wide enough for a
   sum of p digits, so up to p scaled values add as plain ints.  Per-field
   tables of at most max(2q, 4096) entries map each packed sum back to an
@@ -45,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, floordiv, itemgetter, mod, mul, rshift, sub
+from operator import add, and_, floordiv, mod, mul, rshift, sub
 
 from .fields import (
     DEFAULT_TABLE_CAP,
@@ -203,21 +200,19 @@ class _LineKernel:
     orbit's representative and scale, the lift that packs a code, and the
     unpack chunks.  A check whose function has at most one surviving term
     reads nothing more: its block table packs the codes it reads from
-    antilog, and its line reads antilog.  The five O(q) tables -- pack
+    antilog, and its line reads antilog.  The four O(q) tables -- pack
     (packed code), degree (digit sum), packed_at (packed g^k, 3(q-1)
-    entries), logz (log form of a code) and by_log (an itemgetter over
-    log) -- are None until with_tables builds them: on the first line of
-    more than one surviving term (which includes every gather), and for
-    derivative and the searches.
+    entries) and logz (log form of a code) -- are None until with_tables
+    builds them: on the first line of more than one surviving term, and
+    for the searches.
     Exponent block tables, each summed at the orbit representatives and
     filled by log shifts (monomial_blocks), hold q/p entries each and are
     cached up to 8*p of them (8*q entries), so a job that meets many
     exponents, such as a monomial search, keeps the kernel at O(q).
     """
 
-    __slots__ = ("p", "n", "m", "nlines", "nblocks", "antilog", "log", "lift", "lines", "by_log",
-                 "logz", "pack", "degree", "packed_at", "chunks", "orbit_logs", "scales", "fill",
-                 "blocks")
+    __slots__ = ("p", "n", "m", "nlines", "nblocks", "antilog", "log", "lift", "lines", "logz",
+                 "pack", "degree", "packed_at", "chunks", "orbit_logs", "scales", "fill", "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
@@ -256,7 +251,7 @@ class _LineKernel:
         for i in range(1, n):
             upper = [x + s for s in [d << (w * i) for d in range(p)] for x in upper]
         self.lift = list(map(sub, upper, range(0, q, p)))
-        self.by_log = self.logz = self.pack = self.degree = self.packed_at = None
+        self.logz = self.pack = self.degree = self.packed_at = None
         # k digits share one lookup table of at most max(2q, 4096) entries,
         # so fields up to GF(3^4), GF(5^2) and GF(7^2) unpack a sum with one
         # lookup; when not even two digits fit, each is reduced with % p
@@ -278,8 +273,6 @@ class _LineKernel:
         """This kernel, with its O(q) tables built on the first call."""
         if self.packed_at is None:
             p, n, m = self.p, self.n, self.m
-            # table[log[x]] for x = 0..q-1; log[0] = -1 reads the last entry
-            self.by_log = itemgetter(*self.log)
             # log form: the log of a nonzero code, 2m for zero
             self.logz = [2 * m] + self.log[1:]
             # the packed value of every u < q
@@ -323,26 +316,22 @@ class _LineKernel:
                 return codes
             acc = map(self.pack.__getitem__, codes)
 
-    def reader(self, terms, full: bool = False):
+    def reader(self, terms):
         """(line, T) for f the sum of terms given as (coefficient log,
         exponent) pairs: line(t) gives the codes of D_1 f_a on each block of
         p consecutive codes, a = g^t, and T counts f's terms c*X^d whose
         D_1 X^d is not identically zero (the others are dropped).
 
-        A line is either one packed sum of the T scaled block tables, T*q/p
-        lookups, or a gather of q entries from a log-order table of f that
-        costs T*q lookups to build.  The gather is used beyond p terms, and
-        for a full scan (every line is read, so the table pays off) beyond
-        p/2 terms, where a gathered line costs less than the sum.  The
-        kernel's O(q) tables are built for more than one surviving term."""
+        A line is the packed sum of the T scaled block tables (line_codes),
+        T*q/p lookups, for every T; beyond p terms sum_codes reduces it in
+        groups.  The kernel's O(q) tables are built for more than one
+        surviving term."""
         p = self.p
         terms = [(ci, d) for ci, d in terms if digit_sum(p, d) >= p - 1]
         if not terms:
             return (lambda t: [0] * self.nblocks), 0
         if len(terms) > 1:
             self.with_tables()
-        if len(terms) > (p // 2 if full else p):
-            return partial(self.gather, self.log_values(terms)), len(terms)
         return partial(self.line_codes, [(ci, d, self.monomial_blocks(d)) for ci, d in terms]), len(terms)
 
     def scan(self, terms, fail_fast: bool = False):
@@ -352,7 +341,7 @@ class _LineKernel:
         codes; failing is (line, Counter of its block codes) for the first
         line with a fiber above p, or None.  With fail_fast the scan stops
         at that line."""
-        line, nterms = self.reader(terms, full=not fail_fast)
+        line, nterms = self.reader(terms)
         scanned = {}
         mx = failing = None
         for t in self.lines:
@@ -425,24 +414,6 @@ class _LineKernel:
         return self.sum_codes([map(at, map(add, blocks, repeat((ci + d * t) % m)))
                                for ci, d, blocks in terms])
 
-    def log_values(self, terms) -> list[int]:
-        """Packed f(g^k) for k = 0..2m-1 (two periods), then packed f(0) = 0,
-        for f the sum of terms given as (coefficient log, exponent > 0)."""
-        m = self.m
-        at = self.packed_at.__getitem__
-        codes = self.sum_codes([map(at, map(mod, range(ci, ci + d * m, d), repeat(m)))
-                                for ci, d in terms])
-        out = list(map(self.pack.__getitem__, codes)) * 2
-        out.append(0)
-        return out
-
-    def gather(self, ft: list[int], t: int) -> list[int]:
-        """Codes of D_1 f_a on each block, a = g^t, where ft is
-        log_values(terms): f_a(g^k) = f(g^(t+k)) is ft rotated by t."""
-        rotated = ft[t:t + self.m]
-        rotated.append(ft[-1])
-        return self.unpack(list(map(sum, zip(*[iter(self.by_log(rotated))] * self.p))))
-
 
 def _chunk_table(p: int, w: int, lo: int, hi: int) -> list[int]:
     """Code contribution of digits lo..hi-1, indexed by their packed fields."""
@@ -485,22 +456,21 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
 
     Uses D_a f(x) = D_1 f_a(x/a) with f_a(y) = f(a*y): the line kernel sums
     the scaled blocks (c*a^d) * D_1 X^d of f's terms c*X^d over each block
-    of p consecutive codes y (beyond p such terms it gathers f_a from a
-    log-order table of f instead), and values[x] reads the block of y = x/a.
+    of p consecutive codes y, and values[x] reads the block of y = x/a.
     """
     ctx = f.field
     if a.ctx is not ctx and a.ctx.key != ctx.key:
         raise ValueError("direction from a different field")
     if a.is_zero():
         raise ValueError("derivative direction must be nonzero")
-    kern = _kernel(ctx).with_tables()
     t = a.idx
-    codes = kern.reader([(c.idx, d) for d, c in f.terms])[0](t)
+    codes = _kernel(ctx).reader([(c.idx, d) for d, c in f.terms])[0](t)
     at_y = list(chain.from_iterable(map(repeat, codes, repeat(ctx.p))))
-    # antilog rotated by -t, then 0: read through by_log it gives x/a for each x
+    # antilog rotated by -t, then 0: indexed by log[x] (log[0] = -1 reads
+    # the 0) it gives x/a for each x
     quotient = ctx.antilog[ctx.q - 1 - t:] + ctx.antilog[:ctx.q - 1 - t]
     quotient.append(0)
-    values = list(map(at_y.__getitem__, kern.by_log(quotient)))
+    values = list(map(at_y.__getitem__, map(quotient.__getitem__, ctx.log)))
     return DerivativeMap(a, values, dict(Counter(values)))
 
 

@@ -59,7 +59,8 @@ class _OrbitTable(dict):
     """A value per exponent in 1..q-1, filled one Frobenius orbit at a time.
     Reading a missing exponent d builds build(d) and gives each further
     member d*p^j of d's orbit image(build(d), p^j mod (q-1)).  The orbit is
-    walked by d -> (d*p - 1) mod (q-1) + 1, which keeps q-1 fixed."""
+    walked by d -> (d*p - 1) mod (q-1) + 1, which keeps q-1 fixed.  A d
+    outside 1..q-1 raises KeyError: the walk from 0 would never return."""
 
     __slots__ = ("m", "p", "build", "image")
 
@@ -69,6 +70,8 @@ class _OrbitTable(dict):
 
     def __missing__(self, d):
         m, p = self.m, self.p
+        if not 1 <= d <= m:
+            raise KeyError(d)
         value = self[d] = self.build(d)
         e, scale = (d * p - 1) % m + 1, p % m
         while e != d:

@@ -168,6 +168,17 @@ def verdict(tf, terms):
     return max(per_direction.values()), witness, per_direction
 
 
+def witness(tf, terms):
+    """verdict's witness, or None, from a scan of the directions by
+    ascending code that stops at the first failing one."""
+    gt = value_table(tf, terms)
+    for a_code in range(1, tf.q):
+        hist = fibers(_summed_derivative(tf, gt, tf.from_code(a_code)))
+        if max(hist.values()) > tf.p:
+            return a_code, min(tf.to_code(v) for v, c in hist.items() if c > tf.p)
+    return None
+
+
 def line_min_code(tf, a_code):
     """Smallest code on the line F_p*a, found by scalar multiplication."""
     a = tf.from_code(a_code)

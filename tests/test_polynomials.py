@@ -63,6 +63,21 @@ def test_term_normalization():
         SparsePoly(ctx, [(9, g)])
 
 
+def test_add():
+    ctx = make_field(3, 2)
+    g = ctx.primitive_element
+    f = SparsePoly(ctx, [(1, g), (5, ctx.one)])
+    # shared exponents merge, and the others are kept in exponent order
+    assert (f + SparsePoly(ctx, [(5, g), (7, g)])).terms == ((1, g), (5, ctx.one + g), (7, g))
+    # terms that cancel are dropped, down to the zero polynomial
+    assert (f + SparsePoly(ctx, [(5, -ctx.one)])).terms == ((1, g),)
+    assert (f + SparsePoly(ctx, [(1, -g), (5, -ctx.one)])).is_zero()
+    with pytest.raises(ValueError):
+        f + SparsePoly.monomial(make_field(3, 3), 5)
+    with pytest.raises(TypeError):
+        f + 1
+
+
 def test_evaluate():
     ctx = make_field(5, 2)
     g = ctx.primitive_element
@@ -96,8 +111,8 @@ def test_derivative_matches_direct_summation():
         for _ in range(6):
             cases.append((_random_poly(ctx, rng), ctx.from_code(rng.randrange(1, ctx.q))))
     # every direction on GF(27); the last function has 11 terms, 10 of them
-    # with digit sum >= p-1, so the kernel sums their log-order tables in
-    # several groups and gathers the line from the result
+    # with digit sum >= p-1, so each line's packed sum is reduced and
+    # repacked after every p-1 further terms
     ctx = make_field(3, 3)
     rng = random.Random(27)
     many = SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, 27)))
@@ -335,7 +350,8 @@ def test_verdict_matches_oracle_seeded_binomials(p, n, count):
 def test_verdict_matches_oracle_many_surviving_terms(p, n):
     # p+1 to 3p terms whose derivative does not vanish, more than one packed
     # sum can hold: random ones, and GAPN ones (the gold monomial plus terms of
-    # digit sum p-1, whose derivatives are constants); both gather every line
+    # digit sum p-1, whose derivatives are constants); each line's sum is
+    # reduced and repacked after every p-1 further terms
     ctx = make_field(p, n)
     rng = random.Random(1000 * p + n)
     surviving = _surviving_exponents(ctx)
@@ -353,8 +369,7 @@ def test_verdict_matches_oracle_many_surviving_terms(p, n):
         g = SparsePoly(ctx, [(2 * p - 1, coeff())] + [(e, coeff()) for e in rng.sample(constant, k)])
         assert len(g.terms) > p
         _assert_verdict_matches_oracle(g)
-    # p//2+1 to p such terms: a full scan gathers the lines from f's
-    # log-order table, a fail-fast scan sums the scaled blocks
+    # p//2+1 to p such terms: one packed sum per line, with no repacking
     for _ in range(4):
         k = rng.randint(p // 2 + 1, p)
         _assert_verdict_matches_oracle(SparsePoly(ctx, [(e, coeff()) for e in rng.sample(surviving, k)]))
@@ -362,6 +377,33 @@ def test_verdict_matches_oracle_many_surviving_terms(p, n):
         g = SparsePoly(ctx, [(2 * p - 1, coeff())] + [(e, coeff()) for e in rng.sample(constant, k)])
         assert p // 2 < len(g.terms) <= p
         _assert_verdict_matches_oracle(g)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 5), (11, 2), (13, 2)])
+def test_regrouped_sum_matches_oracle_on_every_unpack_layout(p, n):
+    # p+1, 2p and 3p surviving terms, and a GAPN function of more than p
+    # (the gold monomial plus terms of digit sum p-1), so each line's sum is
+    # reduced and repacked after every p-1 further terms; GF(25) unpacks
+    # with one chunk table, GF(3^5) with two, GF(11^2) and GF(13^2) digit
+    # by digit with % p
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    rng = random.Random(1900 + 10 * p + n)
+    surviving = _surviving_exponents(ctx)
+    constant = _surviving_exponents(ctx, digit_sum_is=p - 1)
+
+    def coeff():
+        return ctx.from_code(rng.randrange(1, ctx.q))
+
+    functions = [SparsePoly(ctx, [(e, coeff()) for e in rng.sample(surviving, k)]) for k in (p + 1, 2 * p, 3 * p)]
+    gold = SparsePoly(ctx, [(2 * p - 1, coeff())] + [(e, coeff()) for e in constant[:3 * p - 1]])
+    for f in functions + [gold]:
+        assert len(f.terms) > p
+        want = oracle.witness(tf, oracle.poly_terms(f))
+        for fail_fast in (False, True):
+            v = is_gapn(f, fail_fast=fail_fast)
+            assert v.is_gapn == (want is None) == (f is gold)
+            assert v.witness == (None if want is None else tuple(map(ctx.from_code, want)))
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
@@ -597,7 +639,7 @@ def test_unpack_matches_digitwise_reduction(p, n, layout):
     assert kern.unpack(sums) == [reduce_digits(s) for s in sums]
 
 
-_TABLES = ("pack", "degree", "packed_at", "logz", "by_log")
+_TABLES = ("pack", "degree", "packed_at", "logz")
 
 
 def _built_tables(ctx):
@@ -613,7 +655,8 @@ def _pack_digitwise(p, n, code):
 
 def test_single_term_check_builds_no_kernel_table():
     # X^421 plus terms of digit sum below p-1, which the derivative kills: the
-    # block table and the line read antilog, and no O(q) table is built
+    # block table and the line read antilog, and no O(q) table is built; nor
+    # by the derivative of a monomial
     p = 211
     ctx = make_field(p, 2, modulus=[2, 4, 1])
     rng = random.Random(211)
@@ -623,6 +666,8 @@ def test_single_term_check_builds_no_kernel_table():
     for fail_fast in (False, True):
         v = is_gapn(SparsePoly(ctx, [(421, ctx.one)] + low), fail_fast=fail_fast)
         assert (v.is_gapn, v.worst_fiber, v.witness) == (True, p, None)
+    dm = derivative(SparsePoly.monomial(ctx, 421), ctx.primitive_element)
+    assert sorted(set(dm.fiber_histogram.values())) == [p]
     assert _built_tables(ctx) == []
 
 
@@ -631,7 +676,7 @@ def _two_term_check(ctx):
 
 
 def _derivative(ctx):
-    derivative(SparsePoly.monomial(ctx, 2 * ctx.p - 1), ctx.primitive_element)
+    derivative(SparsePoly(ctx, [(2 * ctx.p - 1, ctx.one), (ctx.q - 2, ctx.one)]), ctx.primitive_element)
 
 
 def _search(ctx):
@@ -663,8 +708,6 @@ def test_kernel_tables_match_independent_construction(p, n):
     codes = [tf.to_code(x) for x in powers]
     assert kern.packed_at == [_pack_digitwise(p, n, c) for c in codes] * 2 + [0] * m
     want_logz = [2 * m] + [None] * m
-    want_by_log = ["zero"] + [None] * m
     for k, c in enumerate(codes):
-        want_logz[c] = want_by_log[c] = k
+        want_logz[c] = k
     assert kern.logz == want_logz
-    assert list(kern.by_log(list(range(m)) + ["zero"])) == want_by_log

@@ -121,10 +121,10 @@ def test_run_is_deterministic():
 
 # (p, n, shape, canonicalize, options): whole spaces, except that the GF(9)
 # digitsum-reduced space with min_digit_sum=2 has 9^6 = 531,441 candidates and
-# is cut by a hit limit after its 4- and 5-term candidates, which take the
-# kernel's gather path; the binomial and trinomial limits stop inside a
-# block of coefficient choices; the monomial spaces build one block table
-# per Frobenius orbit
+# is cut by a hit limit after its 4- and 5-term candidates, whose reference
+# scans reduce and repack each line's packed sum; the binomial and
+# trinomial limits stop inside a block of coefficient choices; the monomial
+# spaces build one block table per Frobenius orbit
 _REFERENCE_JOBS = {
     "gf9-binomial": (3, 2, "binomial", True, {}),
     "gf9-binomial-raw": (3, 2, "binomial", False, {}),
@@ -176,7 +176,7 @@ def test_search_matches_direct_loop(monkeypatch, case):
                 break
     assert [(h.ordinal, h.function, h.degree) for h in hits] == want
     assert (summary.examined, summary.checked) == (ordinal + 1, checked)
-    assert most > p or "min_digit_sum" not in options  # the reference took the gather path
+    assert most > p or "min_digit_sum" not in options  # the reference summed more than p terms
     assert not scans  # no shape scans a candidate's lines
     if shape == "monomial":
         # one block table per Frobenius orbit met with a nonzero M_d, read
@@ -468,6 +468,19 @@ def test_pair_differences_build_one_table_per_orbit(monkeypatch):
     assert len(built) == len(set(built)) == 49
     assert all(d == max(_orbit(ctx, d)) for d in built)
     assert len({min(_orbit(ctx, d)) for d in range(1, ctx.q)}) == 50
+
+
+@pytest.mark.parametrize("d", [0, -1, 9])
+def test_orbit_tables_reject_exponents_outside_units(d):
+    # the orbit walk sends 0 to q-1 and keeps q-1 fixed, so reading 0 would
+    # never return; every exponent outside 1..q-1 raises instead
+    ctx = make_field(3, 2)
+    diffs = pair_differences(ctx)
+    for table in (diffs, zero_masks(ctx, diffs)):
+        with pytest.raises(KeyError):
+            table[d]
+    with pytest.raises(KeyError):
+        tuple_hits(ctx, 1)((d,))
 
 
 @pytest.mark.parametrize("degrees, limit", [(None, 1), (frozenset({9}), 50)])
