@@ -9,19 +9,21 @@ Every hit is GAPN, so a hit carries no verdict; its worst fiber is p by
 definition.
 
 Monomials, binomials and trinomials (k = 1, 2, 3 terms) are decided a
-whole exponent tuple at a time (gapn.secant).  D_1 of X^d1 + v*X^d2 + w*X^d3 is p-to-1 exactly when the
-block values of M_d1 + v*M_d2 + w*M_d3 are distinct, M_d = D_1 X^d on the
-q/p blocks.  So each block pair forbids the (v, w) on one line, and a
-candidate is a hit exactly when the orbit of its coefficients under
-direction scaling, (v*a^(d2-d1), w*a^(d3-d1)), meets no forbidden point;
-a monomial X^d is a hit exactly when M_d's block values are distinct,
-decided once per Frobenius orbit of d.  The hits' ordinals are the
-tuple's rank times the block size plus their coefficient offsets.  A raw
-space reuses the canonical hits, since c*f is GAPN exactly when f is.
+whole exponent tuple at a time (gapn.secant).  D_1 of
+X^d1 + v*X^d2 + w*X^d3 is p-to-1 exactly when the block values of
+M_d1 + v*M_d2 + w*M_d3 are distinct, M_d = D_1 X^d on the q/p blocks.  So
+each block pair forbids the (v, w) on one line, and a candidate is a hit
+exactly when the orbit of its coefficients under direction scaling,
+(v*a^(d2-d1), w*a^(d3-d1)), meets no forbidden point; a monomial X^d is a
+hit exactly when M_d's block values are distinct, decided once per
+Frobenius orbit of d.
 
 A digitsum-reduced sum of c_e*X^e is GAPN exactly when no unit a and block
 pair i < j make sum of c_e*a^e*(M_e[i] - M_e[j]) zero, so each choice of all
 but the last c_e forbids at most one last c_e per (a, i, j), or all of them.
+
+Both searches yield blocks of consecutive candidates with their hits'
+offsets; run_search alone cuts at the limit, counts and builds the hits.
 The registry's claims take no arguments and run serially, their searches
 included.
 """
@@ -30,11 +32,9 @@ import gc
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from itertools import chain, combinations, compress, product, repeat
-from operator import add
+from itertools import chain, combinations, compress, product
 
 from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
@@ -168,40 +168,39 @@ def enumerate_candidates(job: SearchJob):
 
 
 def _digitsum_search(job: SearchJob):
-    """(examined, checked, hits) of a digitsum-reduced job (gapn.secant)."""
+    """The blocks (run_search) of a digitsum-reduced job, two per choice
+    prefix of all but the last slot: that slot zero (none for the zero
+    function), then present."""
     ctx, slots = job.field, _digitsum_slots(job)
     if not slots:
-        return 1, 0, []
-    q, flt, limit = ctx.q, job.degree_filter, job.limit
-    degrees = [digit_sum(ctx.p, e) for e in slots]
-    checked, hits = 0, []
+        return
+    q, flt, degrees = ctx.q, job.degree_filter, [digit_sum(ctx.p, e) for e in slots]
+    units = [FieldElem(ctx, j) for j in range(q - 1)]
     for rank, (prefix, found) in enumerate(digitsum_hits(ctx, slots)):
-        # the degrees with the last slot zero (-1 for the zero function) and present
         head = max(compress(degrees, prefix), default=-1)
         full = max(head, degrees[-1])
-        zero_ok, full_ok = [d >= 0 and (flt is None or d in flt) for d in (head, full)]
-        for x in found:
-            if full_ok if x else zero_ok:
-                terms = [(e, FieldElem(ctx, c - 1)) for e, c in zip(slots, (*prefix, x)) if c]
-                hits.append(SearchHit(rank * q + x, SparsePoly._from_sorted_terms(ctx, tuple(terms)),
-                                      full if x else head))
-                if len(hits) == limit:
-                    return rank * q + x + 1, checked + zero_ok + x * full_ok, hits
-        checked += zero_ok + (q - 1) * full_ok
-    return q ** len(slots), checked, hits
+        zero_in, full_in = head >= 0 and (flt is None or head in flt), flt is None or full in flt
+        zero = rest = zterms = rterms = ()  # the hits' offsets and terms in the two blocks
+        if found:
+            z = found[0] == 0  # the zero last coefficient is a hit
+            zero, rest = found[:z], [x - 1 for x in found[z:]]
+            if zero_in and zero or full_in and rest:  # build terms only for hits a block keeps
+                lead = tuple([(e, units[c - 1]) for e, c in zip(slots, prefix) if c])
+                zterms, rterms = [lead] * z, [(*lead, (slots[-1], units[j])) for j in rest]
+        if zero_in:
+            yield rank * q, 1, head, zero, zterms
+        if full_in:
+            yield rank * q + 1, q - 1, full, rest, rterms
 
 
 def _secant_search(job: SearchJob):
-    """(examined, checked, hits) for a monomial, binomial or trinomial
-    job, equal to what scanning each candidate on the line kernel gives.
-    The hits of each exponent tuple are decided together (gapn.secant); a
-    hit's ordinal is the tuple's rank times the block size plus its
-    coefficient offset.  c*f is GAPN exactly when f is, so a raw space's
-    hits with lead log j1 are the canonical hits with j1 added to every
-    coefficient log."""
-    ctx = job.field
+    """The blocks (run_search) of a monomial, binomial or trinomial job:
+    one per exponent tuple and lead log j1, or one for a tuple without
+    hits.  c*f is GAPN exactly when f is, so a raw space's hits with lead
+    log j1 are the canonical ones with j1 added to every coefficient log."""
+    ctx, flt = job.field, job.degree_filter
     kern = _kernel(ctx).with_tables()
-    m = kern.m
+    m, degree_of = kern.m, kern.degree
     k, leads = _tuple_shape(job)
     hits_of = tuple_hits(ctx, k)
     width = m ** (k - 1)
@@ -212,17 +211,13 @@ def _secant_search(job: SearchJob):
     def row(d):  # the term (d, g^j) for each coefficient log j
         return [(d, u) for u in units]
 
-    poly = partial(SparsePoly._from_sorted_terms, ctx)
-    degree_of, flt, limit = kern.degree, job.degree_filter, job.limit
-    checked = 0
-    hits = []
     for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
         degree = max(map(degree_of.__getitem__, exps))
         if flt is not None and degree not in flt:
             continue
         found = hits_of(exps)
         if not found:
-            checked += block
+            yield rank * block, block, degree, (), ()
             continue
         rest = [row(d) for d in exps[1:]]
         for j1 in leads:
@@ -233,8 +228,6 @@ def _secant_search(job: SearchJob):
                 offsets = sorted((o + j1) % m for o in found)
             else:
                 offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
-            if limit is not None:
-                offsets = offsets[:limit - len(hits)]
             lead = (exps[0], units[j1])
             if k == 1:
                 terms = [(lead,)] * len(offsets)
@@ -242,14 +235,7 @@ def _secant_search(job: SearchJob):
                 terms = [(lead, rest[0][o]) for o in offsets]
             else:
                 terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
-            at = j1 * width
-            hits.extend(map(SearchHit, map(add, offsets, repeat(rank * block + at)),
-                            map(poly, terms), repeat(degree)))
-            if len(hits) == limit:
-                last = at + offsets[-1]
-                return rank * block + last + 1, checked + last + 1, hits
-        checked += block
-    return candidate_count(job), checked, hits
+            yield rank * block + j1 * width, width, degree, offsets, terms
 
 
 def run_search(
@@ -260,11 +246,11 @@ def run_search(
 ) -> tuple[list[SearchHit], SearchSummary]:
     """Run the job and return (hits, summary); refuses jobs over budget.
 
-    Every job runs serially in this process: monomials, binomials and
-    trinomials are decided per exponent tuple (monomials once per
-    Frobenius orbit) and digitsum-reduced functions per choice of all but
-    the last coefficient (see the module docstring).
-    threads is accepted for compatibility and ignored."""
+    Every job runs serially in this process, as one loop over its blocks
+    (start, size, degree, offsets, terms): size candidates from ordinal
+    start on, of one degree that passes the filter, with hits at start +
+    offsets.  Only this loop cuts at the limit, counts examined, checked
+    and hits_by_degree, and builds hits; threads is ignored."""
     total = candidate_count(job)
     if total > budget:
         raise ValueError(
@@ -272,16 +258,29 @@ def run_search(
             "raise the budget explicitly to run it"
         )
     t0 = time.perf_counter()
+    poly = partial(SparsePoly._from_sorted_terms, job.field)
+    room = job.limit or total + 1  # the hits still allowed: with no limit, more than all candidates
+    examined, checked, hits, by_degree = total, 0, [], {}
     # the hits hold no reference cycles: pause the collector, restored as the caller left it
     collect = gc.isenabled()
     gc.disable()
     try:
         search = _digitsum_search if job.shape == "digitsum-reduced" else _secant_search
-        examined, checked, hits = search(job)
+        for start, size, degree, offsets, terms in search(job):
+            if offsets:
+                if len(offsets) >= room:  # the last hit allowed: stop after it
+                    offsets, terms, size = offsets[:room], terms[:room], offsets[room - 1] + 1
+                    examined = start + size
+                room -= len(offsets)
+                by_degree[degree] = by_degree.get(degree, 0) + len(offsets)
+                for o, t in zip(offsets, terms):
+                    hits.append(SearchHit(start + o, poly(t), degree))
+            checked += size
+            if not room:
+                break
     finally:
         if collect:
             gc.enable()
-    by_degree = dict(Counter(h.degree for h in hits))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)
 

@@ -117,6 +117,11 @@ def test_odd_part_and_mersenne():
     assert odd_part(14) == 7
     assert odd_part(12) == 3
     assert odd_part(8) == 1
+    for m in range(1, 4097):
+        halved = m
+        while halved % 2 == 0:
+            halved //= 2
+        assert odd_part(m) == halved, m
     assert is_mersenne(7)
     assert is_mersenne(31)
     assert is_mersenne(3)

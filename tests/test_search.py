@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing.process
 import random
+from collections import Counter
 from itertools import combinations, islice
 
 import pytest
@@ -176,6 +177,7 @@ def test_search_matches_direct_loop(monkeypatch, case):
                 break
     assert [(h.ordinal, h.function, h.degree) for h in hits] == want
     assert (summary.examined, summary.checked) == (ordinal + 1, checked)
+    assert summary.hits_by_degree == Counter(h.degree for h in hits)
     assert most > p or "min_digit_sum" not in options  # the reference summed more than p terms
     assert not scans  # no shape scans a candidate's lines
     if shape == "monomial":
@@ -499,9 +501,10 @@ def test_limited_search_builds_only_what_it_reads(monkeypatch, degrees, limit):
 
 
 @pytest.mark.parametrize("collecting", [True, False])
-@pytest.mark.parametrize("shape, limit", [("binomial", None), ("binomial", 3), ("trinomial", None)])
+@pytest.mark.parametrize("shape, limit", [("binomial", None), ("binomial", 3), ("trinomial", None),
+                                          ("monomial", None), ("digitsum-reduced", 3)])
 def test_secant_search_restores_gc_state(collecting, shape, limit):
-    # the secant search pauses the cyclic collector while it builds hits and
+    # every search pauses the cyclic collector while it builds hits and
     # must leave it as the caller had it, on the early limit return as well
     job = SearchJob(make_field(3, 2), shape, limit=limit)
     was = gc.isenabled()
