@@ -145,7 +145,8 @@ class SparsePoly:
     def restrict_min_digit_sum(self, min_sum: int) -> "SparsePoly":
         """Copy keeping only terms whose exponent has digit sum >= min_sum."""
         p = self.field.p
-        return SparsePoly(self.field, [(e, c) for e, c in self.terms if digit_sum(p, e) >= min_sum])
+        return SparsePoly._from_sorted_terms(
+            self.field, tuple((e, c) for e, c in self.terms if digit_sum(p, e) >= min_sum))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):

@@ -40,10 +40,8 @@ from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
     SparsePoly,
     _kernel,
-    derivative,
     digit_sum,
     is_gapn,
-    is_p_to_one,
     verify_power_identity,
 )
 from .secant import digitsum_hits, tuple_hits
@@ -453,12 +451,14 @@ def _claim_p7_binomial_even_gaps():
 
 
 def _random_poly(ctx: FieldCtx, rng: random.Random) -> SparsePoly:
+    # exponents ascend and zero codes are skipped, so the terms are canonical
+    log = ctx.log
     terms = []
     for e in range(ctx.q):
         code = rng.randrange(ctx.q)
         if code:
-            terms.append((e, ctx.from_code(code)))
-    return SparsePoly(ctx, terms)
+            terms.append((e, FieldElem(ctx, log[code])))
+    return SparsePoly._from_sorted_terms(ctx, tuple(terms))
 
 
 def _claim_p3_no_even_degree():
@@ -532,21 +532,32 @@ def _claim_power_identity():
     return ok, details
 
 
-def _condition_matches_brute_force(ctx, c1, c2, a) -> bool:
-    zero = ctx.zero
-    p = ctx.p
-    pred = p_to_one_condition(ctx, 1, [c1, c2] + [zero] * (p - 3), a)
-    f = SparsePoly(ctx, [(2 * p - 1, c1), (3 * p - 2, c2)])
-    actual, _ = is_p_to_one(derivative(f, a))
-    return pred == actual
+def _ratio_fibers(ctx: FieldCtx) -> list[list[int]]:
+    """fibers[u][k]: the max fiber of the derivative of
+    X^(2p-1) + g^u*X^(3p-2) at direction g^k, one full is_gapn per u."""
+    p, m = ctx.p, ctx.q - 1
+    fibers = []
+    for u in range(m):
+        f = SparsePoly(ctx, [(2 * p - 1, ctx.one), (3 * p - 2, FieldElem(ctx, u))])
+        row = [0] * m
+        for a, fiber in is_gapn(f).per_direction:
+            row[a.idx] = fiber
+        fibers.append(row)
+    return fibers
 
 
 def _claim_condition_equivalence():
-    # p=5: one full scan per function gives every direction's max fiber.  The
-    # condition reads a only through a^(p-1), which a.idx mod p+1 fixes, so
-    # it is evaluated once per class and compared at every direction
+    # D_a is GF(q)-linear, so D_a(c1*X^d1 + c2*X^d2) = c1*D_a(X^d1 + (c2/c1)*X^d2)
+    # (d1 = 2p-1, d2 = 3p-2), and y -> c1*y is a bijection on the values:
+    # every (c1, c2) with the same ratio c2/c1 = g^u has the fibers of
+    # X^d1 + g^u*X^d2 at every direction.  So one full check per ratio gives
+    # the brute-force side of every triple.
+    # p=5: the condition reads a only through a^(p-1), which a.idx mod p+1
+    # fixes, so it is evaluated once per class; repeated p-1 times, the
+    # classes line up with the q-1 = (p+1)(p-1) directions by a.idx
     ctx5 = _field(5)
-    p = ctx5.p
+    p, m = ctx5.p, ctx5.q - 1
+    fibers5 = _ratio_fibers(ctx5)
     exhaustive = 0
     ok = True
     units5 = list(ctx5.units())
@@ -554,17 +565,20 @@ def _claim_condition_equivalence():
         for c2 in units5:
             coeffs = [c1, c2, ctx5.zero, ctx5.zero]
             preds = [p_to_one_condition(ctx5, 1, coeffs, a) for a in units5[:p + 1]]
-            for a, fiber in is_gapn(SparsePoly(ctx5, [(9, c1), (13, c2)])).per_direction:
-                ok = ok and preds[a.idx % (p + 1)] == (fiber == p)
-                exhaustive += 1
+            row = fibers5[(c2.idx - c1.idx) % m]
+            ok = ok and [fiber == p for fiber in row] == preds * (p - 1)
+            exhaustive += len(row)
     ctx7 = _field(7)
+    zeros7 = [ctx7.zero] * 4
+    fibers7 = _ratio_fibers(ctx7)
     rng = random.Random(0x51E7)
     sampled = 2000
     for _ in range(sampled):
         c1 = FieldElem(ctx7, rng.randrange(48))
         c2 = FieldElem(ctx7, rng.randrange(48))
         a = FieldElem(ctx7, rng.randrange(48))
-        ok = ok and _condition_matches_brute_force(ctx7, c1, c2, a)
+        pred = p_to_one_condition(ctx7, 1, [c1, c2] + zeros7, a)
+        ok = ok and pred == (fibers7[(c2.idx - c1.idx) % 48][a.idx] == 7)
     details = {"exhaustive_triples": exhaustive, "sampled_triples": sampled}
     return ok, details
 

@@ -1,6 +1,7 @@
 """Deterministic enumeration, search execution and the claim registry."""
 
 import gc
+import hashlib
 import json
 import math
 import multiprocessing.process
@@ -572,6 +573,22 @@ def test_digitsum_reduction_soundness_sample():
         assert is_gapn(f, fail_fast=True).is_gapn == is_gapn(high, fail_fast=True).is_gapn
 
 
+@pytest.mark.parametrize("p, min_sum", [(3, 3), (5, 6)])
+def test_random_poly_and_restriction_are_canonical(p, min_sum):
+    # the p3-no-even-degree claim builds both without validation; they equal
+    # (== and hash) the validated SparsePoly of the same draws
+    ctx = make_field(p, 2)
+    rng, again = random.Random(0x6A93), random.Random(0x6A93)
+    for _ in range(50):
+        f = search._random_poly(ctx, rng)
+        codes = [again.randrange(ctx.q) for _ in range(ctx.q)]
+        want = SparsePoly(ctx, [(e, ctx.from_code(code)) for e, code in enumerate(codes)])
+        want_high = SparsePoly(ctx, [(e, c) for e, c in want.terms if digit_sum(p, e) >= min_sum])
+        for got, validated in ((f, want), (f.restrict_min_digit_sum(min_sum), want_high)):
+            assert got == validated and hash(got) == hash(validated)
+            assert type(got.terms) is tuple
+
+
 def test_hit_and_summary_json_shapes():
     f9 = make_field(3, 2)
     hits, summary = run_search(SearchJob(f9, "monomial"), claim="demo")
@@ -653,6 +670,57 @@ def test_reproduce_never_starts_a_pool(monkeypatch, capsys):
     assert _reproduce_all_json(capsys, "10000") == serial
 
 
+# claim id -> first 16 hex digits of the sha256 of its details as compact
+# JSON with sorted keys, in registry order
+CLAIM_DETAIL_DIGESTS = {
+    "gold-monomials": "d5edb229925f5106",
+    "inverse-monomials": "6a5f0263bc95aeca",
+    "monomial-criteria-soundness": "d8cfa3471dbce4a9",
+    "odd-binomial-degrees": "7154e32140d93612",
+    "even-binomial-degrees": "10ef10a82495d5ff",
+    "p7-trinomial-even-degrees": "bd57afdbf4406870",
+    "p7-binomial-even-gaps": "fd9f6e39f8595dbd",
+    "p3-no-even-degree": "75dc4fc90d257c4d",
+    "p7-binomial-beyond-criteria": "b6b8012c19655863",
+    "p11-mixed-binomial": "3dd47af1ec9e2b7b",
+    "derivative-power-identity": "08b65415b79e91e0",
+    "derivative-condition-equivalence": "d35382bb27e9b387",
+    "p11-monomial-deg15-none": "cbf41e80381c2a0c",
+    "conjugate-premise-obstruction": "a91de8d18ca77881",
+}
+
+
+def test_claim_details_are_pinned(capsys):
+    reports = _reproduce_all_json(capsys, "1")
+    assert all(r["passed"] for r in reports)
+    digests = {r["claim"]: hashlib.sha256(json.dumps(r["details"], sort_keys=True, separators=(",", ":"))
+                                          .encode()).hexdigest()[:16] for r in reports}
+    assert list(digests.items()) == list(CLAIM_DETAIL_DIGESTS.items())
+
+
+def test_ratio_fibers_match_oracle():
+    # c1*X^d1 + c2*X^d2 has the fibers of X^d1 + g^u*X^d2, u = log c2 - log c1.
+    # GF(25): every (c1, c2) with a = c2, which meets every (u, a) once
+    ctx = make_field(5, 2)
+    tf = oracle.tuple_field_of(ctx)
+    fibers = search._ratio_fibers(ctx)
+    units = list(ctx.units())
+    for c1 in units:
+        for c2 in units:
+            terms = [(9, tuple(c1.vector())), (13, tuple(c2.vector()))]
+            values = oracle.derivative_table(tf, terms, tf.from_code(c2.code))
+            assert max(oracle.fibers(values).values()) == fibers[(c2.idx - c1.idx) % 24][c2.idx], (c1, c2)
+    ctx = make_field(7, 2)
+    tf = oracle.tuple_field_of(ctx)
+    fibers = search._ratio_fibers(ctx)
+    rng = random.Random(49)
+    for _ in range(64):
+        c1, c2, a = (FieldElem(ctx, rng.randrange(48)) for _ in range(3))
+        terms = [(13, tuple(c1.vector())), (19, tuple(c2.vector()))]
+        values = oracle.derivative_table(tf, terms, tf.from_code(a.code))
+        assert max(oracle.fibers(values).values()) == fibers[(c2.idx - c1.idx) % 48][a.idx], (c1, c2, a)
+
+
 def test_condition_claim_checks_every_direction(monkeypatch):
     # the closed form reads a only through a^(p-1), so the claim evaluates it
     # once per class of a.idx mod p+1 (one F_5-line); a wrong closed form on
@@ -661,6 +729,13 @@ def test_condition_claim_checks_every_direction(monkeypatch):
     ctx = make_field(5, 2)
     g, two = ctx.primitive_element, ctx.scalar(2)
     real_condition, real_is_gapn = search.p_to_one_condition, search.is_gapn
+
+    # p=7: the first sampled triple (c1, c2, a); a wrong closed form on a's
+    # class for (c1, c2), or a wrong fiber of the ratio c2/c1 at a alone, is caught
+    ctx7 = make_field(7, 2)
+    rng = random.Random(0x51E7)
+    c1, c2, a7 = (FieldElem(ctx7, rng.randrange(48)) for _ in range(3))
+    ratio = FieldElem(ctx7, (c2.idx - c1.idx) % 48)
 
     def flipped_condition(fctx, s, coeffs, a):
         answer = real_condition(fctx, s, coeffs, a)
@@ -675,8 +750,22 @@ def test_condition_claim_checks_every_direction(monkeypatch):
             v = GapnVerdict(v.is_gapn, v.worst_fiber, v.witness, per)
         return v
 
+    def flipped_condition7(fctx, s, coeffs, a):
+        answer = real_condition(fctx, s, coeffs, a)
+        if fctx.p == 7 and (coeffs[0], coeffs[1]) == (c1, c2) and a.idx % 8 == a7.idx % 8:
+            return not answer
+        return answer
+
+    def flipped_fiber7(f, fail_fast=False):
+        v = real_is_gapn(f, fail_fast)
+        if f.field.p == 7 and f.terms == ((13, ctx7.one), (19, ratio)):
+            per = [(a, (14 if fiber == 7 else 7) if a == a7 else fiber) for a, fiber in v.per_direction]
+            v = GapnVerdict(v.is_gapn, v.worst_fiber, v.witness, per)
+        return v
+
     assert reproduce("derivative-condition-equivalence").passed
-    for name, mutant in (("p_to_one_condition", flipped_condition), ("is_gapn", flipped_fiber)):
+    for name, mutant in (("p_to_one_condition", flipped_condition), ("is_gapn", flipped_fiber),
+                         ("p_to_one_condition", flipped_condition7), ("is_gapn", flipped_fiber7)):
         with monkeypatch.context() as patch:
             patch.setattr(search, name, mutant)
-            assert reproduce("derivative-condition-equivalence").passed is False, name
+            assert reproduce("derivative-condition-equivalence").passed is False, mutant.__name__
