@@ -9,6 +9,7 @@ field size.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -195,6 +196,9 @@ def cmd_reproduce(args) -> int:
 _THREADS_HELP = "0 or more; accepted for compatibility, every search and claim runs in this process"
 
 
+# built on the first main() call, not at import, and reused by every later
+# one: parsing leaves the parser unchanged and every default is immutable
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapn",

@@ -15,8 +15,11 @@ single modular multiply; addition drops down to coefficient vectors.
 
 The tables come from one walk: multiplying by x is F_p-linear, so the
 table of x*v over all q codes is built from whole-list operations (p
-blocks, each a few list comprehensions over rotated digit columns), and
-antilog is the walk 1, x, x^2, ... through it.
+blocks, each one list comprehension per digit over a rotated digit
+column, digit 1 of x*v varying fastest), and antilog is the walk 1, x,
+x^2, ... through it.  The walk certifies itself: x has order q-1 when it
+is back at 1 after q-1 steps but not after (q-1)/r steps for any prime
+r | q-1, which antilog records.
 """
 
 import math
@@ -266,11 +269,15 @@ def _build_tables(p: int, n: int, lower: list[int]):
 
     Multiplying by x is F_p-linear: for v = low + t*p^(n-1), x*v has digit 0
     equal to t*(-c_0) and digit i equal to low_(i-1) + t*(-c_i), so the
-    times-x table over all q codes is p blocks, each built digit by digit
-    with one list comprehension per digit.
-    antilog is the walk 1, x, x^2, ... through that table; x has order q-1
-    exactly when the walk meets neither 0 nor a repeated code in q-1 steps
-    and then returns to 1."""
+    times-x table over all q codes is p blocks.  Block t adds digits 1 to
+    n-1 to digit 0, one list comprehension per digit over its rotated
+    column: digit 1 (low_0) varies fastest, so it is a single loop over the
+    column, and each higher digit takes the outer loop, leaving the long
+    inner loop to the block built so far.
+    antilog is the walk 1, x, x^2, ... through that table.  A walk that
+    ends at 1 makes x a unit with x^(q-1) = 1; x then has order q-1 exactly
+    when x^((q-1)/r) = antilog[(q-1)/r] != 1 for every prime r | q-1, and
+    then the q-1 walked codes are distinct and nonzero."""
     q = p ** n
     mneg = [(-c) % p for c in lower]
     # base[i][d] = d*p^i; rotating it by s gives digit i = (d + s) % p
@@ -278,10 +285,13 @@ def _build_tables(p: int, n: int, lower: list[int]):
     times_x = []
     for t in range(p):
         # block t: the codes of x*v for v = low + t*p^(n-1), low ascending
-        block = [t * mneg[0] % p]
+        d0 = t * mneg[0] % p
+        block = [d0]
         for i in range(1, n):
             s = t * mneg[i] % p
-            block = [x + c for c in base[i][s:] + base[i][:s] for x in block]
+            col = base[i][s:] + base[i][:s]
+            # digit i varies slower than the digits below it
+            block = [d0 + c for c in col] if i == 1 else [x + c for c in col for x in block]
         times_x += block
     antilog = [0] * (q - 1)
     log = [_ZERO_IDX] * q
@@ -290,9 +300,7 @@ def _build_tables(p: int, n: int, lower: list[int]):
         antilog[k] = v
         log[v] = k
         v = times_x[v]
-    # x*0 = 0, so ending at 1 means the walk never met 0; then its q-1
-    # writes cover the q-1 nonzero codes exactly when no code repeats
-    if v != 1 or log.count(_ZERO_IDX) != 1:
+    if v != 1 or any(antilog[(q - 1) // r] == 1 for r in _prime_factors(q - 1)):
         return None
     return antilog, log
 

@@ -142,6 +142,68 @@ def test_python_dash_m_exit_codes(tmp_path):
     assert run.returncode == 2
 
 
+def _json_summary(out):
+    # hit lines, then the summary line without its elapsed_ms
+    lines = out.splitlines()
+    summary = json.loads(lines.pop())
+    assert summary.pop("elapsed_ms") >= 0
+    return [json.loads(line) for line in lines], summary
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser per process: a repeatable flag, a usage error
+    # or --help in one call must leave nothing behind for the next
+    from gapn import cli
+    from gapn.search import SearchJob, run_search
+
+    assert main(["search", "-p", "3", "--shape", "monomial", "--degree", "3"]) == 0
+    _, filtered = _json_summary(capsys.readouterr().out)
+    assert (filtered["examined"], filtered["checked"]) == (8, 2)
+    assert main(["search", "-p", "3", "--shape", "monomial"]) == 0
+    hits, summary = _json_summary(capsys.readouterr().out)
+    want_hits, want = run_search(SearchJob(make_field(3, 2), "monomial"))
+    want = want.to_json()
+    want.pop("elapsed_ms")
+    assert summary == want and summary["checked"] == 8
+    assert hits == [h.to_json() for h in want_hits]
+
+    path = _function_file(tmp_path, SparsePoly.monomial(make_field(5, 2), 9))
+    assert main(["verify", path]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", path, "--format", "xml"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first) == {"is_gapn": True, "worst_fiber": 5, "witness": None}
+
+    assert main(["--help"]) == 0
+    assert "usage: gapn" in capsys.readouterr().out
+    assert main(["field-info", "-p", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == 49
+
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_parser_is_built_on_first_main_call_only():
+    # importing the package builds no parser; the first main() builds it
+    # and every later call reuses it
+    src = os.path.dirname(os.path.dirname(gapn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import gapn, gapn.cli as cli\n"
+        "assert cli._build_parser.cache_info().misses == 0\n"
+        "assert cli.main(['reproduce', '--claim', 'list']) == 0\n"
+        "assert cli.main(['no-such-command']) == 2\n"
+        "assert cli.main(['field-info', '-p', '5']) == 0\n"
+        "info = cli._build_parser.cache_info()\n"
+        "assert (info.misses, info.hits) == (1, 2), info\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_construct_even_binomial(capsys):
     assert main(["construct", "--family", "even-binomial", "-p", "5", "--h", "3"]) == 0
     out = json.loads(capsys.readouterr().out)

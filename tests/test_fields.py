@@ -162,12 +162,26 @@ def test_subgroup():
         assert -c.one in c.subgroup(p - 1)
 
 
+def _assert_oracle_walk(tf, antilog, log):
+    # antilog[k] is the code of x^k, walked by the oracle's schoolbook
+    # multiplication, and log inverts antilog
+    x = tf.from_code(tf.p) if tf.n > 1 else tf.neg(tf.modulus[:1])
+    cur = tf.one
+    for k in range(tf.q - 1):
+        assert antilog[k] == tf.to_code(cur), f"x^{k} modulo {list(tf.modulus)}"
+        cur = tf.mul(cur, x)
+    assert cur == tf.one
+    assert len(log) == tf.q and log[0] == -1
+    assert [log[c] for c in antilog] == list(range(tf.q - 1))
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
                                  (7, 2), (11, 2), (3, 5), (3, 6), (5, 4), (7, 3), (13, 2)])
 def test_order_screen_agrees_with_table_build(p, n):
     # the fast primitivity screen must accept exactly the moduli whose
     # full table construction succeeds, over every monic candidate; the
-    # constant-term prefilter must never reject a buildable modulus
+    # constant-term prefilter must never reject a buildable modulus, and
+    # every table built must be the oracle's walk of x
     from itertools import product as iproduct
 
     from gapn.fields import _build_tables, _norm_constant_terms, _order_screen, _prime_factors
@@ -176,10 +190,11 @@ def test_order_screen_agrees_with_table_build(p, n):
     norm_ok = _norm_constant_terms(p, n)
     for tail in iproduct(range(p), repeat=n):
         screened = _order_screen(p, n, list(tail), factors)
-        built = _build_tables(p, n, list(tail)) is not None
-        assert screened == built, f"disagreement at modulus {list(tail) + [1]}"
-        if built:
+        tables = _build_tables(p, n, list(tail))
+        assert screened == (tables is not None), f"disagreement at modulus {list(tail) + [1]}"
+        if tables is not None:
             assert tail[0] in norm_ok
+            _assert_oracle_walk(oracle.TupleField(p, n, list(tail) + [1]), *tables)
 
 
 # the pinned verify-wide moduli of the benchmark, then two default moduli
@@ -192,18 +207,8 @@ def test_order_screen_agrees_with_table_build(p, n):
     (5, 3, None),
 ], ids=["3^7", "5^4", "47^2", "211^2", "3^8", "5^3"])
 def test_tables_match_oracle_powers_of_x(p, n, modulus):
-    # antilog[k] is the code of x^k, walked by the oracle's schoolbook
-    # multiplication, and log inverts antilog
     ctx = make_field(p, n, modulus=modulus)
-    tf = oracle.tuple_field_of(ctx)
-    x = tf.from_code(p)
-    cur = tf.one
-    for k in range(ctx.q - 1):
-        assert ctx.antilog[k] == tf.to_code(cur), f"x^{k}"
-        cur = tf.mul(cur, x)
-    assert cur == tf.one
-    assert len(ctx.log) == ctx.q and ctx.log[0] == -1
-    assert [ctx.log[c] for c in ctx.antilog] == list(range(ctx.q - 1))
+    _assert_oracle_walk(oracle.tuple_field_of(ctx), ctx.antilog, ctx.log)
 
 
 def test_higher_extension_degree_construction():
