@@ -14,12 +14,7 @@ import json
 import os
 import sys
 
-from .constructions import (
-    build_even_binomial,
-    build_mod3_binomial,
-    build_odd_binomial,
-    build_trinomial,
-)
+from .constructions import FAMILIES
 from .fields import DEFAULT_TABLE_CAP, make_field
 from .polynomials import function_from_json, is_gapn
 from .search import (
@@ -91,25 +86,14 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     ctx = make_field(args.p, 2, table_cap=_table_cap())
-    family = args.family
-    if family == "odd-binomial":
-        if args.k is None or args.l is None:
-            raise ValueError("odd-binomial requires --k and --l")
-        recipe = build_odd_binomial(args.p, args.k, args.l, ctx=ctx)
-    elif family == "mod3-binomial":
-        if args.h is None:
-            raise ValueError("mod3-binomial requires --h")
-        recipe = build_mod3_binomial(args.p, args.h, ctx=ctx)
-    elif family == "even-binomial":
-        if args.h is None:
-            raise ValueError("even-binomial requires --h")
-        recipe = build_even_binomial(args.p, args.h, ctx=ctx)
-    else:
-        if args.h is None:
-            raise ValueError("trinomial requires --h")
-        u = ctx.element(_parse_vector(args.u)) if args.u else None
-        v = ctx.element(_parse_vector(args.v)) if args.v else None
-        recipe = build_trinomial(args.p, args.h, u=u, v=v, ctx=ctx)
+    build, required = FAMILIES[args.family]
+    options = {opt: getattr(args, opt) for opt in required}
+    if None in options.values():
+        raise ValueError(f"{args.family} requires " + " and ".join(f"--{opt}" for opt in required))
+    if args.family == "trinomial":
+        options["u"] = ctx.element(_parse_vector(args.u)) if args.u else None
+        options["v"] = ctx.element(_parse_vector(args.v)) if args.v else None
+    recipe = build(args.p, **options, ctx=ctx)
     verdict = is_gapn(recipe.result)
     out = {
         "recipe": recipe.to_json(),
@@ -218,8 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.set_defaults(func=cmd_verify)
 
     co = sub.add_parser("construct", help="build a GAPN binomial or trinomial")
-    co.add_argument("--family", required=True,
-                    choices=("odd-binomial", "mod3-binomial", "even-binomial", "trinomial"))
+    co.add_argument("--family", required=True, choices=FAMILIES)
     co.add_argument("-p", type=int, required=True)
     co.add_argument("--h", type=int, default=None)
     co.add_argument("--k", type=int, default=None)

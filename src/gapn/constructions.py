@@ -7,12 +7,16 @@ and d2 - d1; three explicit families realize every odd algebraic degree in
 u*X^(2p-1) + v*X^(3p-2) + X^(h(p+1)) close the even-degree gap for the
 remaining primes, subject to a root-freeness condition on the subgroup of
 (p-1)-th powers.
+
+Each family has one builder (the binomials share one recipe, _binomial),
+and `gapn construct` reads FAMILIES alone: each family name, its builder
+and the options the builder requires.
 """
 
 import math
 from dataclasses import dataclass
 
-from .fields import _ZERO_IDX, FieldCtx, FieldElem, make_field
+from .fields import _ZERO_IDX, FieldCtx, FieldElem, check_element, make_field
 from .polynomials import SparsePoly, derivative
 
 
@@ -20,7 +24,7 @@ from .polynomials import SparsePoly, derivative
 class ConstructionRecipe:
     """A built GAPN function together with the parameters that produced it."""
 
-    family: str  # odd-binomial | mod3-binomial | even-binomial | trinomial
+    family: str  # a key of FAMILIES
     p: int
     params: dict
     result: SparsePoly
@@ -124,6 +128,14 @@ def _quadratic_ctx(p: int, ctx: FieldCtx | None) -> FieldCtx:
     return ctx
 
 
+def _binomial(ctx: FieldCtx, family: str, d1: int, d2: int, params: dict, degree: int) -> ConstructionRecipe:
+    """The recipe of X^d1 + g*X^d2 with g the primitive element of ctx;
+    its params are the given ones followed by "u", g's vector."""
+    g = ctx.primitive_element
+    result = SparsePoly(ctx, [(d1, ctx.one), (d2, g)])
+    return ConstructionRecipe(family, ctx.p, {**params, "u": list(g.vector())}, result, degree)
+
+
 def build_odd_binomial(p: int, k: int, l: int, ctx: FieldCtx | None = None) -> ConstructionRecipe:
     """X^(2p-1) + g*X^(kp+l) with k+l odd: GAPN of degree max(p, k+l)."""
     ctx = _quadratic_ctx(p, ctx)
@@ -131,15 +143,7 @@ def build_odd_binomial(p: int, k: int, l: int, ctx: FieldCtx | None = None) -> C
         raise ValueError(f"digits k, l must lie in 0..{p - 1}")
     if (k + l) % 2 == 0:
         raise ValueError("k + l must be odd")
-    g = ctx.primitive_element
-    result = SparsePoly(ctx, [(2 * p - 1, ctx.one), (k * p + l, g)])
-    return ConstructionRecipe(
-        "odd-binomial",
-        p,
-        {"k": k, "l": l, "u": list(g.vector())},
-        result,
-        max(p, k + l),
-    )
+    return _binomial(ctx, "odd-binomial", 2 * p - 1, k * p + l, {"k": k, "l": l}, max(p, k + l))
 
 
 def build_mod3_binomial(p: int, h: int, ctx: FieldCtx | None = None) -> ConstructionRecipe:
@@ -149,15 +153,7 @@ def build_mod3_binomial(p: int, h: int, ctx: FieldCtx | None = None) -> Construc
     ctx = _quadratic_ctx(p, ctx)
     if not 1 <= h <= p - 1:
         raise ValueError(f"h must lie in 1..{p - 1}")
-    g = ctx.primitive_element
-    result = SparsePoly(ctx, [(2 * p - 1, ctx.one), (h * (p + 1), g)])
-    return ConstructionRecipe(
-        "mod3-binomial",
-        p,
-        {"h": h, "u": list(g.vector())},
-        result,
-        max(p, 2 * h),
-    )
+    return _binomial(ctx, "mod3-binomial", 2 * p - 1, h * (p + 1), {"h": h}, max(p, 2 * h))
 
 
 def build_even_binomial(p: int, h: int, ctx: FieldCtx | None = None) -> ConstructionRecipe:
@@ -176,24 +172,8 @@ def build_even_binomial(p: int, h: int, ctx: FieldCtx | None = None) -> Construc
     # the two facts the certificate rests on
     assert k1 + l1 - (p - 1) == 1
     assert (d2 - d1) % n_odd == 0
-    g = ctx.primitive_element
-    result = SparsePoly(ctx, [(d1, ctx.one), (d2, g)])
-    return ConstructionRecipe(
-        "even-binomial",
-        p,
-        {"h": h, "N": n_odd, "k1": k1, "l1": l1, "u": list(g.vector())},
-        result,
-        max(p, 2 * h),
-    )
-
-
-def _check_in(ctx: FieldCtx, x) -> None:
-    """Raise as FieldElem._check_same does unless x is an element of ctx,
-    testing ctx.key directly so that no element of ctx is built."""
-    if not isinstance(x, FieldElem):
-        raise TypeError(f"expected a field element, got {type(x).__name__}")
-    if x.ctx is not ctx and x.ctx.key != ctx.key:
-        raise ValueError("elements from different fields cannot be combined")
+    params = {"h": h, "N": n_odd, "k1": k1, "l1": l1}
+    return _binomial(ctx, "even-binomial", d1, d2, params, max(p, 2 * h))
 
 
 def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
@@ -213,7 +193,7 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
         raise ValueError(f"s must lie in 1..{p - 2}")
     if math.gcd(s, ctx.q - 1) != 1:
         raise ValueError(f"s must be coprime to {ctx.q - 1}")
-    _check_in(ctx, a)
+    check_element(ctx, a)
     if a.is_zero():
         raise ValueError("direction a must be nonzero")
     coeffs = list(coeffs)
@@ -224,7 +204,7 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
     log, antilog = ctx.log, ctx.antilog
     low = high = 0
     for i, c in enumerate(coeffs):
-        _check_in(ctx, c)
+        check_element(ctx, c)
         # C(p-1-s, i) is a unit mod p since p-1-s < p
         if c.idx != _ZERO_IDX:
             code = antilog[(log[math.comb(p - 1 - s, i) % p] + c.idx + i * step) % m]
@@ -244,8 +224,8 @@ def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:
     """
     if ctx.n != 2:
         raise ValueError("trinomial condition is specific to quadratic extensions")
-    _check_in(ctx, u)
-    _check_in(ctx, v)
+    check_element(ctx, u)
+    check_element(ctx, v)
     if u.is_zero() or v.is_zero():
         raise ValueError("u and v must be nonzero")
     p, m = ctx.p, ctx.q - 1
@@ -305,6 +285,15 @@ def build_trinomial(
         result,
         max(p, 2 * h),
     )
+
+
+# family name -> (builder, the options `gapn construct` requires, passed by name)
+FAMILIES = {
+    "odd-binomial": (build_odd_binomial, ("k", "l")),
+    "mod3-binomial": (build_mod3_binomial, ("h",)),
+    "even-binomial": (build_even_binomial, ("h",)),
+    "trinomial": (build_trinomial, ("h",)),
+}
 
 
 def derivative_conjugate_premise(f: SparsePoly, r: int) -> FieldElem | None:

@@ -31,16 +31,16 @@ _ZERO_IDX = -1
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(m) == [m]
+
+
+def check_element(ctx: "FieldCtx", x) -> None:
+    """Raise TypeError unless x is a field element, ValueError unless one of
+    ctx; compares field keys, so no element of ctx is built."""
+    if not isinstance(x, FieldElem):
+        raise TypeError(f"expected a field element, got {type(x).__name__}")
+    if x.ctx is not ctx and x.ctx.key != ctx.key:
+        raise ValueError("elements from different fields cannot be combined")
 
 
 class FieldElem:
@@ -67,18 +67,12 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.idx == _ZERO_IDX
 
-    def _check_same(self, other):
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected a field element, got {type(other).__name__}")
-        if self.ctx is not other.ctx and self.ctx.key != other.ctx.key:
-            raise ValueError("elements from different fields cannot be combined")
-
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check_same(other)
+        check_element(self.ctx, other)
         return self.ctx.from_code(self.ctx.add_code(self.code, other.code))
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check_same(other)
+        check_element(self.ctx, other)
         return self + (-other)
 
     def __neg__(self) -> "FieldElem":
@@ -88,7 +82,7 @@ class FieldElem:
         return FieldElem(self.ctx, (self.idx + m // 2) % m)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check_same(other)
+        check_element(self.ctx, other)
         if self.idx == _ZERO_IDX or other.idx == _ZERO_IDX:
             return self.ctx.zero
         return FieldElem(self.ctx, (self.idx + other.idx) % (self.ctx.q - 1))
@@ -99,7 +93,7 @@ class FieldElem:
         return FieldElem(self.ctx, (-self.idx) % (self.ctx.q - 1))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        self._check_same(other)
+        check_element(self.ctx, other)
         return self * other.inv()
 
     def __pow__(self, e: int) -> "FieldElem":
@@ -209,8 +203,6 @@ class FieldCtx:
     def add_code(self, c1: int, c2: int) -> int:
         """Field addition on element codes (digit-wise mod p)."""
         p = self.p
-        if self.n == 2:
-            return (c1 + c2) % p + p * ((c1 // p + c2 // p) % p)
         out = 0
         mult = 1
         for _ in range(self.n):

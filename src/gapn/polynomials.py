@@ -48,6 +48,7 @@ from .fields import (
     DEFAULT_TABLE_CAP,
     FieldCtx,
     FieldElem,
+    check_element,
     field_from_json,
     json_int,
     json_int_list,
@@ -80,10 +81,7 @@ class SparsePoly:
             exp = int(exp)
             if not 0 <= exp <= field.q - 1:
                 raise ValueError(f"exponent {exp} out of range 0..{field.q - 1}")
-            if not isinstance(coeff, FieldElem):
-                raise TypeError("coefficients must be field elements")
-            if coeff.ctx is not field and coeff.ctx.key != field.key:
-                raise ValueError("coefficient from a different field")
+            check_element(field, coeff)
             prev = merged.get(exp)
             merged[exp] = coeff if prev is None else prev + coeff
         self.field = field
@@ -115,8 +113,7 @@ class SparsePoly:
         return max(digit_sum(p, e) for e, _ in self.terms)
 
     def evaluate(self, x: FieldElem) -> FieldElem:
-        if x.ctx is not self.field and x.ctx.key != self.field.key:
-            raise ValueError("argument from a different field")
+        check_element(self.field, x)
         acc = self.field.zero
         for exp, coeff in self.terms:
             acc = acc + coeff * x ** exp
@@ -460,8 +457,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     of p consecutive codes y, and values[x] reads the block of y = x/a.
     """
     ctx = f.field
-    if a.ctx is not ctx and a.ctx.key != ctx.key:
-        raise ValueError("direction from a different field")
+    check_element(ctx, a)
     if a.is_zero():
         raise ValueError("derivative direction must be nonzero")
     t = a.idx

@@ -104,7 +104,6 @@ class SearchHit:
 
 @dataclass
 class SearchSummary:
-    claim: str | None
     examined: int
     checked: int
     hits_by_degree: dict
@@ -112,7 +111,7 @@ class SearchSummary:
 
     def to_json(self) -> dict:
         return {
-            "claim": self.claim,
+            "claim": None,
             "examined": self.examined,
             "checked": self.checked,
             "hits_by_degree": {str(k): v for k, v in sorted(self.hits_by_degree.items())},
@@ -240,7 +239,6 @@ def run_search(
     job: SearchJob,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    claim: str | None = None,
 ) -> tuple[list[SearchHit], SearchSummary]:
     """Run the job and return (hits, summary); refuses jobs over budget.
 
@@ -280,7 +278,7 @@ def run_search(
         if collect:
             gc.enable()
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return hits, SearchSummary(claim, examined, checked, by_degree, elapsed)
+    return hits, SearchSummary(examined, checked, by_degree, elapsed)
 
 
 # ---------------------------------------------------------------------------

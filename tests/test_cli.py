@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, file handling."""
 
+import hashlib
 import json
 import os
 import random
@@ -247,6 +248,31 @@ def test_construct_mersenne_rejected(capsys):
 
 def test_construct_missing_parameter(capsys):
     assert main(["construct", "--family", "trinomial", "-p", "7"]) == 2
+
+
+def _construct_grid():
+    for p in (3, 5, 7, 11, 13):
+        for family in ("odd-binomial", "mod3-binomial", "even-binomial", "trinomial"):
+            yield ["--family", family, "-p", str(p)]
+        for k in range(-1, p + 1):
+            for l in range(-1, p + 1):
+                yield ["--family", "odd-binomial", "-p", str(p), "--k", str(k), "--l", str(l)]
+        for family in ("mod3-binomial", "even-binomial", "trinomial"):
+            for h in range(-1, p + 1):
+                yield ["--family", family, "-p", str(p), "--h", str(h)]
+
+
+def test_construct_grid_output_is_pinned(capsys):
+    # stdout, stderr and exit code of 1,432 construct calls, valid and
+    # invalid, in both formats, as one digest
+    digest = hashlib.sha256()
+    for args in _construct_grid():
+        for fmt in ("json", "text"):
+            argv = ["construct", *args, "--format", fmt]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert digest.hexdigest() == "1dd48e49327b278101f7fdd983365491720444b0191c5326dc18bc4dfb0012c5"
 
 
 def test_search_json_stdout(capsys):

@@ -75,6 +75,28 @@ def test_multiplication_matches_oracle():
             assert tuple(lib) == ref
 
 
+@pytest.mark.parametrize("p,n", [(7, 1), (5, 2), (3, 3), (3, 4)])
+def test_addition_matches_oracle(p, n):
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    for x in ctx.elements():
+        for y in ctx.elements():
+            ref = tf.add(tuple(x.vector()), tuple(y.vector()))
+            assert tuple((x + y).vector()) == ref
+            assert ctx.add_code(x.code, y.code) == tf.to_code(ref)
+
+
+def test_is_prime_matches_sieve():
+    from gapn.fields import _is_prime
+
+    top = 10 ** 4
+    sieve = [False, False] + [True] * (top - 1)
+    for m in range(2, int(top ** 0.5) + 1):
+        if sieve[m]:
+            sieve[m * m::m] = [False] * len(sieve[m * m::m])
+    assert [m for m in range(-2, top + 1) if _is_prime(m)] == [m for m in range(top + 1) if sieve[m]]
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (7, 2), (11, 2)])
 def test_unit_group_order(p, n):
     ctx = make_field(p, n)
@@ -296,12 +318,37 @@ def test_dropped_field_is_freed_without_the_cyclic_collector():
 
 
 def test_mixed_field_operations_rejected():
-    a = make_field(3, 2)
-    b = make_field(5, 2)
+    # at every entry point a non-element raises TypeError, and an element of
+    # GF(49) built with another primitive modulus raises ValueError
+    from gapn.constructions import p_to_one_condition, trinomial_condition
+    from gapn.polynomials import SparsePoly, derivative
+
+    ctx = make_field(7, 2)
+    other = make_field(7, 2, modulus=[3, 2, 1])
+    assert ctx.modulus != other.modulus
+    x = ctx.primitive_element
+    f = SparsePoly.monomial(ctx, 13)
+    coeffs = [ctx.one] * 6
+    entry_points = [
+        lambda y: x + y,
+        lambda y: x - y,
+        lambda y: x * y,
+        lambda y: x / y,
+        lambda y: SparsePoly(ctx, [(13, y)]),
+        lambda y: f.evaluate(y),
+        lambda y: derivative(f, y),
+        lambda y: p_to_one_condition(ctx, 1, coeffs, y),
+        lambda y: p_to_one_condition(ctx, 1, [y] + coeffs[1:], x),
+        lambda y: trinomial_condition(ctx, y, x),
+        lambda y: trinomial_condition(ctx, x, y),
+    ]
     with pytest.raises(ValueError):
-        a.one + b.one
-    with pytest.raises(TypeError):
-        a.one + 1
+        x + make_field(5, 2).one  # another characteristic
+    for call in entry_points:
+        with pytest.raises(TypeError, match="expected a field element, got int"):
+            call(1)
+        with pytest.raises(ValueError, match="elements from different fields cannot be combined"):
+            call(other.primitive_element)
 
 
 def test_inverse_of_zero_rejected():
