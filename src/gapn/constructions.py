@@ -75,12 +75,16 @@ def monomial_gapn_necessary(p: int, n: int, k: int, l: int, r1: int, r2: int) ->
     return True
 
 
+def _check_quadratic(ctx: FieldCtx, subject: str) -> None:
+    if ctx.n != 2:
+        raise ValueError(f"{subject} is specific to quadratic extensions")
+
+
 def binomial_reduction_vanishes(ctx: FieldCtx, d1: int, d2: int, u: FieldElem, a: FieldElem) -> bool:
     """Whether the multiplier that reduces the derivative of X^d1 + u*X^d2 to
     the derivative of X^d1 degenerates at direction a, i.e. whether
     (-1)^(d2+1) * (u * a^(d2-d1))^(p-1) == 1."""
-    if ctx.n != 2:
-        raise ValueError("reduction test is specific to quadratic extensions")
+    _check_quadratic(ctx, "reduction test")
     if u.is_zero() or a.is_zero():
         raise ValueError("u and a must be nonzero")
     val = (u * a ** (d2 - d1)) ** (ctx.p - 1)
@@ -98,8 +102,7 @@ def binomial_gapn_sufficient(ctx: FieldCtx, d1: int, d2: int, u: FieldElem) -> b
     With u = g^j: u is a square iff j is even, and for N | p+1 | q-1 an
     N-th power iff N | j.  An odd N >= 3 dividing G = gcd(p+1, d2-d1) with
     N not dividing j exists iff the odd part of G does not divide j."""
-    if ctx.n != 2:
-        raise ValueError("binomial criterion is specific to quadratic extensions")
+    _check_quadratic(ctx, "binomial criterion")
     if u.is_zero():
         raise ValueError("u must be nonzero")
     if d2 % 2 == 1:
@@ -186,8 +189,7 @@ def p_to_one_condition(ctx: FieldCtx, s: int, coeffs, a: FieldElem) -> bool:
     log C(p-1-s, i) + log c_{i+s} + i * log(-a^(p-1)), and the terms' two
     base-p digits are summed apart and reduced mod p once.
     """
-    if ctx.n != 2:
-        raise ValueError("condition is specific to quadratic extensions")
+    _check_quadratic(ctx, "condition")
     p = ctx.p
     if not 1 <= s <= p - 2:
         raise ValueError(f"s must lie in 1..{p - 2}")
@@ -222,8 +224,7 @@ def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:
     p*log u + j and p*log 2v (2v^p = (2v)^p), and the sum is zero when both
     base-p digit sums of the four codes are 0 mod p.
     """
-    if ctx.n != 2:
-        raise ValueError("trinomial condition is specific to quadratic extensions")
+    _check_quadratic(ctx, "trinomial condition")
     check_element(ctx, u)
     check_element(ctx, v)
     if u.is_zero() or v.is_zero():
@@ -246,8 +247,7 @@ def trinomial_condition(ctx: FieldCtx, u: FieldElem, v: FieldElem) -> bool:
 def find_trinomial_u(ctx: FieldCtx, v: FieldElem | None = None) -> FieldElem:
     """First u (ascending discrete-log index) passing trinomial_condition
     with v = 1/2 by default; requires p > 3."""
-    if ctx.n != 2:
-        raise ValueError("trinomial search is specific to quadratic extensions")
+    _check_quadratic(ctx, "trinomial search")
     if ctx.p <= 3:
         raise ValueError("the trinomial coefficient search requires p > 3")
     if v is None:

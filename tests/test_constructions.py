@@ -533,3 +533,19 @@ def test_recipe_json():
     assert obj["family"] == "even-binomial"
     assert obj["degree"] == 6
     assert obj["params"]["N"] == 3
+
+
+def test_quadratic_only_messages_are_pinned():
+    cubic = make_field(5, 3)
+    one = cubic.one
+    calls = [
+        (lambda: binomial_reduction_vanishes(cubic, 9, 13, one, one), "reduction test"),
+        (lambda: binomial_gapn_sufficient(cubic, 9, 13, one), "binomial criterion"),
+        (lambda: p_to_one_condition(cubic, 1, [one] * 4, one), "condition"),
+        (lambda: trinomial_condition(cubic, one, one), "trinomial condition"),
+        (lambda: find_trinomial_u(cubic), "trinomial search"),
+    ]
+    for call, subject in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{subject} is specific to quadratic extensions"

@@ -7,7 +7,7 @@ import math
 import multiprocessing.process
 import random
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -573,6 +573,39 @@ def test_digitsum_reduction_soundness_sample():
         assert is_gapn(f, fail_fast=True).is_gapn == is_gapn(high, fail_fast=True).is_gapn
 
 
+def test_p3_reduced_hit_set_is_every_gapn_function():
+    # the p3-no-even-degree claim reads each draw's reduction in this set:
+    # membership matches is_gapn and the oracle on all 729 functions of the
+    # slots {5, 7, 8}, the zero function included, and the hits are the
+    # validated SparsePoly of their coefficients (==, hash, tuple terms)
+    ctx = make_field(3, 2)
+    tf = oracle.tuple_field_of(ctx)
+    hits, _ = run_search(SearchJob(ctx, "digitsum-reduced"))
+    table = {h.function for h in hits}
+    assert len(table) == len(hits) == 48
+    for h in hits:
+        validated = SparsePoly(ctx, h.function.terms)
+        assert h.function == validated and hash(h.function) == hash(validated)
+        assert type(h.function.terms) is tuple
+    gapn = set()
+    for codes in product(range(9), repeat=3):
+        f = SparsePoly(ctx, [(e, ctx.from_code(c)) for e, c in zip((5, 7, 8), codes)])
+        want = is_gapn(f, fail_fast=True).is_gapn
+        assert (f in table) == want == (oracle.verdict(tf, oracle.poly_terms(f))[0] == 3), codes
+        if want:
+            gapn.add(f)
+    assert gapn == table
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)])
+def test_monomial_tuple_hits_match_is_gapn(p, n):
+    # monomial-criteria-soundness reads X^d's verdict from tuple_hits(ctx, 1)
+    ctx = make_field(p, n)
+    hits_of = tuple_hits(ctx, 1)
+    for d in range(1, ctx.q):
+        assert bool(hits_of((d,))) == is_gapn(SparsePoly.monomial(ctx, d), fail_fast=True).is_gapn, d
+
+
 @pytest.mark.parametrize("p, min_sum", [(3, 3), (5, 6)])
 def test_random_poly_and_restriction_are_canonical(p, min_sum):
     # the p3-no-even-degree claim builds both without validation; they equal
@@ -769,3 +802,54 @@ def test_condition_claim_checks_every_direction(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(search, name, mutant)
             assert reproduce("derivative-condition-equivalence").passed is False, mutant.__name__
+
+
+def test_p3_claim_checks_every_draw(monkeypatch):
+    # a wrong kernel verdict on the first draw is caught, and so is a hit
+    # set that misses the GAPN reduction of a draw
+    ctx = make_field(3, 2)
+    rng = random.Random(0x6A93)
+    draws = [search._random_poly(ctx, rng) for _ in range(1000)]
+    table = {h.function for h in run_search(SearchJob(ctx, "digitsum-reduced"))[0]}
+    missing = next(high for high in (f.restrict_min_digit_sum(3) for f in draws) if high in table)
+    real_is_gapn, real_run_search = search.is_gapn, search.run_search
+
+    def flipped_first(f, fail_fast=False):
+        v = real_is_gapn(f, fail_fast)
+        return GapnVerdict(not v.is_gapn, v.worst_fiber, v.witness, []) if f == draws[0] else v
+
+    def without_missing(job, *args, **kwargs):
+        hits, summary = real_run_search(job, *args, **kwargs)
+        return [h for h in hits if h.function != missing], summary
+
+    assert reproduce("p3-no-even-degree").passed
+    for name, mutant in (("is_gapn", flipped_first), ("run_search", without_missing)):
+        with monkeypatch.context() as patch:
+            patch.setattr(search, name, mutant)
+            assert reproduce("p3-no-even-degree").passed is False, mutant.__name__
+
+
+@pytest.mark.parametrize("criterion", ["sufficient", "failed-necessary"])
+def test_monomial_criteria_claim_reads_every_verdict(monkeypatch, criterion):
+    # flipping the orbit verdict of the first exponent that a sufficient (or
+    # failed-necessary) combo reads makes the claim fail
+    def reads(p, n, *combo):
+        if criterion == "sufficient":
+            return search.monomial_gapn_sufficient(p, n, *combo)
+        return not search.monomial_gapn_necessary(p, n, *combo)
+
+    p, n, k, l, r1, r2 = next((p, n, *combo) for p in (3, 5, 7) for n in (2, 3)
+                              for combo in search._monomial_digit_combos(p, n) if reads(p, n, *combo))
+    m, d = p ** n - 1, k * p ** r1 + l * p ** r2
+    orbit = {d * p ** j % m or m for j in range(n)}
+    real_tuple_hits = search.tuple_hits
+
+    def flipped_orbit(ctx, size):
+        hits_of = real_tuple_hits(ctx, size)
+        if (ctx.p, ctx.n) != (p, n):
+            return hits_of
+        return lambda exps: ([] if hits_of(exps) else [0]) if exps[0] in orbit else hits_of(exps)
+
+    assert reproduce("monomial-criteria-soundness").passed
+    monkeypatch.setattr(search, "tuple_hits", flipped_orbit)
+    assert reproduce("monomial-criteria-soundness").passed is False, (p, n, d)
