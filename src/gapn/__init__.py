@@ -23,7 +23,6 @@ from .polynomials import (
     function_from_json,
     is_gapn,
     is_p_to_one,
-    verify_power_identity,
 )
 from .constructions import (
     ConstructionRecipe,
@@ -41,6 +40,7 @@ from .constructions import (
     odd_part,
     p_to_one_condition,
     trinomial_condition,
+    verify_power_identity,
 )
 from .search import (
     DEFAULT_BUDGET,

@@ -86,13 +86,16 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     ctx = make_field(args.p, 2, table_cap=_table_cap())
-    build, required = FAMILIES[args.family]
-    options = {opt: getattr(args, opt) for opt in required}
-    if None in options.values():
+    build, required, coefficients = FAMILIES[args.family]
+    if any(getattr(args, opt) is None for opt in required):
         raise ValueError(f"{args.family} requires " + " and ".join(f"--{opt}" for opt in required))
-    if args.family == "trinomial":
-        options["u"] = ctx.element(_parse_vector(args.u)) if args.u else None
-        options["v"] = ctx.element(_parse_vector(args.v)) if args.v else None
+    unread = [opt for opt in ("h", "k", "l", "u", "v")
+              if opt not in required + coefficients and getattr(args, opt) is not None]
+    if unread:
+        raise ValueError(f"{args.family} does not read " + " or ".join(f"--{opt}" for opt in unread))
+    options = {opt: getattr(args, opt) for opt in required}
+    options.update({opt: ctx.element(_parse_vector(text)) if (text := getattr(args, opt)) else None
+                    for opt in coefficients})
     recipe = build(args.p, **options, ctx=ctx)
     verdict = is_gapn(recipe.result)
     out = {

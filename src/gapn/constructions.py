@@ -10,7 +10,7 @@ remaining primes, subject to a root-freeness condition on the subgroup of
 
 Each family has one builder (the binomials share one recipe, _binomial),
 and `gapn construct` reads FAMILIES alone: each family name, its builder
-and the options the builder requires.
+and every option the builder reads.
 """
 
 import math
@@ -287,34 +287,40 @@ def build_trinomial(
     )
 
 
-# family name -> (builder, the options `gapn construct` requires, passed by name)
+# family name -> (builder, the integer options `gapn construct` requires, the
+# coefficient options it may give), passed by name; it refuses every other
 FAMILIES = {
-    "odd-binomial": (build_odd_binomial, ("k", "l")),
-    "mod3-binomial": (build_mod3_binomial, ("h",)),
-    "even-binomial": (build_even_binomial, ("h",)),
-    "trinomial": (build_trinomial, ("h",)),
+    "odd-binomial": (build_odd_binomial, ("k", "l"), ()),
+    "mod3-binomial": (build_mod3_binomial, ("h",), ()),
+    "even-binomial": (build_even_binomial, ("h",), ()),
+    "trinomial": (build_trinomial, ("h",), ("u", "v")),
 }
 
 
 def derivative_conjugate_premise(f: SparsePoly, r: int) -> FieldElem | None:
     """The constant c with D(x)^(p^r) == c*D(x) for all x, where D is the
     derivative of f at direction 1; None if no such constant exists.
-    An identically-zero derivative returns c = 0.
+    An identically-zero derivative returns c = 0; else c exists when
+    g^(l*(p^r-1)) = (g^l)^(p^r) / g^l is one value over D's nonzero g^l.
 
     For n > 2, any f admitting such a constant cannot be GAPN.
     """
     ctx = f.field
     if not 1 <= r <= ctx.n - 1:
         raise ValueError(f"r must lie in 1..{ctx.n - 1}")
-    dm = derivative(f, ctx.one)
-    distinct = set(dm.values)
-    nonzero = sorted(code for code in distinct if code != 0)
-    if not nonzero:
-        return ctx.zero
-    y0 = ctx.from_code(nonzero[0])
-    c = y0.frobenius(r) / y0
-    for code in nonzero[1:]:
-        y = ctx.from_code(code)
-        if y.frobenius(r) != c * y:
-            return None
-    return c
+    shift = ctx.p ** r - 1
+    ratios = {ctx.log[y] * shift % (ctx.q - 1) for y in set(derivative(f, ctx.one).values) if y}
+    if len(ratios) > 1:
+        return None
+    return FieldElem(ctx, ratios.pop()) if ratios else ctx.zero
+
+
+def verify_power_identity(ctx: FieldCtx, d: int) -> bool:
+    """Check that over GF(p^2) the derivative of X^d at direction 1
+    satisfies D(x)^p == (-1)^d * D(x) for every x: the r = 1 constant of
+    derivative_conjugate_premise is (-1)^d, or 0 for a zero derivative."""
+    _check_quadratic(ctx, "the power identity")
+    if not 0 <= d <= ctx.q - 1:
+        raise ValueError(f"exponent must lie in 0..{ctx.q - 1}")
+    c = derivative_conjugate_premise(SparsePoly.monomial(ctx, d), 1)
+    return c is not None and (c.is_zero() or c == (-ctx.one if d % 2 else ctx.one))

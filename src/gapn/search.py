@@ -42,7 +42,6 @@ from .polynomials import (
     _kernel,
     digit_sum,
     is_gapn,
-    verify_power_identity,
 )
 from .secant import digitsum_hits, tuple_hits
 from .constructions import (
@@ -56,6 +55,7 @@ from .constructions import (
     monomial_gapn_necessary,
     monomial_gapn_sufficient,
     p_to_one_condition,
+    verify_power_identity,
 )
 
 DEFAULT_BUDGET = 10_000_000

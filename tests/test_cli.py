@@ -56,6 +56,17 @@ def test_verify_non_gapn_exit_one(tmp_path, capsys):
     assert verdict["is_gapn"] is False and verdict["witness"] is not None
 
 
+def test_verify_two_terms_over_gf3_8(tmp_path, capsys):
+    # X^5 + X^45: G = 40, so 164 line classes stand for the 3,280 lines;
+    # the output is the one a scan of every line gives
+    path = tmp_path / "x5-x45.json"
+    path.write_text('{"field": {"p": 3, "n": 8}, "terms": [{"exp": 5, "coeff": [1]}, {"exp": 45, "coeff": [1]}]}')
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        '{"is_gapn": false, "worst_fiber": 27, "witness": {"a": [1, 0, 0, 0, 0, 0, 0, 0], '
+        '"b": [0, 0, 0, 0, 0, 0, 0, 0]}}\n')
+
+
 def test_verify_malformed_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -248,6 +259,32 @@ def test_construct_mersenne_rejected(capsys):
 
 def test_construct_missing_parameter(capsys):
     assert main(["construct", "--family", "trinomial", "-p", "7"]) == 2
+
+
+@pytest.mark.parametrize("args, unread", [
+    (["--family", "odd-binomial", "-p", "5", "--k", "1", "--l", "4", "--u", "1,2"], "--u"),
+    (["--family", "odd-binomial", "-p", "5", "--k", "1", "--l", "4", "--h", "0"], "--h"),
+    (["--family", "trinomial", "-p", "7", "--h", "3", "--k", "2"], "--k"),
+    (["--family", "mod3-binomial", "-p", "5", "--h", "4", "--l", "0", "--v", "1"], "--l or --v"),
+    (["--family", "even-binomial", "-p", "5", "--h", "3", "--u", ""], "--u"),
+])
+def test_construct_refuses_options_its_family_does_not_read(capsys, args, unread):
+    # FAMILIES lists every option a family reads; any other one is a usage
+    # error, and no verdict is printed
+    assert main(["construct", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {args[1]} does not read {unread}\n"
+
+
+def test_construct_trinomial_reads_its_coefficients(capsys):
+    # given (u, v) equal to the defaults, or empty, trinomial prints what
+    # the defaults print
+    assert main(["construct", "--family", "trinomial", "-p", "7", "--h", "4"]) == 0
+    auto = capsys.readouterr().out
+    for extra in (["--u", "4,6", "--v", "4,0"], ["--u", "", "--v", ""]):
+        assert main(["construct", "--family", "trinomial", "-p", "7", "--h", "4", *extra]) == 0
+        assert capsys.readouterr().out == auto
 
 
 def _construct_grid():

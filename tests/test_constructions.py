@@ -20,6 +20,7 @@ from gapn.constructions import (
     odd_part,
     p_to_one_condition,
     trinomial_condition,
+    verify_power_identity,
 )
 from gapn.fields import FieldElem, make_field
 from gapn.polynomials import SparsePoly, derivative, is_gapn, is_p_to_one
@@ -515,8 +516,48 @@ def test_derivative_conjugate_premise_cubic():
     assert is_gapn(gold).is_gapn
     # identically-zero derivative reports the degenerate constant 0
     assert derivative_conjugate_premise(SparsePoly.monomial(ctx, 1), 1) == ctx.zero
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r must lie in 1\.\.2$"):
         derivative_conjugate_premise(gold, 3)
+
+
+def _premise_by_frobenius(f, r):
+    """derivative_conjugate_premise by the Frobenius-and-division loop over
+    field elements: y0^(p^r)/y0 for the smallest nonzero value y0, checked
+    against every other nonzero value."""
+    ctx = f.field
+    nonzero = sorted(code for code in set(derivative(f, ctx.one).values) if code != 0)
+    if not nonzero:
+        return ctx.zero
+    y0 = ctx.from_code(nonzero[0])
+    c = y0.frobenius(r) / y0
+    for code in nonzero[1:]:
+        y = ctx.from_code(code)
+        if y.frobenius(r) != c * y:
+            return None
+    return c
+
+
+def test_premise_matches_the_frobenius_loop():
+    # every monomial of GF(27) with r = 1, 2 (and with a coefficient outside
+    # F_p), and seeded binomials of GF(25) and GF(49) with r = 1
+    ctx = make_field(3, 3)
+    g = ctx.primitive_element
+    for d in range(ctx.q):
+        for f in (SparsePoly.monomial(ctx, d), SparsePoly.monomial(ctx, d, g)):
+            for r in (1, 2):
+                assert derivative_conjugate_premise(f, r) == _premise_by_frobenius(f, r)
+    found = set()
+    for p in (5, 7):
+        ctx = make_field(p, 2)
+        rng = random.Random(4100 + p)
+        for _ in range(150):
+            d1, d2 = rng.sample(range(1, ctx.q), 2)
+            f = SparsePoly(ctx, [(d1, ctx.from_code(rng.randrange(1, ctx.q))),
+                                 (d2, ctx.from_code(rng.randrange(1, ctx.q)))])
+            c = derivative_conjugate_premise(f, 1)
+            assert c == _premise_by_frobenius(f, 1)
+            found.add("none" if c is None else "zero" if c.is_zero() else "unit")
+    assert found == {"none", "zero", "unit"}
 
 
 def test_conjugate_premise_refutes_gapn_over_cubic_extension():
@@ -544,6 +585,7 @@ def test_quadratic_only_messages_are_pinned():
         (lambda: p_to_one_condition(cubic, 1, [one] * 4, one), "condition"),
         (lambda: trinomial_condition(cubic, one, one), "trinomial condition"),
         (lambda: find_trinomial_u(cubic), "trinomial search"),
+        (lambda: verify_power_identity(cubic, 9), "the power identity"),
     ]
     for call, subject in calls:
         with pytest.raises(ValueError) as err:

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from gapn.fields import make_field
+from gapn.constructions import verify_power_identity
+from gapn.fields import FieldElem, make_field
 from gapn.polynomials import (
     SparsePoly,
+    _LineKernel,
     derivative,
     digit_sum,
     function_from_json,
     is_gapn,
     is_p_to_one,
-    verify_power_identity,
     _kernel,
 )
 from gapn.search import SearchJob, run_search
@@ -424,6 +425,71 @@ def test_verdict_matches_oracle_zero_and_constant():
         _assert_verdict_matches_oracle(SparsePoly(ctx, [(0, ctx.primitive_element)]))
 
 
+def _built_lines(monkeypatch, f):
+    """The lines t whose codes a full is_gapn(f) builds, in build order."""
+    built = []
+    line_codes = _LineKernel.line_codes
+    with monkeypatch.context() as mp:
+        mp.setattr(_LineKernel, "line_codes", lambda kern, terms, t: built.append(t) or line_codes(kern, terms, t))
+        is_gapn(f)
+    return built
+
+
+@pytest.mark.parametrize("exps, period", [
+    ((5, 21), 5),  # G = gcd(80, 16) = 16: c = 80/lcm(2, 16)
+    ((5, 45), 2),  # G = 40
+    ((5, 7), 40),  # G = 2: every line
+    ((5,), 1),  # one term
+])
+def test_scan_builds_one_line_per_line_class(monkeypatch, exps, period):
+    # X^5 + g*X^d over GF(3^4), q-1 = 80 and 40 lines: lines t = t' mod
+    # c = 80/lcm(2, G) share their fibers, so only the first line of each
+    # class in scan order is built
+    ctx = make_field(3, 4)
+    f = SparsePoly(ctx, [(d, FieldElem(ctx, j)) for j, d in enumerate(exps)])
+    assert _kernel(ctx).reader([(c.idx, d) for d, c in f.terms])[1] == period
+    built = _built_lines(monkeypatch, f)
+    firsts = {}
+    for t in _kernel(ctx).lines:
+        firsts.setdefault(t % period, t)
+    assert built == list(firsts.values())
+    _assert_verdict_matches_oracle(f)
+
+
+def _coset_functions(ctx, rng, count):
+    """count functions of 1-3 surviving terms whose exponents lie in one
+    coset d1 + G*Z of a subgroup of Z/(q-1), G a random divisor of q-1
+    that does not divide p-1, so that some lines share their fibers."""
+    p, m = ctx.p, ctx.q - 1
+    surviving = _surviving_exponents(ctx)
+    divisors = [G for G in range(1, m + 1) if m % G == 0 and (p - 1) % G]
+    functions = []
+    while len(functions) < count:
+        G, d1, k = rng.choice(divisors), rng.choice(surviving), rng.randint(0, 2)
+        coset = [e for e in surviving if (e - d1) % G == 0 and e != d1]
+        if len(coset) < k:
+            continue
+        exps = [d1] + rng.sample(coset, k)
+        functions.append(SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, ctx.q))) for e in exps]))
+    return functions
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 2), (7, 2)])
+def test_verdict_matches_oracle_on_exponent_cosets(monkeypatch, p, n):
+    # exponents in one coset of a subgroup of Z/m: every function builds
+    # fewer lines than there are, yet verdict, witness and per_direction
+    # with and without fail_fast match the oracle's every-direction scan
+    ctx = make_field(p, n)
+    nlines = (ctx.q - 1) // (p - 1)
+    rng = random.Random(2500 + 10 * p + n)
+    functions = _coset_functions(ctx, rng, 16)
+    for f in functions:
+        period = _kernel(ctx).reader([(c.idx, d) for d, c in f.terms])[1]
+        assert len(_built_lines(monkeypatch, f)) == period < nlines
+        _assert_verdict_matches_oracle(f)
+    assert sum(len(f.terms) > 1 for f in functions) >= 5
+
+
 def test_monomial_block_cache_is_bounded():
     # a monomial scan meets every exponent once; the kernel's cached
     # D_1 X^d block tables (q/p entries each) stay within 8q entries
@@ -563,9 +629,16 @@ def test_verify_power_identity():
     assert verify_power_identity(f49, 25)
     f25 = make_field(5, 2)
     assert verify_power_identity(f25, 0)
+    # every d against D(x)^p == (-1)^d * D(x) checked value by value
+    for ctx in (f9, f25, f49):
+        sign = [ctx.one, -ctx.one]
+        for d in range(ctx.q):
+            values = map(ctx.from_code, set(derivative(SparsePoly.monomial(ctx, d), ctx.one).values))
+            want = all(y.frobenius(1) == sign[d % 2] * y for y in values)
+            assert verify_power_identity(ctx, d) == want
     with pytest.raises(ValueError):
         verify_power_identity(make_field(3, 3), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^exponent must lie in 0\.\.8$"):
         verify_power_identity(f9, 9)
 
 

@@ -159,7 +159,7 @@ def test_search_matches_direct_loop(monkeypatch, case):
         scan, blocks = _LineKernel.scan, _LineKernel.monomial_blocks
         mp.setattr(_LineKernel, "scan", lambda kern, *args, **kw: scans.append(args) or scan(kern, *args, **kw))
         mp.setattr(_LineKernel, "monomial_blocks", lambda kern, d: tables.append(d) or blocks(kern, d))
-        hits, summary = run_search(job, threads=1)
+        hits, summary = run_search(job)
     want, checked, most = [], 0, 0
     orbits = set()  # monomials: the Frobenius orbits of the checked exponents
     for ordinal, desc in enumerate(enumerate_candidates(job)):
@@ -228,7 +228,7 @@ def _scan_hits(job):
 
 
 def _assert_matches_scan(job, budget=search.DEFAULT_BUDGET):
-    hits, summary = run_search(job, budget=budget, threads=1)
+    hits, summary = run_search(job, budget=budget)
     got = [(h.ordinal, h.function, h.degree) for h in hits]
     assert (summary.examined, summary.checked, got) == _scan_hits(job)
     return hits, summary
@@ -663,36 +663,39 @@ def _refuse_to_start(process):
     raise AssertionError(f"a process was started: {process!r}")
 
 
-def _results(jobs, threads):
-    """[(hits, summary without elapsed_ms)] of run_search on each job."""
+def _results(capsys, searches, threads):
+    """[(hit lines, summary without elapsed_ms)] of `gapn search ARGS
+    --threads threads` for each ARGS in searches, read from stdout."""
     out = []
-    for job in jobs:
-        hits, summary = run_search(job, threads=threads)
-        summary = summary.to_json()
+    for args in searches:
+        assert main(["search", *args, "--threads", str(threads)]) == 0
+        *hits, summary = capsys.readouterr().out.splitlines()
+        summary = json.loads(summary)
         del summary["elapsed_ms"]
         out.append((hits, summary))
     return out
 
 
-def test_no_process_is_started(monkeypatch):
+def test_no_process_is_started(monkeypatch, capsys):
     # --threads reaches nothing: on the shapes that a pool once served, a
-    # thread count far above the CPUs starts no process and changes no result
-    jobs = [
-        SearchJob(make_field(3, 7), "monomial"),  # 2,186 candidates
-        SearchJob(make_field(5, 2), "digitsum-reduced", min_digit_sum=7),  # 15,625
+    # thread count far above the CPUs starts no process and changes no output
+    searches = [
+        ["-p", "3", "-n", "7", "--shape", "monomial"],  # 2,186 candidates
+        ["-p", "5", "--shape", "digitsum-reduced", "--min-digit-sum", "7"],  # 15,625
     ]
-    serial = _results(jobs, 1)
+    serial = _results(capsys, searches, 1)
+    assert all(hits for hits, _ in serial)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
-    assert _results(jobs, 10_000) == serial
+    assert _results(capsys, searches, 10_000) == serial
 
 
 @pytest.mark.parametrize("p, shape", [(5, "binomial"), (3, "trinomial")])
-def test_secant_shapes_never_start_a_pool(monkeypatch, p, shape):
-    job = SearchJob(make_field(p, 2), shape)  # 6,624 and 3,584 candidates
-    assert candidate_count(job) >= 2000
-    serial = _results([job], 1)
+def test_secant_shapes_never_start_a_pool(monkeypatch, capsys, p, shape):
+    assert candidate_count(SearchJob(make_field(p, 2), shape)) >= 2000  # 6,624 and 3,584
+    searches = [["-p", str(p), "--shape", shape]]
+    serial = _results(capsys, searches, 1)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
-    assert _results([job], 10_000) == serial
+    assert _results(capsys, searches, 10_000) == serial
 
 
 def test_reproduce_never_starts_a_pool(monkeypatch, capsys):
