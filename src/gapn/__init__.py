@@ -51,7 +51,6 @@ from .search import (
     candidate_count,
     claim_descriptions,
     claim_ids,
-    enumerate_candidates,
     reproduce,
     run_search,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "derivative",
     "derivative_conjugate_premise",
     "digit_sum",
-    "enumerate_candidates",
     "field_from_json",
     "find_trinomial_u",
     "function_from_json",

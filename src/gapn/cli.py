@@ -18,6 +18,7 @@ from .constructions import FAMILIES
 from .fields import DEFAULT_TABLE_CAP, make_field
 from .polynomials import function_from_json, is_gapn
 from .search import (
+    _SHAPES,
     DEFAULT_BUDGET,
     SearchJob,
     claim_descriptions,
@@ -219,8 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     se = sub.add_parser("search", help="exhaustively enumerate and GAPN-check a family")
     se.add_argument("-p", type=int, required=True)
     se.add_argument("-n", type=int, default=2)
-    se.add_argument("--shape", required=True,
-                    choices=("monomial", "binomial", "trinomial", "digitsum-reduced"))
+    se.add_argument("--shape", required=True, choices=_SHAPES)
     se.add_argument("--degree", type=int, action="append",
                     help="keep only candidates of this algebraic degree (repeatable)")
     se.add_argument("--no-canonical", action="store_true",

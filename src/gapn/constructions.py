@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .fields import _ZERO_IDX, FieldCtx, FieldElem, check_element, make_field
-from .polynomials import SparsePoly, derivative
+from .polynomials import SparsePoly, _kernel
 
 
 @dataclass
@@ -298,9 +298,9 @@ FAMILIES = {
 
 
 def derivative_conjugate_premise(f: SparsePoly, r: int) -> FieldElem | None:
-    """The constant c with D(x)^(p^r) == c*D(x) for all x, where D is the
-    derivative of f at direction 1; None if no such constant exists.
-    An identically-zero derivative returns c = 0; else c exists when
+    """The constant c with D(x)^(p^r) == c*D(x) for all x, where D = D_1 f,
+    whose values are the block codes of the line kernel's line 0; None if no
+    such constant exists.  A zero D returns c = 0; else c exists when
     g^(l*(p^r-1)) = (g^l)^(p^r) / g^l is one value over D's nonzero g^l.
 
     For n > 2, any f admitting such a constant cannot be GAPN.
@@ -309,7 +309,8 @@ def derivative_conjugate_premise(f: SparsePoly, r: int) -> FieldElem | None:
     if not 1 <= r <= ctx.n - 1:
         raise ValueError(f"r must lie in 1..{ctx.n - 1}")
     shift = ctx.p ** r - 1
-    ratios = {ctx.log[y] * shift % (ctx.q - 1) for y in set(derivative(f, ctx.one).values) if y}
+    line, _ = _kernel(ctx).reader([(c.idx, d) for d, c in f.terms])
+    ratios = {ctx.log[y] * shift % (ctx.q - 1) for y in set(line(0)) if y}
     if len(ratios) > 1:
         return None
     return FieldElem(ctx, ratios.pop()) if ratios else ctx.zero

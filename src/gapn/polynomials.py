@@ -178,15 +178,14 @@ class SparsePoly:
         return f"SparsePoly(F{self.field.q}: {body})"
 
 
-def function_from_json(obj: dict, table_cap=None) -> SparsePoly:
+def function_from_json(obj: dict, table_cap: int = DEFAULT_TABLE_CAP) -> SparsePoly:
     """Parse {"field": {...}, "terms": [{"exp": int, "coeff": [int,...]}]}.
 
     Exponents and coefficient entries must be JSON integers (floats,
     strings and bools raise ValueError); coefficient entries are reduced
     mod p.
     """
-    cap = DEFAULT_TABLE_CAP if table_cap is None else table_cap
-    ctx = field_from_json(obj["field"], table_cap=cap)
+    ctx = field_from_json(obj["field"], table_cap=table_cap)
     if not isinstance(obj["terms"], list):
         raise ValueError(f"terms must be a list, got {type(obj['terms']).__name__}")
     terms = [(json_int(t["exp"], "exp"), ctx.element(json_int_list(t["coeff"], "coeff")))

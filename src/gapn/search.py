@@ -34,7 +34,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from itertools import chain, combinations, compress, product
+from itertools import combinations, compress
 
 from .fields import FieldCtx, FieldElem, make_field
 from .polynomials import (
@@ -139,29 +139,6 @@ def candidate_count(job: SearchJob) -> int:
     k, leads = _tuple_shape(job)
     m = job.field.q - 1
     return math.comb(m, k) * len(leads) * m ** (k - 1)
-
-
-def enumerate_candidates(job: SearchJob):
-    """Iterate over the candidate descriptors in the documented total order.
-
-    A descriptor is a tuple of (exponent, coefficient_log_index) pairs;
-    index -1 marks a zero coefficient (term absent).  Each exponent tuple
-    (the k-subsets of 1..q-1 in lexicographic order, or the digitsum-reduced
-    slots) is followed by a block of every tuple of coefficient choices.
-    """
-    q = job.field.q
-    units = range(q - 1)
-    if job.shape == "digitsum-reduced":
-        slots = _digitsum_slots(job)
-        choices = [[-1, *units]] * len(slots)
-        exponent_tuples = [slots]
-    else:
-        k, leads = _tuple_shape(job)
-        choices = [leads] + [units] * (k - 1)
-        exponent_tuples = combinations(range(1, q), k)
-    return chain.from_iterable(
-        product(*[[(e, j) for j in options] for e, options in zip(exps, choices)])
-        for exps in exponent_tuples)
 
 
 def _digitsum_search(job: SearchJob):

@@ -2,10 +2,12 @@
 
 Everything here works on coefficient tuples with schoolbook polynomial
 arithmetic: no log tables, no coset tricks.  Library results are checked
-against this structurally different route.
+against this structurally different route.  The search's candidate order
+is spelled out here too, one candidate at a time, since run_search numbers
+its hits by block arithmetic alone.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 class TupleField:
@@ -192,3 +194,32 @@ def poly_terms(f):
 
 def tuple_field_of(ctx):
     return TupleField(ctx.p, ctx.n, ctx.modulus)
+
+
+def enumerate_candidates(job):
+    """The candidate descriptors of a gapn SearchJob in its documented total
+    order, one at a time; the ordinal of a candidate is its index here.
+
+    A descriptor is a tuple of (exponent, coefficient log) pairs, log -1
+    marking a zero coefficient (term absent).  A digitsum-reduced job has
+    one exponent tuple, every exponent whose base-p digit sum reaches
+    min_digit_sum (default p), each with log -1 or a unit log.  A k-term
+    job runs through the k-subsets of 1..q-1 in lexicographic order; the
+    lead coefficient log is 0 for a monomial or a canonical job, else any
+    unit log, and every later one any unit log.  Each exponent tuple is
+    followed by every tuple of coefficient choices, in product order.
+    """
+    p, n, q = job.field.p, job.field.n, job.field.q
+    units = list(range(q - 1))
+    if job.shape == "digitsum-reduced":
+        floor = p if job.min_digit_sum is None else job.min_digit_sum
+        exponent_tuples = [[e for e in range(q) if sum(e // p ** i % p for i in range(n)) >= floor]]
+        choices = [[-1] + units] * len(exponent_tuples[0])
+    else:
+        k = {"monomial": 1, "binomial": 2, "trinomial": 3}[job.shape]
+        lead = [0] if k == 1 or job.canonicalize else units
+        exponent_tuples = combinations(range(1, q), k)
+        choices = [lead] + [units] * (k - 1)
+    for exps in exponent_tuples:
+        pairs = [[(e, j) for j in options] for e, options in zip(exps, choices)]
+        yield from product(*pairs)

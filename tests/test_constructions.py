@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gapn
 from gapn.constructions import (
     binomial_gapn_sufficient,
     binomial_reduction_vanishes,
@@ -558,6 +559,29 @@ def test_premise_matches_the_frobenius_loop():
             assert c == _premise_by_frobenius(f, 1)
             found.add("none" if c is None else "zero" if c.is_zero() else "unit")
     assert found == {"none", "zero", "unit"}
+
+
+def test_premise_does_not_call_derivative(monkeypatch):
+    # the premise reads one kernel line, so with every binding of derivative
+    # raising it still agrees with the Frobenius loop, which goes through
+    # derivative: two independent routes to the same constant
+    f27, f25 = make_field(3, 3), make_field(5, 2)
+    monomials = [SparsePoly.monomial(f27, d) for d in range(f27.q)]
+    want = [_premise_by_frobenius(f, r) for f in monomials for r in (1, 2)]
+    identity = []  # D(x)^p == (-1)^d * D(x) for X^d, by the Frobenius loop
+    for d in range(f25.q):
+        c = _premise_by_frobenius(SparsePoly.monomial(f25, d), 1)
+        identity.append(c is not None and (c.is_zero() or c == (-f25.one if d % 2 else f25.one)))
+    assert all(identity)
+
+    def refuse(*args):
+        raise AssertionError("derivative called")
+
+    for module in (gapn, gapn.polynomials, gapn.constructions, gapn.search):
+        if hasattr(module, "derivative"):
+            monkeypatch.setattr(module, "derivative", refuse)
+    assert [derivative_conjugate_premise(f, r) for f in monomials for r in (1, 2)] == want
+    assert [verify_power_identity(f25, d) for d in range(f25.q)] == identity
 
 
 def test_conjugate_premise_refutes_gapn_over_cubic_extension():

@@ -19,7 +19,6 @@ from gapn.search import (
     SearchJob,
     candidate_count,
     claim_ids,
-    enumerate_candidates,
     reproduce,
     run_search,
 )
@@ -38,14 +37,28 @@ def test_candidate_counts():
     assert candidate_count(SearchJob(f9, "binomial", canonicalize=False)) == 28 * 64
     assert candidate_count(SearchJob(f9, "trinomial")) == 56 * 64
     assert candidate_count(SearchJob(f9, "trinomial", canonicalize=False)) == 56 * 512
-    for job in (SearchJob(f9, "monomial", canonicalize=False), SearchJob(f9, "trinomial")):
-        assert candidate_count(job) == sum(1 for _ in enumerate_candidates(job))
+    # every shape, canonical and raw, counted one candidate at a time by the
+    # oracle; GF(27)'s default digitsum-reduced space has 27^17 candidates,
+    # so it is counted from its slots and the walked one keeps digit sums >= 5
+    f3, f27 = make_field(3, 1), make_field(3, 3)
+    raw_f3 = SearchJob(f3, "digitsum-reduced", canonicalize=False, min_digit_sum=0)
+    assert candidate_count(raw_f3) == 27
+    jobs = [raw_f3]
+    for ctx, minds in ((f9, None), (f27, 5)):
+        for shape in search._SHAPES:
+            for canonical in (True, False):
+                opts = {"min_digit_sum": minds} if shape == "digitsum-reduced" else {}
+                jobs.append(SearchJob(ctx, shape, canonicalize=canonical, **opts))
+    for job in jobs:
+        assert candidate_count(job) == sum(1 for _ in oracle.enumerate_candidates(job)), job
+    slots = next(oracle.enumerate_candidates(SearchJob(f27, "digitsum-reduced")))
+    assert candidate_count(SearchJob(f27, "digitsum-reduced")) == 27 ** len(slots) == 27 ** 17
 
 
 def test_digitsum_reduced_slots():
     f9 = make_field(3, 2)
     job = SearchJob(f9, "digitsum-reduced")
-    descs = list(enumerate_candidates(job))
+    descs = list(oracle.enumerate_candidates(job))
     exps = {e for desc in descs for e, _ in desc}
     assert exps == {5, 7, 8}
     assert len(descs) == 729
@@ -55,7 +68,7 @@ def test_digitsum_reduced_slots():
 def test_enumeration_order_binomial():
     f9 = make_field(3, 2)
     job = SearchJob(f9, "binomial")
-    first = list(enumerate_candidates(job))[:10]
+    first = list(oracle.enumerate_candidates(job))[:10]
     # exponent pair (1, 2) first, coefficient log index ascending
     assert first[0] == ((1, 0), (2, 0))
     assert first[1] == ((1, 0), (2, 1))
@@ -90,7 +103,7 @@ def test_enumeration_starts_at_ordinal(p, shape, canonical):
     assert total == len(tuples) * block
     starts = {0, 1, total - 1} | {b + d for b in range(block, total, block) for d in (-1, 0)}
     walked = 0
-    for s, desc in enumerate(islice(enumerate_candidates(job), _WALK_CAP + 1)):
+    for s, desc in enumerate(islice(oracle.enumerate_candidates(job), _WALK_CAP + 1)):
         walked += 1
         if s in starts:
             rank, rest = divmod(s, block)
@@ -162,7 +175,7 @@ def test_search_matches_direct_loop(monkeypatch, case):
         hits, summary = run_search(job)
     want, checked, most = [], 0, 0
     orbits = set()  # monomials: the Frobenius orbits of the checked exponents
-    for ordinal, desc in enumerate(enumerate_candidates(job)):
+    for ordinal, desc in enumerate(oracle.enumerate_candidates(job)):
         f = SparsePoly(ctx, [(e, FieldElem(ctx, j)) for e, j in desc if j != -1])
         degree = f.algebraic_degree()
         if degree is None or (job.degree_filter is not None and degree not in job.degree_filter):
@@ -196,7 +209,7 @@ def test_search_matches_direct_loop(monkeypatch, case):
         tf = oracle.tuple_field_of(ctx)
         gapn = {h.ordinal for h in hits}
         stride = max(1, summary.examined // 300)
-        sample = islice(enumerate(enumerate_candidates(job)), 0, summary.examined, stride)
+        sample = islice(enumerate(oracle.enumerate_candidates(job)), 0, summary.examined, stride)
         for ordinal, desc in sample:
             terms = [(e, tuple(FieldElem(ctx, j).vector())) for e, j in desc if j != -1]
             flt = job.degree_filter
@@ -212,7 +225,7 @@ def _scan_hits(job):
     kern = _kernel(ctx).with_tables()
     examined = checked = 0
     hits = []
-    for ordinal, desc in enumerate(enumerate_candidates(job)):
+    for ordinal, desc in enumerate(oracle.enumerate_candidates(job)):
         examined += 1
         terms = [(j, e) for e, j in desc if j != -1]
         degree = max([kern.degree[e] for _, e in terms], default=None)
@@ -270,7 +283,7 @@ def test_gf121_even_degree_census():
     picks = set(rng.sample(range(summary.checked - len(hits)), 200))
     degree_of = [digit_sum(11, e) for e in range(ctx.q)]
     misses = 0
-    for ordinal, desc in enumerate(enumerate_candidates(job)):
+    for ordinal, desc in enumerate(oracle.enumerate_candidates(job)):
         (d1, _), (d2, _) = desc
         if max(degree_of[d1], degree_of[d2]) not in job.degree_filter or ordinal in found:
             continue
