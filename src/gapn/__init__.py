@@ -22,7 +22,6 @@ from .polynomials import (
     digit_sum,
     function_from_json,
     is_gapn,
-    is_p_to_one,
 )
 from .constructions import (
     ConstructionRecipe,
@@ -87,7 +86,6 @@ __all__ = [
     "function_from_json",
     "is_gapn",
     "is_mersenne",
-    "is_p_to_one",
     "make_field",
     "monomial_gapn_necessary",
     "monomial_gapn_sufficient",

@@ -86,7 +86,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    ctx = make_field(args.p, 2, table_cap=_table_cap())
     build, required, coefficients = FAMILIES[args.family]
     if any(getattr(args, opt) is None for opt in required):
         raise ValueError(f"{args.family} requires " + " and ".join(f"--{opt}" for opt in required))
@@ -94,6 +93,7 @@ def cmd_construct(args) -> int:
               if opt not in required + coefficients and getattr(args, opt) is not None]
     if unread:
         raise ValueError(f"{args.family} does not read " + " or ".join(f"--{opt}" for opt in unread))
+    ctx = make_field(args.p, 2, table_cap=_table_cap())
     options = {opt: getattr(args, opt) for opt in required}
     options.update({opt: ctx.element(_parse_vector(text)) if (text := getattr(args, opt)) else None
                     for opt in coefficients})
@@ -147,6 +147,7 @@ def _emit_hits(hits, summary, args) -> None:
 
 
 def cmd_search(args) -> int:
+    _threads(args)
     ctx = make_field(args.p, args.n, table_cap=_table_cap())
     job = SearchJob(
         ctx,
@@ -156,7 +157,6 @@ def cmd_search(args) -> int:
         limit=args.limit,
         min_digit_sum=args.min_digit_sum,
     )
-    _threads(args)
     hits, summary = run_search(job, budget=args.budget)
     _emit_hits(hits, summary, args)
     return EXIT_OK

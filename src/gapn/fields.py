@@ -22,7 +22,6 @@ is back at 1 after q-1 steps but not after (q-1)/r steps for any prime
 r | q-1, which antilog records.
 """
 
-import math
 from itertools import product
 
 DEFAULT_TABLE_CAP = 1 << 22
@@ -105,39 +104,6 @@ class FieldElem:
                 return self
             raise ValueError("zero cannot be raised to a negative power")
         return FieldElem(self.ctx, (self.idx * e) % (self.ctx.q - 1))
-
-    def frobenius(self, r: int = 1) -> "FieldElem":
-        """y^(p^r); additive, multiplicative, fixes the prime subfield."""
-        if not 0 <= r < self.ctx.n:
-            raise ValueError(f"frobenius power must lie in 0..{self.ctx.n - 1}")
-        if self.idx == _ZERO_IDX:
-            return self
-        m = self.ctx.q - 1
-        return FieldElem(self.ctx, (self.idx * pow(self.ctx.p, r, m)) % m)
-
-    def trace(self) -> "FieldElem":
-        """Absolute trace: sum of y^(p^r) for r = 0..n-1; lies in F_p."""
-        ctx = self.ctx
-        acc = 0
-        for r in range(ctx.n):
-            acc = ctx.add_code(acc, self.frobenius(r).code)
-        return ctx.from_code(acc)
-
-    def order(self) -> int:
-        """Multiplicative order of a nonzero element; divides q-1."""
-        if self.idx == _ZERO_IDX:
-            raise ValueError("zero has no multiplicative order")
-        m = self.ctx.q - 1
-        return m // math.gcd(self.idx, m)
-
-    def is_nth_power(self, n_th: int) -> bool:
-        """Whether y = z^N for some z: the N-th powers g^(N*i) are the
-        g^k with gcd(N, q-1) | k."""
-        if self.idx == _ZERO_IDX:
-            raise ValueError("the N-th power test requires a nonzero element")
-        if n_th <= 0:
-            raise ValueError("N must be a positive integer")
-        return self.idx % math.gcd(n_th, self.ctx.q - 1) == 0
 
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
@@ -233,13 +199,6 @@ class FieldCtx:
     def units(self):
         """All nonzero elements, by ascending discrete-log index."""
         return (FieldElem(self, i) for i in range(self.q - 1))
-
-    def subgroup(self, m: int) -> list[FieldElem]:
-        """The cyclic subgroup {g^(i*m)}, enumerated for i ascending."""
-        if m <= 0:
-            raise ValueError("subgroup exponent must be positive")
-        count = (self.q - 1) // math.gcd(m, self.q - 1)
-        return [FieldElem(self, (i * m) % (self.q - 1)) for i in range(count)]
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}

@@ -451,9 +451,6 @@ class DerivativeMap:
     values: list[int]
     fiber_histogram: dict[int, int]
 
-    def value_at(self, x: FieldElem) -> FieldElem:
-        return self.direction.ctx.from_code(self.values[x.code])
-
 
 def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     """Order-(p-1) discrete derivative of f in direction a != 0.
@@ -475,12 +472,6 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     quotient.append(0)
     values = list(map(at_y.__getitem__, map(quotient.__getitem__, ctx.log)))
     return DerivativeMap(a, values, dict(Counter(values)))
-
-
-def is_p_to_one(m: DerivativeMap) -> tuple[bool, int]:
-    """Whether every fiber has size 0 or p; also returns the max fiber."""
-    mx = max(m.fiber_histogram.values())
-    return mx == m.direction.ctx.p, mx
 
 
 class GapnVerdict:

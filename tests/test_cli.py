@@ -277,6 +277,23 @@ def test_construct_refuses_options_its_family_does_not_read(capsys, args, unread
     assert err == f"error: {args[1]} does not read {unread}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "-p", "1009", "-n", "2", "--shape", "monomial", "--threads", "-1"],
+     "--threads must be 0 or more, got -1"),
+    (["construct", "--family", "odd-binomial", "-p", "1009", "--k", "1"],
+     "odd-binomial requires --k and --l"),
+], ids=["search-threads", "construct-options"])
+def test_bad_option_is_refused_before_the_field_is_built(monkeypatch, capsys, argv, message):
+    # GF(1009^2) is slow to build, and an option that is refused anyway
+    # must not wait for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the field was built before the options were checked")
+
+    monkeypatch.setattr("gapn.cli.make_field", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_construct_trinomial_reads_its_coefficients(capsys):
     # given (u, v) equal to the defaults, or empty, trinomial prints what
     # the defaults print
@@ -419,10 +436,12 @@ def test_table_cap_env_override(monkeypatch, capsys):
 
 def test_field_info_counts_the_subgroup_without_listing_it(monkeypatch, capsys):
     # <g^(p-1)> has (q-1)/(p-1) elements; field-info reports that count
-    def refuse(self, m):
-        raise AssertionError("field-info must not enumerate the subgroup")
+    # without walking the field's elements
+    def refuse(self):
+        raise AssertionError("field-info must not enumerate the field")
 
-    monkeypatch.setattr(FieldCtx, "subgroup", refuse)
+    monkeypatch.setattr(FieldCtx, "units", refuse)
+    monkeypatch.setattr(FieldCtx, "elements", refuse)
     for p, n, size in ((7, 2, 8), (3, 1, 1)):
         for fmt in ("json", "text"):
             assert main(["field-info", "-p", str(p), "-n", str(n), "--format", fmt]) == 0

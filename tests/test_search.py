@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import multiprocessing.process
+import pathlib
 import random
+import re
 from collections import Counter
 from itertools import combinations, islice, product
 
@@ -650,6 +652,14 @@ def test_registry_contains_required_claims():
     ids = claim_ids()
     for required in ("p7-binomial-even-gaps", "p11-monomial-deg15-none", "p11-mixed-binomial"):
         assert required in ids
+
+
+def test_readme_claim_table_lists_the_registry():
+    # the README's claim table names every registered claim once, in
+    # registry order
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("## Claim registry", 1)[1]
+    assert re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE) == claim_ids()
 
 
 def test_reproduce_unknown_claim():
