@@ -15,12 +15,13 @@ import os
 import sys
 
 from .constructions import FAMILIES
-from .fields import DEFAULT_TABLE_CAP, make_field
+from .fields import DEFAULT_TABLE_CAP, field_order, make_field
 from .polynomials import function_from_json, is_gapn
 from .search import (
     _SHAPES,
     DEFAULT_BUDGET,
     SearchJob,
+    check_search,
     claim_descriptions,
     claim_ids,
     reproduce,
@@ -148,6 +149,11 @@ def _emit_hits(hits, summary, args) -> None:
 
 def cmd_search(args) -> int:
     _threads(args)
+    # a limit below 1 and a job over budget are refused before the field
+    # is built, which takes seconds on the largest fields
+    q = field_order(args.p, args.n, _table_cap())
+    check_search(args.p, q, args.shape, canonicalize=not args.no_canonical, limit=args.limit,
+                 min_digit_sum=args.min_digit_sum, budget=args.budget)
     ctx = make_field(args.p, args.n, table_cap=_table_cap())
     job = SearchJob(
         ctx,

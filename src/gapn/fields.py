@@ -347,14 +347,9 @@ def _order_screen(p: int, n: int, lower, factors) -> bool:
         _poly_pow(p, n, mneg, x, (q - 1) // r) != one for r in factors)
 
 
-def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
-    """Build GF(p^n) for an odd prime p.
-
-    With no modulus, scans monic degree-n polynomials in lexicographic order
-    (constant term first) and takes the first primitive one, so x itself is
-    the returned primitive element.  A supplied modulus must be monic of
-    degree n and primitive, otherwise ValueError is raised.
-    """
+def field_order(p: int, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> int:
+    """q = p^n when make_field accepts p, n and table_cap; otherwise raises
+    make_field's ValueError.  Builds nothing."""
     if n < 1:
         raise ValueError("extension degree must be at least 1")
     # the cap goes first: p ** n and the prime test run for minutes on huge p or n
@@ -364,6 +359,18 @@ def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP)
         raise ValueError(f"p must be prime, got {p}")
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
+    return q
+
+
+def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP) -> FieldCtx:
+    """Build GF(p^n) for an odd prime p.
+
+    With no modulus, scans monic degree-n polynomials in lexicographic order
+    (constant term first) and takes the first primitive one, so x itself is
+    the returned primitive element.  A supplied modulus must be monic of
+    degree n and primitive, otherwise ValueError is raised.
+    """
+    q = field_order(p, n, table_cap)
 
     if modulus is not None:
         m = [int(c) % p for c in modulus]

@@ -28,13 +28,15 @@ Both derivative() and is_gapn() run on one line kernel, built on four facts:
   on t mod m/G, m = q-1, G = gcd(m, d_i - d_1 over i), and t + m/(p-1) is
   line t: lines t = t' mod c = m/lcm(p-1, G) share fibers.  A check builds
   c lines: 1 for one term, 164 of 3280 for X^5 + X^45 over GF(3^8).
-- Packed sums.  Values are stored digit-wise in bit fields wide enough for a
-  sum of p digits, so up to p scaled values add as plain ints.  Per-field
-  tables of at most max(2q, 4096) entries map each packed sum back to an
-  element code, as many digits per lookup as fit: fields up to GF(3^4),
-  GF(5^2) and GF(7^2) need one lookup, and where not even two digits fit
-  each digit is reduced with % p.  Longer sums are reduced after every p-1
-  further terms.
+- Packed sums.  Values are stored digit-wise in bit fields of w bits, so
+  up to capacity = (2^w-1)//(p-1) scaled values add as plain ints.
+  Per-field tables of at most max(2q, 4096) entries map each packed sum
+  back to an element code, as many digits per lookup as fit: fields up to
+  GF(3^4), GF(5^2) and GF(7^2) need one lookup, and where not even two
+  digits fit each digit is reduced with % p.  w is the widest width whose
+  sums need as many lookups as at the narrowest, which holds a sum of p
+  digits (31 values on GF(9), 15 on GF(25)).  Longer sums are reduced after
+  every capacity-1 further terms.
 
 The kernel takes f as (coefficient log, exponent) pairs; is_gapn turns a
 scan into a GapnVerdict.  Lines are scanned in order of their smallest
@@ -210,11 +212,14 @@ class _LineKernel:
     Exponent block tables, each summed at the orbit representatives and
     filled by log shifts (monomial_blocks), hold q/p entries each and are
     cached up to 8*p of them (8*q entries), so a job that meets many
-    exponents, such as a monomial search, keeps the kernel at O(q).
+    exponents, such as a monomial search, keeps the kernel at O(q).  An
+    exponent whose D_1 X^d vanishes is cached too, as the one shared
+    all-zero table dead, which is how reader drops its terms.
     """
 
-    __slots__ = ("p", "n", "m", "nlines", "nblocks", "antilog", "log", "lift", "lines", "logz",
-                 "pack", "degree", "packed_at", "chunks", "orbit_logs", "scales", "fill", "blocks")
+    __slots__ = ("p", "n", "m", "nlines", "nblocks", "antilog", "log", "lift", "lines", "logz", "pack",
+                 "degree", "packed_at", "capacity", "chunks", "orbit_logs", "scales", "fill", "dead",
+                 "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
@@ -245,30 +250,38 @@ class _LineKernel:
                                           map(mod, map(add, rep_logs * (p - 1), self.scales), repeat(m))),
                             repeat(p)))
         self.fill = [len(block_of)] + sorted(range(len(block_of)), key=block_of.__getitem__)
-        # one bit field per digit, wide enough for a sum of p digits: with
-        # u = a + p*b, a < p, u packs to a + (b packed) << w, which is
-        # u + lift[b] with lift[b] = (b packed) << w - p*b, q/p entries
+        # one bit field of w bits per digit, so a packed sum of up to
+        # capacity = (2^w-1)//(p-1) values adds as plain ints.  k digits
+        # share one unpack table of at most max(2q, 4096) entries; w is the
+        # widest width that needs as many tables per sum as the narrowest,
+        # which holds a sum of p digits.  Where not even two digits fit at
+        # that width, each is reduced with % p and w stays the narrowest
+        def tables(w):  # unpack tables per sum; 0 when two digits do not fit
+            k = _table_digits(p, n, q, w)
+            return -(-n // k) if k >= 2 else 0
+
         w = (p * (p - 1)).bit_length()
+        if narrowest := tables(w):
+            while tables(w + 1) == narrowest:
+                w += 1
+        k = _table_digits(p, n, q, w)
+        self.capacity = ((1 << w) - 1) // (p - 1)
+        # with u = a + p*b, a < p, u packs to a + (b packed) << w, which is
+        # u + lift[b] with lift[b] = (b packed) << w - p*b, q/p entries
         upper = [0]
         for i in range(1, n):
             upper = [x + s for s in [d << (w * i) for d in range(p)] for x in upper]
         self.lift = list(map(sub, upper, range(0, q, p)))
         self.logz = self.pack = self.degree = self.packed_at = None
-        # k digits share one lookup table of at most max(2q, 4096) entries,
-        # so fields up to GF(3^4), GF(5^2) and GF(7^2) unpack a sum with one
-        # lookup; when not even two digits fit, each is reduced with % p
-        top = p * (p - 1) + 1
-        cap = max(2 * q, 1 << 12)
-        k = 0
-        while k < n and top << (w * k) <= cap:
-            k += 1
         if k < 2:
             self.chunks = [(w * i, (1 << w) - 1 if i < n - 1 else 0, p.__rmod__, p ** i)
                            for i in range(n)]
         else:
             self.chunks = [(w * lo, (1 << (w * k)) - 1 if lo + k < n else 0,
-                            _chunk_table(p, w, lo, min(lo + k, n)).__getitem__, 1)
+                            _chunk_table(p, w, lo, min(lo + k, n), self.capacity * (p - 1)).__getitem__, 1)
                            for lo in range(0, n, k)]
+        # the block table of every exponent whose D_1 X^d vanishes
+        self.dead = [2 * m] * self.nblocks
         self.blocks = {}
 
     def with_tables(self) -> "_LineKernel":
@@ -294,7 +307,7 @@ class _LineKernel:
         return self
 
     def unpack(self, sums: list[int]) -> list[int]:
-        """Element codes of packed sums of at most p packed values."""
+        """Element codes of packed sums of at most capacity packed values."""
         codes = None
         for shift, mask, lookup, scale in self.chunks:
             v = map(rshift, sums, repeat(shift)) if shift else sums
@@ -306,14 +319,14 @@ class _LineKernel:
 
     def sum_codes(self, vecs: list) -> list[int]:
         """Element codes of the entrywise sum of packed vectors.  A packed
-        field holds a sum of p values, so a running sum takes p-1 vectors
-        at a time and is mapped back to codes, and repacked, after each
-        group."""
-        p = self.p
+        field holds a sum of capacity values, so a running sum takes
+        capacity-1 vectors at a time and is mapped back to codes, and
+        repacked, after each group."""
+        more = self.capacity - 1
         acc, rest = vecs[0], vecs[1:]
         while True:
-            codes = self.unpack(list(reduce(partial(map, add), rest[:p - 1], acc)))
-            rest = rest[p - 1:]
+            codes = self.unpack(list(reduce(partial(map, add), rest[:more], acc)))
+            rest = rest[more:]
             if not rest:
                 return codes
             acc = map(self.pack.__getitem__, codes)
@@ -326,17 +339,18 @@ class _LineKernel:
         c*X^d whose D_1 X^d is identically zero are dropped.
 
         A line is the packed sum of the T scaled block tables (line_codes),
-        T*q/p lookups for T surviving terms; beyond p terms sum_codes
-        reduces it in groups.  The kernel's O(q) tables are built for more
-        than one surviving term."""
-        p = self.p
-        terms = [(ci, d) for ci, d in terms if digit_sum(p, d) >= p - 1]
+        T*q/p lookups for T surviving terms; beyond capacity terms
+        sum_codes reduces it in groups.  A term is dropped when its block
+        table is the shared dead one.  The kernel's O(q) tables are built
+        for more than one surviving term."""
+        dead = self.dead
+        terms = [(ci, d, blocks) for ci, d in terms if (blocks := self.monomial_blocks(d)) is not dead]
         if not terms:
             return (lambda t: [0] * self.nblocks), 1
         if len(terms) > 1:
             self.with_tables()
-        period = self.m // math.lcm(p - 1, math.gcd(self.m, *(d - terms[0][1] for _, d in terms)))
-        return partial(self.line_codes, [(ci, d, self.monomial_blocks(d)) for ci, d in terms]), period
+        period = self.m // math.lcm(self.p - 1, math.gcd(self.m, *(d - terms[0][1] for _, d, _ in terms)))
+        return partial(self.line_codes, terms), period
 
     def scan(self, terms, fail_fast: bool = False):
         """(scanned, failing) for f the sum of terms given as (coefficient
@@ -366,10 +380,11 @@ class _LineKernel:
         return scanned, failing
 
     def monomial_blocks(self, d: int) -> list[int]:
-        """M_d = D_1 X^d on each block of p consecutive codes, in log form,
-        for digit_sum(d) >= p-1 (cached).  D_1 X^d = -sum of C(d,k)*X^(d-k)
-        over k > 0 with (p-1) | k, and by Lucas such a k with C(d,k) != 0
-        mod p exists exactly when digit_sum(d) >= p-1.
+        """M_d = D_1 X^d on each block of p consecutive codes, in log form
+        (cached).  D_1 X^d = -sum of C(d,k)*X^(d-k) over k > 0 with
+        (p-1) | k, and by Lucas such a k with C(d,k) != 0 mod p exists
+        exactly when digit_sum(d) >= p-1; below that, M_d is the shared
+        all-zero table dead.
 
         M_d(y) = sum of (y+c)^d over c in F_p, and c/lambda runs over F_p
         too, so M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*.  So
@@ -383,21 +398,26 @@ class _LineKernel:
             if len(self.blocks) >= 8 * self.p:
                 self.blocks.clear()
             p, m, zero = self.p, self.m, 2 * self.m
-            # sums of p packed values (y+c)^d = g^(d*log(y+c)) over block 0,
-            # led by 0^d = 0 (d > 0 here), and over each representative's
-            # block; code u packs to u + lift[u // p]
-            codes = [0]
-            codes += map(self.antilog.__getitem__, map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
-            vals = map(add, codes, map(self.lift.__getitem__, map(floordiv, codes, repeat(p))))
-            sums = list(map(sum, zip(*[vals] * p)))
-            # log[0] = -1 marks a zero sum
-            at0, *reps = map(self.log.__getitem__, self.unpack(sums))
-            # a scaled copy adds d*log(lambda) to the logs; a zero stays zero
-            scaled = list(map(mod, map(add, reps * (p - 1), map(mul, self.scales, repeat(d))), repeat(m)))
-            for i in compress(count(), map((-1).__eq__, reps)):
-                scaled[i::len(reps)] = [zero] * (p - 1)
-            scaled.append(zero if at0 < 0 else at0)
-            blocks = self.blocks[d] = list(map(scaled.__getitem__, self.fill))
+            if digit_sum(p, d) < p - 1:
+                blocks = self.dead
+            else:
+                # sums of p packed values (y+c)^d = g^(d*log(y+c)) over block 0,
+                # led by 0^d = 0 (d > 0 here), and over each representative's
+                # block; code u packs to u + lift[u // p]
+                codes = [0]
+                codes += map(self.antilog.__getitem__,
+                             map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
+                vals = map(add, codes, map(self.lift.__getitem__, map(floordiv, codes, repeat(p))))
+                sums = list(map(sum, zip(*[vals] * p)))
+                # log[0] = -1 marks a zero sum
+                at0, *reps = map(self.log.__getitem__, self.unpack(sums))
+                # a scaled copy adds d*log(lambda) to the logs; a zero stays zero
+                scaled = list(map(mod, map(add, reps * (p - 1), map(mul, self.scales, repeat(d))), repeat(m)))
+                for i in compress(count(), map((-1).__eq__, reps)):
+                    scaled[i::len(reps)] = [zero] * (p - 1)
+                scaled.append(zero if at0 < 0 else at0)
+                blocks = list(map(scaled.__getitem__, self.fill))
+            self.blocks[d] = blocks
         return blocks
 
     def line_codes(self, terms, t: int) -> list[int]:
@@ -419,14 +439,27 @@ class _LineKernel:
                                for ci, d, blocks in terms])
 
 
-def _chunk_table(p: int, w: int, lo: int, hi: int) -> list[int]:
-    """Code contribution of digits lo..hi-1, indexed by their packed fields."""
-    table = None
+def _table_digits(p: int, n: int, q: int, w: int) -> int:
+    """How many digits (at most n) of w-bit fields share one unpack table of
+    at most max(2q, 4096) entries: all but the last take every w-bit value,
+    the last at most a full field sum, (2^w-1)//(p-1)*(p-1)."""
+    top = ((1 << w) - 1) // (p - 1) * (p - 1) + 1
+    k = 0
+    while k < n and top << (w * k) <= max(2 * q, 1 << 12):
+        k += 1
+    return k
+
+
+def _chunk_table(p: int, w: int, lo: int, hi: int, largest: int) -> list[int]:
+    """Code contribution of digits lo..hi-1, indexed by their packed fields;
+    digit hi-1's field holds at most largest."""
+    table = [0]
     for i in range(lo, hi):
-        size = 1 << w if i < hi - 1 else p * (p - 1) + 1
-        digit = [d * p ** i for d in range(p)]
-        column = (digit * -(-size // p))[:size]  # (v % p) * p^i, shared ints
-        table = column if table is None else [x + y for y in column for x in table]
+        size = 1 << w if i < hi - 1 else largest + 1
+        # field value v adds (v % p) * p^i: one period of p values of the
+        # field over the table so far, repeated (shared ints)
+        period = [x + s for s in range(0, p ** (i + 1), p ** i) for x in table]
+        table = (period * -(-size // p))[:size * len(table)]
     return table
 
 
@@ -447,7 +480,6 @@ class DerivativeMap:
     (always a multiple of p, by constancy on cosets of the line).
     """
 
-    direction: FieldElem
     values: list[int]
     fiber_histogram: dict[int, int]
 
@@ -471,7 +503,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     quotient = ctx.antilog[ctx.q - 1 - t:] + ctx.antilog[:ctx.q - 1 - t]
     quotient.append(0)
     values = list(map(at_y.__getitem__, map(quotient.__getitem__, ctx.log)))
-    return DerivativeMap(a, values, dict(Counter(values)))
+    return DerivativeMap(values, dict(Counter(values)))
 
 
 class GapnVerdict:

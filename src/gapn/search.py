@@ -79,8 +79,7 @@ class SearchJob:
             raise ValueError(f"unknown search shape {self.shape!r}")
         if self.degree_filter is not None:
             self.degree_filter = frozenset(self.degree_filter)
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be at least 1, got {self.limit}")
+        _check_limit(self.limit)
 
 
 @dataclass(slots=True)
@@ -119,33 +118,62 @@ class SearchSummary:
         }
 
 
-def _digitsum_slots(job: SearchJob) -> list[int]:
-    minds = job.min_digit_sum if job.min_digit_sum is not None else job.field.p
-    p = job.field.p
-    return [e for e in range(job.field.q) if digit_sum(p, e) >= minds]
+def _digitsum_slots(p: int, q: int, min_digit_sum: int | None) -> list[int]:
+    """The exponents of a digitsum-reduced job over GF(q): those of digit
+    sum at least min_digit_sum, p when it is None."""
+    floor = p if min_digit_sum is None else min_digit_sum
+    return [e for e in range(q) if digit_sum(p, e) >= floor]
 
 
-def _tuple_shape(job: SearchJob) -> tuple[int, range]:
-    """(k, lead coefficient logs) of a k-term job; a monomial's lead is
-    always log 0."""
-    k = {"monomial": 1, "binomial": 2, "trinomial": 3}[job.shape]
-    return k, range(1 if k == 1 or job.canonicalize else job.field.q - 1)
+def _tuple_shape(shape: str, canonicalize: bool, q: int) -> tuple[int, range]:
+    """(k, lead coefficient logs) of a k-term job over GF(q); a monomial's
+    lead is always log 0."""
+    k = {"monomial": 1, "binomial": 2, "trinomial": 3}[shape]
+    return k, range(1 if k == 1 or canonicalize else q - 1)
+
+
+def _count(p: int, q: int, shape: str, canonicalize: bool, min_digit_sum: int | None) -> int:
+    """Exact number of candidates of a job over GF(q), q a power of p."""
+    if shape == "digitsum-reduced":
+        return q ** len(_digitsum_slots(p, q, min_digit_sum))
+    k, leads = _tuple_shape(shape, canonicalize, q)
+    return math.comb(q - 1, k) * len(leads) * (q - 1) ** (k - 1)
 
 
 def candidate_count(job: SearchJob) -> int:
     """Exact number of candidates the job enumerates."""
-    if job.shape == "digitsum-reduced":
-        return job.field.q ** len(_digitsum_slots(job))
-    k, leads = _tuple_shape(job)
-    m = job.field.q - 1
-    return math.comb(m, k) * len(leads) * m ** (k - 1)
+    return _count(job.field.p, job.field.q, job.shape, job.canonicalize, job.min_digit_sum)
+
+
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+
+
+def _check_budget(total: int, budget: int) -> None:
+    if total > budget:
+        raise ValueError(
+            f"job enumerates {total} candidates, above the budget of {budget}; "
+            "raise the budget explicitly to run it"
+        )
+
+
+def check_search(p: int, q: int, shape: str, canonicalize: bool = True, limit: int | None = None,
+                 min_digit_sum: int | None = None, budget: int = DEFAULT_BUDGET) -> None:
+    """Raise the ValueError that SearchJob (a limit below 1) or run_search
+    (a job over budget) would raise for these options over GF(q), q a power
+    of p, without building the field: neither reads more than p, q and the
+    options."""
+    _check_limit(limit)
+    _check_budget(_count(p, q, shape, canonicalize, min_digit_sum), budget)
 
 
 def _digitsum_search(job: SearchJob):
     """The blocks (run_search) of a digitsum-reduced job, two per choice
     prefix of all but the last slot: that slot zero (none for the zero
     function), then present."""
-    ctx, slots = job.field, _digitsum_slots(job)
+    ctx = job.field
+    slots = _digitsum_slots(ctx.p, ctx.q, job.min_digit_sum)
     if not slots:
         return
     q, flt, degrees = ctx.q, job.degree_filter, [digit_sum(ctx.p, e) for e in slots]
@@ -175,7 +203,7 @@ def _secant_search(job: SearchJob):
     ctx, flt = job.field, job.degree_filter
     kern = _kernel(ctx).with_tables()
     m, degree_of = kern.m, kern.degree
-    k, leads = _tuple_shape(job)
+    k, leads = _tuple_shape(job.shape, job.canonicalize, ctx.q)
     hits_of = tuple_hits(ctx, k)
     width = m ** (k - 1)
     block = len(leads) * width
@@ -225,11 +253,7 @@ def run_search(
     offsets.  Only this loop cuts at the limit, counts examined, checked
     and hits_by_degree, and builds hits; threads is ignored."""
     total = candidate_count(job)
-    if total > budget:
-        raise ValueError(
-            f"job enumerates {total} candidates, above the budget of {budget}; "
-            "raise the budget explicitly to run it"
-        )
+    _check_budget(total, budget)
     t0 = time.perf_counter()
     poly = partial(SparsePoly._from_sorted_terms, job.field)
     room = job.limit or total + 1  # the hits still allowed: with no limit, more than all candidates
@@ -420,30 +444,32 @@ def _claim_p7_binomial_even_gaps():
     return ok, details
 
 
-def _random_poly(ctx: FieldCtx, rng: random.Random) -> SparsePoly:
-    # exponents ascend and zero codes are skipped, so the terms are canonical
-    log = ctx.log
-    terms = []
-    for e in range(ctx.q):
-        code = rng.randrange(ctx.q)
-        if code:
-            terms.append((e, FieldElem(ctx, log[code])))
-    return SparsePoly._from_sorted_terms(ctx, tuple(terms))
+def _random_poly(ctx: FieldCtx, elements: list[FieldElem], rng: random.Random):
+    """(f, coefficients): every coefficient of X^0..X^(q-1) is
+    rng.choice(elements) over ctx's elements by code, the draw of
+    randrange(q) without a FieldElem built per draw."""
+    coeffs = [rng.choice(elements) for _ in elements]
+    # exponents ascend and zeros are skipped, so the terms are canonical
+    terms = tuple((e, c) for e, c in enumerate(coeffs) if c.idx >= 0)
+    return SparsePoly._from_sorted_terms(ctx, terms), coeffs
 
 
 def _claim_p3_no_even_degree():
     # the reduction keeps the slots {5, 7, 8} of GF(9), 729 functions: the
     # unfiltered digitsum-reduced search (the secant walk) decides them all
-    # once, and each draw's kernel scan is checked against its reduction's entry
+    # once, and each draw's kernel scan is checked against the entry of its
+    # coefficients' logs at those slots (-1 for zero)
     ctx = _field(3)
+    slots = _digitsum_slots(ctx.p, ctx.q, None)
     hits, _ = run_search(SearchJob(ctx, "digitsum-reduced"))
-    gapn_reduced = {h.function for h in hits}
+    gapn_reduced = {tuple(dict(h.function.terms).get(e, ctx.zero).idx for e in slots) for h in hits}
+    elements = list(ctx.elements())
     rng = random.Random(0x6A93)
     sound = 0
     trials = 1000
     for _ in range(trials):
-        f = _random_poly(ctx, rng)
-        if is_gapn(f, fail_fast=True).is_gapn == (f.restrict_min_digit_sum(3) in gapn_reduced):
+        f, coeffs = _random_poly(ctx, elements, rng)
+        if is_gapn(f, fail_fast=True).is_gapn == (tuple(coeffs[e].idx for e in slots) in gapn_reduced):
             sound += 1
     ok = sound == trials
     job = SearchJob(ctx, "digitsum-reduced", degree_filter=frozenset({4}))
@@ -545,12 +571,12 @@ def _claim_condition_equivalence():
     ctx7 = _field(7)
     zeros7 = [ctx7.zero] * 4
     fibers7 = _ratio_fibers(ctx7)
+    # units by log: rng.choice(units7) is FieldElem(ctx7, rng.randrange(48))
+    units7 = list(ctx7.units())
     rng = random.Random(0x51E7)
     sampled = 2000
     for _ in range(sampled):
-        c1 = FieldElem(ctx7, rng.randrange(48))
-        c2 = FieldElem(ctx7, rng.randrange(48))
-        a = FieldElem(ctx7, rng.randrange(48))
+        c1, c2, a = rng.choice(units7), rng.choice(units7), rng.choice(units7)
         pred = p_to_one_condition(ctx7, 1, [c1, c2] + zeros7, a)
         ok = ok and pred == (fibers7[(c2.idx - c1.idx) % 48][a.idx] == 7)
     details = {"exhaustive_triples": exhaustive, "sampled_triples": sampled}

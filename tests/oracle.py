@@ -106,7 +106,8 @@ def value_table(tf, terms):
     return vals
 
 
-def _summed_derivative(tf, gt, a):
+def summed_derivative(tf, gt, a):
+    """D(x) = sum over i in F_p of G(x + i*a) for the value table gt of G."""
     out = []
     for code in range(tf.q):
         x = tf.from_code(code)
@@ -121,7 +122,7 @@ def _summed_derivative(tf, gt, a):
 
 def derivative_table(tf, terms, a):
     """Direct summation: D(x) = sum over i in F_p of G(x + i*a)."""
-    return _summed_derivative(tf, value_table(tf, terms), a)
+    return summed_derivative(tf, value_table(tf, terms), a)
 
 
 def fibers(values):
@@ -162,7 +163,7 @@ def verdict(tf, terms):
     per_direction = {}
     witness = None
     for a_code in range(1, tf.q):
-        hist = fibers(_summed_derivative(tf, gt, tf.from_code(a_code)))
+        hist = fibers(summed_derivative(tf, gt, tf.from_code(a_code)))
         per_direction[a_code] = max(hist.values())
         if witness is None and per_direction[a_code] > tf.p:
             b = min(tf.to_code(v) for v, c in hist.items() if c > tf.p)
@@ -175,7 +176,7 @@ def witness(tf, terms):
     ascending code that stops at the first failing one."""
     gt = value_table(tf, terms)
     for a_code in range(1, tf.q):
-        hist = fibers(_summed_derivative(tf, gt, tf.from_code(a_code)))
+        hist = fibers(summed_derivative(tf, gt, tf.from_code(a_code)))
         if max(hist.values()) > tf.p:
             return a_code, min(tf.to_code(v) for v, c in hist.items() if c > tf.p)
     return None

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import time
 import pytest
 
 import gapn
+import gapn.search as search
 from gapn.cli import main
 from gapn.fields import FieldCtx, make_field
 from gapn.polynomials import SparsePoly
@@ -381,6 +383,36 @@ def test_search_budget_flag(capsys):
                "--budget", "10", "--threads", "1"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+
+
+def _refuse_field_builds(field_p, field_n, table_cap=1 << 22):
+    raise AssertionError("make_field called")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--limit", "0"], "limit must be at least 1, got 0"),
+    ([], f"job enumerates {math.comb(3 ** 13 - 1, 2) * (3 ** 13 - 1)} candidates, above the budget "
+         "of 10000000; raise the budget explicitly to run it"),
+])
+def test_search_refuses_before_building_the_field(monkeypatch, capsys, argv, message):
+    # the limit and the candidate count depend only on p, n and the options:
+    # GF(3^13) binomials are refused without make_field, with the messages
+    # SearchJob and run_search give on a built field
+    monkeypatch.setattr("gapn.cli.make_field", _refuse_field_builds)
+    assert main(["search", "-p", "3", "-n", "13", "--shape", "binomial", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.undo()
+    ctx = make_field(3, 3)
+    for shape, options in (("trinomial", {"canonicalize": False}), ("digitsum-reduced", {"min_digit_sum": 2})):
+        with pytest.raises(ValueError) as built:
+            search.run_search(search.SearchJob(ctx, shape, **options), budget=10)
+        flags = ["--no-canonical"] if shape == "trinomial" else ["--min-digit-sum", "2"]
+        assert main(["search", "-p", "3", "-n", "3", "--shape", shape, *flags, "--budget", "10"]) == 2
+        assert capsys.readouterr().err == f"error: {built.value}\n"
+    with pytest.raises(ValueError) as built:
+        search.SearchJob(ctx, "monomial", limit=0)
+    assert main(["search", "-p", "3", "-n", "3", "--shape", "monomial", "--limit", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {built.value}\n"
 
 
 def test_reproduce_single(capsys):

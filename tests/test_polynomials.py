@@ -1,6 +1,8 @@
 """Sparse polynomials, discrete derivatives and GAPN verdicts."""
 
+import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -111,8 +113,8 @@ def test_derivative_matches_direct_summation():
         for _ in range(6):
             cases.append((_random_poly(ctx, rng), ctx.from_code(rng.randrange(1, ctx.q))))
     # every direction on GF(27); the last function has 11 terms, 10 of them
-    # with digit sum >= p-1, so each line's packed sum is reduced and
-    # repacked after every p-1 further terms
+    # with digit sum >= p-1, more than GF(27)'s packed sum holds (7), so
+    # each line's packed sum is reduced and repacked once
     ctx = make_field(3, 3)
     rng = random.Random(27)
     many = SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, 27)))
@@ -341,10 +343,11 @@ def test_verdict_matches_oracle_seeded_binomials(p, n, count):
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
 def test_verdict_matches_oracle_many_surviving_terms(p, n):
-    # p+1 to 3p terms whose derivative does not vanish, more than one packed
-    # sum can hold: random ones, and GAPN ones (the gold monomial plus terms of
-    # digit sum p-1, whose derivatives are constants); each line's sum is
-    # reduced and repacked after every p-1 further terms
+    # p+1 to 3p terms whose derivative does not vanish: random ones, and
+    # GAPN ones (the gold monomial plus terms of digit sum p-1, whose
+    # derivatives are constants); on GF(27) beyond 7 terms each line's sum
+    # is reduced and repacked, while GF(9) and GF(25) hold them in one sum
+    # (test_wide_sums_match_oracle_up_to_capacity goes past their capacity)
     ctx = make_field(p, n)
     rng = random.Random(1000 * p + n)
     surviving = _surviving_exponents(ctx)
@@ -375,10 +378,10 @@ def test_verdict_matches_oracle_many_surviving_terms(p, n):
 @pytest.mark.parametrize("p,n", [(5, 2), (3, 5), (11, 2), (13, 2)])
 def test_regrouped_sum_matches_oracle_on_every_unpack_layout(p, n):
     # p+1, 2p and 3p surviving terms, and a GAPN function of more than p
-    # (the gold monomial plus terms of digit sum p-1), so each line's sum is
-    # reduced and repacked after every p-1 further terms; GF(25) unpacks
-    # with one chunk table, GF(3^5) with two, GF(11^2) and GF(13^2) digit
-    # by digit with % p
+    # (the gold monomial plus terms of digit sum p-1); GF(25) unpacks with
+    # one chunk table and holds up to 15 terms in one sum, GF(3^5) reduces
+    # after 7 terms and unpacks with two tables, GF(11^2) and GF(13^2)
+    # reduce after 12 and 21 and unpack digit by digit with % p
     ctx = make_field(p, n)
     tf = oracle.tuple_field_of(ctx)
     rng = random.Random(1900 + 10 * p + n)
@@ -397,6 +400,50 @@ def test_regrouped_sum_matches_oracle_on_every_unpack_layout(p, n):
             v = is_gapn(f, fail_fast=fail_fast)
             assert v.is_gapn == (want is None) == (f is gold)
             assert v.witness == (None if want is None else tuple(map(ctx.from_code, want)))
+
+
+@pytest.mark.parametrize("p,n,directions", [
+    (3, 2, None), (3, 3, None), (5, 2, None), (7, 2, None), (5, 3, 12), (3, 5, 12), (5, 4, 1),
+])
+def test_wide_sums_match_oracle_up_to_capacity(p, n, directions):
+    # every field whose packed sum holds more than p values, the count at
+    # the narrowest width: seeded functions of 1 up to capacity+2 surviving terms (as many as the
+    # field has), so sums of capacity terms and sums reduced once.  The
+    # oracle sums every direction where directions is None, and else the
+    # leading direction codes 1..directions (it costs q*p tuple additions per
+    # direction): their fibers, the witness when one of them fails, and the
+    # derivative values there
+    ctx = make_field(p, n)
+    tf = oracle.tuple_field_of(ctx)
+    kern = _kernel(ctx)
+    assert kern.capacity == ((1 << _packed_width(p, n)) - 1) // (p - 1) > p
+    rng = random.Random(3700 + 10 * p + n)
+    exps = rng.sample(_surviving_exponents(ctx), min(kern.capacity + 2, len(_surviving_exponents(ctx))))
+    coeffs = [ctx.from_code(rng.randrange(1, ctx.q)) for _ in exps]
+    gt = [tf.zero] * ctx.q
+    for count, (e, c) in enumerate(zip(exps, coeffs), 1):
+        f = SparsePoly(ctx, zip(exps[:count], coeffs[:count]))
+        assert len(f.terms) == count
+        gt = list(map(tf.add, gt, oracle.value_table(tf, [(e, tuple(c.vector()))])))
+        if directions is None:
+            _assert_verdict_matches_oracle(f)
+        full, fast = is_gapn(f), is_gapn(f, fail_fast=True)
+        fibers = {a.code: m for a, m in full.per_direction}
+        leading = range(1, ctx.q if directions is None else directions + 1)
+        witness = None
+        for a in leading:
+            want = oracle.summed_derivative(tf, gt, tf.from_code(a))
+            assert derivative(f, ctx.from_code(a)).values == [tf.to_code(v) for v in want], (count, a)
+            hist = oracle.fibers(want)
+            assert fibers[a] == max(hist.values()), (count, a)
+            if witness is None and fibers[a] > p:
+                witness = (a, min(tf.to_code(v) for v, k in hist.items() if k > p))
+        for v in (full, fast):
+            if witness is None:
+                assert v.witness is None or v.witness[0].code > leading[-1], count
+            else:
+                assert (v.witness[0].code, v.witness[1].code) == witness, count
+    assert len(exps) > kern.capacity or len(exps) == len(_surviving_exponents(ctx))
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
@@ -676,6 +723,12 @@ def _chunk_layout(kern):
     return "one table" if len(tables) == 1 else "tables"
 
 
+# packed values a sum holds, (2^w-1)//(p-1) for the width w of _packed_width
+_CAPACITY = {(3, 1): 3, (3, 2): 31, (3, 3): 7, (3, 4): 3, (3, 5): 7, (3, 6): 7, (3, 7): 3,
+             (5, 1): 7, (5, 2): 15, (5, 3): 15, (5, 4): 15, (7, 2): 10, (7, 3): 10,
+             (11, 2): 12, (13, 2): 21, (67, 1): 124}
+
+
 @pytest.mark.parametrize("p,n,layout", [
     (3, 1, "% p"), (3, 2, "one table"), (3, 3, "one table"), (3, 4, "one table"),
     (3, 5, "tables"), (3, 6, "tables"), (3, 7, "tables"),
@@ -684,23 +737,27 @@ def _chunk_layout(kern):
     (11, 2, "% p"), (13, 2, "% p"), (67, 1, "% p"),
 ])
 def test_unpack_matches_digitwise_reduction(p, n, layout):
-    # every chunk layout maps a packed sum of at most p packed values to the
-    # code whose base-p digits are the bit fields' sums mod p
+    # every chunk layout maps a packed sum of up to capacity packed values
+    # to the code whose base-p digits are the bit fields' sums mod p; the
+    # width and so the capacity follow _packed_width's rule
     ctx = make_field(p, n)
     kern = _kernel(ctx)
+    capacity = _CAPACITY[p, n]
     assert _chunk_layout(kern) == layout
+    assert _unpack_tables(p, n, _packed_width(p, n)) == (len(kern.chunks) if layout != "% p" else None)
     for _, _, lookup, _ in kern.chunks:
         if isinstance(lookup.__self__, list):
             assert len(lookup.__self__) <= max(2 * ctx.q, 4096)
-    w = (p * (p - 1)).bit_length()
+    w = _packed_width(p, n)
+    assert kern.capacity == capacity == ((1 << w) - 1) // (p - 1)
 
     def reduce_digits(total):
         return sum(((total >> (w * i)) & ((1 << w) - 1)) % p * p ** i for i in range(n))
 
     packed = [_pack_digitwise(p, n, c) for c in range(ctx.q)]
     rng = random.Random(1400 + 10 * p + n)
-    sums = [p * packed[-1]]  # every field at its largest sum p*(p-1)
-    sums += [sum(rng.choices(packed, k=rng.randint(1, p))) for _ in range(2000)]
+    sums = [capacity * packed[-1]]  # every field at its largest sum capacity*(p-1)
+    sums += [sum(rng.choices(packed, k=rng.randint(1, capacity))) for _ in range(2000)]
     assert kern.unpack(sums) == [reduce_digits(s) for s in sums]
 
 
@@ -712,9 +769,29 @@ def _built_tables(ctx):
     return [name for name in _TABLES if getattr(_kernel(ctx), name) is not None]
 
 
-def _pack_digitwise(p, n, code):
-    """code with base-p digit i in bit field i, as wide as a sum of p digits."""
+def _unpack_tables(p, n, w):
+    """Unpack tables per packed sum at field width w, or None when no two
+    digits share a table.  A table of k digits takes every w-bit value of
+    its k-1 low fields and every sum its top field can hold, capacity*(p-1)
+    for capacity = (2^w-1)//(p-1), and has at most max(2q, 4096) entries."""
+    largest = ((1 << w) - 1) // (p - 1) * (p - 1)
+    fit = [k for k in range(2, n + 1) if (1 << (w * (k - 1))) * (largest + 1) <= max(2 * p ** n, 4096)]
+    return math.ceil(n / max(fit)) if fit else None
+
+
+def _packed_width(p, n):
+    """The kernel's bit-field width: the narrowest width that holds a sum of
+    p digits, (p(p-1)).bit_length(), widened while a packed sum still needs
+    as many unpack tables; kept where digits are reduced with % p."""
     w = (p * (p - 1)).bit_length()
+    while _unpack_tables(p, n, w) is not None and _unpack_tables(p, n, w + 1) == _unpack_tables(p, n, w):
+        w += 1
+    return w
+
+
+def _pack_digitwise(p, n, code):
+    """code with base-p digit i in bit field i of _packed_width bits."""
+    w = _packed_width(p, n)
     return sum((code // p ** i % p) << (w * i) for i in range(n))
 
 
@@ -766,6 +843,15 @@ def test_kernel_tables_match_independent_construction(p, n):
     q, m = ctx.q, ctx.q - 1
     assert kern.degree == [sum(tf.from_code(c)) for c in range(q)]
     assert kern.pack == [_pack_digitwise(p, n, c) for c in range(q)]
+    # capacity packed values of digit p-1 fill each w-bit field, one more
+    # would carry into the next: sums of 1 up to capacity packed codes
+    # unpack to their digit-wise sums
+    w = _packed_width(p, n)
+    assert kern.capacity * (p - 1) < 1 << w <= (kern.capacity + 1) * (p - 1)
+    rng = random.Random(3100 + 10 * p + n)
+    draws = [rng.choices(range(q), k=k) for k in range(1, kern.capacity + 1)] + [[q - 1] * kern.capacity]
+    assert kern.unpack([sum(map(kern.pack.__getitem__, codes)) for codes in draws]) == [
+        tf.to_code(reduce(tf.add, map(tf.from_code, codes))) for codes in draws]
     g = tuple(ctx.primitive_element.vector())
     powers = [tf.one]
     for _ in range(m - 1):

@@ -623,18 +623,55 @@ def test_monomial_tuple_hits_match_is_gapn(p, n):
 
 @pytest.mark.parametrize("p, min_sum", [(3, 3), (5, 6)])
 def test_random_poly_and_restriction_are_canonical(p, min_sum):
-    # the p3-no-even-degree claim builds both without validation; they equal
-    # (== and hash) the validated SparsePoly of the same draws
+    # the p3-no-even-degree claim builds its draws without validation, by
+    # rng.choice over the elements by code: their coefficients are the codes
+    # of the randrange(q) stream of the same seed, f and its restriction
+    # equal (== and hash) the validated SparsePoly of those codes, and the
+    # claim's key, the logs at the reduction's slots, is the restriction's
     ctx = make_field(p, 2)
+    elements = list(ctx.elements())
+    slots = [e for e in range(ctx.q) if digit_sum(p, e) >= min_sum]
     rng, again = random.Random(0x6A93), random.Random(0x6A93)
     for _ in range(50):
-        f = search._random_poly(ctx, rng)
+        f, coeffs = search._random_poly(ctx, elements, rng)
         codes = [again.randrange(ctx.q) for _ in range(ctx.q)]
+        assert [c.code for c in coeffs] == codes
         want = SparsePoly(ctx, [(e, ctx.from_code(code)) for e, code in enumerate(codes)])
         want_high = SparsePoly(ctx, [(e, c) for e, c in want.terms if digit_sum(p, e) >= min_sum])
         for got, validated in ((f, want), (f.restrict_min_digit_sum(min_sum), want_high)):
             assert got == validated and hash(got) == hash(validated)
             assert type(got.terms) is tuple
+        high = dict(want_high.terms)
+        assert [coeffs[e].idx for e in slots] == [high[e].idx if e in high else -1 for e in slots]
+
+
+def test_sampling_claims_draw_the_randrange_streams(monkeypatch):
+    # p3-no-even-degree checks the functions whose coefficient codes are
+    # randrange(9) draws, and derivative-condition-equivalence the p = 7
+    # triples (c1, c2, a) whose logs are randrange(48) draws, in draw order
+    checked, triples = [], []
+    real_is_gapn, real_condition = search.is_gapn, search.p_to_one_condition
+
+    def recording_is_gapn(f, fail_fast=False):
+        if f.field.q == 9:
+            checked.append(f)
+        return real_is_gapn(f, fail_fast)
+
+    def recording_condition(ctx, s, coeffs, a):
+        if ctx.p == 7:
+            triples.append((coeffs[0].idx, coeffs[1].idx, a.idx))
+        return real_condition(ctx, s, coeffs, a)
+
+    monkeypatch.setattr(search, "is_gapn", recording_is_gapn)
+    monkeypatch.setattr(search, "p_to_one_condition", recording_condition)
+    assert reproduce("p3-no-even-degree").passed
+    assert reproduce("derivative-condition-equivalence").passed
+    ctx = make_field(3, 2)
+    rng = random.Random(0x6A93)
+    want = [SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(9))) for e in range(9)]) for _ in range(1000)]
+    assert checked == want
+    rng = random.Random(0x51E7)
+    assert triples == [tuple(rng.randrange(48) for _ in range(3)) for _ in range(2000)]
 
 
 def test_hit_and_summary_json_shapes():
@@ -757,6 +794,19 @@ def test_claim_details_are_pinned(capsys):
     assert list(digests.items()) == list(CLAIM_DETAIL_DIGESTS.items())
 
 
+def test_each_claim_alone_gives_its_details_in_the_all_order():
+    # the kernel's block-table cache also holds exponents whose derivative
+    # vanishes and is cleared at 8p entries, so what an earlier claim left
+    # on a shared field must not change a later claim: each claim run alone
+    # on freshly built fields gives the details of the registry-order run
+    search._field.cache_clear()
+    in_order = [reproduce(claim_id) for claim_id in claim_ids()]
+    for report in in_order:
+        search._field.cache_clear()
+        alone = reproduce(report.claim)
+        assert (alone.passed, alone.details) == (True, report.details), report.claim
+
+
 def test_ratio_fibers_match_oracle():
     # c1*X^d1 + c2*X^d2 has the fibers of X^d1 + g^u*X^d2, u = log c2 - log c1.
     # GF(25): every (c1, c2) with a = c2, which meets every (u, a) once
@@ -835,7 +885,8 @@ def test_p3_claim_checks_every_draw(monkeypatch):
     # set that misses the GAPN reduction of a draw
     ctx = make_field(3, 2)
     rng = random.Random(0x6A93)
-    draws = [search._random_poly(ctx, rng) for _ in range(1000)]
+    elements = list(ctx.elements())
+    draws = [search._random_poly(ctx, elements, rng)[0] for _ in range(1000)]
     table = {h.function for h in run_search(SearchJob(ctx, "digitsum-reduced"))[0]}
     missing = next(high for high in (f.restrict_min_digit_sum(3) for f in draws) if high in table)
     real_is_gapn, real_run_search = search.is_gapn, search.run_search
