@@ -8,7 +8,6 @@ field size.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -119,6 +118,8 @@ def _emit_hits(hits, summary, args) -> None:
     sink = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
     try:
         if fmt == "csv":
+            import csv  # imported here, so no other command pays to load it
+
             writer = csv.writer(sink if sink else sys.stdout)
             writer.writerow(["ordinal", "degree", "worst_fiber", "p", "n", "function"])
             for h in hits:

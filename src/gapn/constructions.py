@@ -14,23 +14,22 @@ and every option the builder reads.
 """
 
 import math
-from dataclasses import dataclass
 
-from .fields import _ZERO_IDX, FieldCtx, FieldElem, check_element, make_field
+from .fields import _ZERO_IDX, FieldCtx, FieldElem, Record, check_element, make_field
 from .polynomials import SparsePoly, _kernel
 
 
-@dataclass
-class ConstructionRecipe:
+class ConstructionRecipe(Record):
     """A built GAPN function together with the parameters that produced it."""
 
-    family: str  # a key of FAMILIES
-    p: int
-    params: dict
-    result: SparsePoly
-    claimed_degree: int
+    __slots__ = __match_args__ = ("family", "p", "params", "result", "claimed_degree")
 
-    def __post_init__(self):
+    def __init__(self, family: str, p: int, params: dict, result: SparsePoly, claimed_degree: int):
+        self.family = family  # a key of FAMILIES
+        self.p = p
+        self.params = params
+        self.result = result
+        self.claimed_degree = claimed_degree
         actual = self.result.algebraic_degree()
         if actual != self.claimed_degree:
             raise AssertionError(

@@ -42,6 +42,30 @@ def check_element(ctx: "FieldCtx", x) -> None:
         raise ValueError("elements from different fields cannot be combined")
 
 
+class Record:
+    """Base of the package's result records, in place of dataclasses, whose
+    import (inspect, ast, dis, tokenize behind it) every command would pay
+    at start-up.  A subclass lists its fields in __match_args__; == compares
+    them, same class only, repr shows them, and instances are unhashable,
+    as for a @dataclass."""
+
+    __slots__ = ()
+    __match_args__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class FieldElem:
     """One element of a specific FieldCtx.
 

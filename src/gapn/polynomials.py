@@ -46,7 +46,6 @@ code, then the smallest image code with a fiber above p.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
 from operator import add, and_, floordiv, mod, mul, rshift, sub
@@ -55,6 +54,7 @@ from .fields import (
     DEFAULT_TABLE_CAP,
     FieldCtx,
     FieldElem,
+    Record,
     check_element,
     field_from_json,
     json_int,
@@ -145,12 +145,6 @@ class SparsePoly:
                     acc = add(acc, antilog[(ci + exp * k) % m])
                 out[antilog[k]] = acc
         return out
-
-    def restrict_min_digit_sum(self, min_sum: int) -> "SparsePoly":
-        """Copy keeping only terms whose exponent has digit sum >= min_sum."""
-        p = self.field.p
-        return SparsePoly._from_sorted_terms(
-            self.field, tuple((e, c) for e, c in self.terms if digit_sum(p, e) >= min_sum))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):
@@ -471,8 +465,7 @@ def _kernel(ctx: FieldCtx) -> _LineKernel:
     return kern
 
 
-@dataclass
-class DerivativeMap:
+class DerivativeMap(Record):
     """Total map of one order-(p-1) derivative plus its fiber histogram.
 
     values[x] is the element code of the derivative at the element with
@@ -480,8 +473,11 @@ class DerivativeMap:
     (always a multiple of p, by constancy on cosets of the line).
     """
 
-    values: list[int]
-    fiber_histogram: dict[int, int]
+    __slots__ = __match_args__ = ("values", "fiber_histogram")
+
+    def __init__(self, values: list[int], fiber_histogram: dict[int, int]):
+        self.values = values
+        self.fiber_histogram = fiber_histogram
 
 
 def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
@@ -506,7 +502,7 @@ def derivative(f: SparsePoly, a: FieldElem) -> DerivativeMap:
     return DerivativeMap(values, dict(Counter(values)))
 
 
-class GapnVerdict:
+class GapnVerdict(Record):
     """Outcome of checking all derivative directions of one function.
 
     is_gapn holds exactly when worst_fiber <= p, i.e. every derivative is
@@ -518,6 +514,7 @@ class GapnVerdict:
     """
 
     __slots__ = ("is_gapn", "worst_fiber", "witness", "_per_direction")
+    __match_args__ = ("is_gapn", "worst_fiber", "witness", "per_direction")
 
     def __init__(self, is_gapn: bool, worst_fiber: int,
                  witness: tuple[FieldElem, FieldElem] | None, per_direction):
@@ -531,20 +528,6 @@ class GapnVerdict:
         if callable(self._per_direction):
             self._per_direction = self._per_direction()
         return self._per_direction
-
-    def _fields(self) -> tuple:
-        return self.is_gapn, self.worst_fiber, self.witness, self.per_direction
-
-    def __eq__(self, other):
-        if not isinstance(other, GapnVerdict):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __repr__(self):
-        return ("GapnVerdict(is_gapn={!r}, worst_fiber={!r}, witness={!r}, "
-                "per_direction={!r})".format(*self._fields()))
 
     def to_json(self) -> dict:
         wit = None

@@ -32,11 +32,10 @@ import gc
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
 from functools import cache, partial
 from itertools import combinations, compress
 
-from .fields import FieldCtx, FieldElem, make_field
+from .fields import FieldCtx, FieldElem, Record, make_field
 from .polynomials import (
     SparsePoly,
     _kernel,
@@ -63,18 +62,20 @@ DEFAULT_BUDGET = 10_000_000
 _SHAPES = ("monomial", "binomial", "trinomial", "digitsum-reduced")
 
 
-@dataclass
-class SearchJob:
+class SearchJob(Record):
     """One deterministic enumeration of a candidate family with filters."""
 
-    field: FieldCtx
-    shape: str
-    degree_filter: frozenset | None = None
-    canonicalize: bool = True
-    limit: int | None = None  # stop after this many hits; at least 1
-    min_digit_sum: int | None = None  # digitsum-reduced only; defaults to p
+    __slots__ = __match_args__ = (
+        "field", "shape", "degree_filter", "canonicalize", "limit", "min_digit_sum")
 
-    def __post_init__(self):
+    def __init__(self, field: FieldCtx, shape: str, degree_filter: frozenset | None = None,
+                 canonicalize: bool = True, limit: int | None = None, min_digit_sum: int | None = None):
+        self.field = field
+        self.shape = shape
+        self.degree_filter = degree_filter
+        self.canonicalize = canonicalize
+        self.limit = limit  # stop after this many hits; at least 1
+        self.min_digit_sum = min_digit_sum  # digitsum-reduced only; defaults to p
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown search shape {self.shape!r}")
         if self.degree_filter is not None:
@@ -82,14 +83,16 @@ class SearchJob:
         _check_limit(self.limit)
 
 
-@dataclass(slots=True)
-class SearchHit:
+class SearchHit(Record):
     """One GAPN candidate, in enumeration order; is_gapn(function) gives
     its full verdict."""
 
-    ordinal: int
-    function: SparsePoly
-    degree: int
+    __slots__ = __match_args__ = ("ordinal", "function", "degree")
+
+    def __init__(self, ordinal: int, function: SparsePoly, degree: int):
+        self.ordinal = ordinal
+        self.function = function
+        self.degree = degree
 
     def to_json(self) -> dict:
         return {
@@ -101,12 +104,14 @@ class SearchHit:
         }
 
 
-@dataclass
-class SearchSummary:
-    examined: int
-    checked: int
-    hits_by_degree: dict
-    elapsed_ms: int
+class SearchSummary(Record):
+    __slots__ = __match_args__ = ("examined", "checked", "hits_by_degree", "elapsed_ms")
+
+    def __init__(self, examined: int, checked: int, hits_by_degree: dict, elapsed_ms: int):
+        self.examined = examined
+        self.checked = checked
+        self.hits_by_degree = hits_by_degree
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self) -> dict:
         return {
@@ -287,17 +292,24 @@ def run_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Outcome of re-running one registered claim."""
 
-    claim: str
-    passed: bool
-    details: dict
-    elapsed_ms: int
+    __slots__ = __match_args__ = ("claim", "passed", "details", "elapsed_ms")
+
+    def __init__(self, claim: str, passed: bool, details: dict, elapsed_ms: int):
+        self.claim = claim
+        self.passed = passed
+        self.details = details
+        self.elapsed_ms = elapsed_ms
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "claim": self.claim,
+            "passed": self.passed,
+            "details": self.details,
+            "elapsed_ms": self.elapsed_ms,
+        }
 
 
 @cache

@@ -761,6 +761,35 @@ def test_unpack_matches_digitwise_reduction(p, n, layout):
     assert kern.unpack(sums) == [reduce_digits(s) for s in sums]
 
 
+@pytest.mark.parametrize("p,n", sorted(_CAPACITY))
+def test_sum_codes_fills_every_field_to_capacity(monkeypatch, p, n):
+    # entries holding p-1 in every digit fill each bit field to
+    # capacity*(p-1) after capacity values, so a group one value too long
+    # overflows: k of them sum to the code with every digit k(p-1) mod p for
+    # k = 1..2*capacity+1, and no bit field of a sum that reaches unpack
+    # exceeds capacity*(p-1) (with one digit, % p would hide the overflow)
+    ctx = make_field(p, n)
+    kern = _kernel(ctx).with_tables()
+    capacity = _CAPACITY[p, n]
+    w = _packed_width(p, n)
+    full = _pack_digitwise(p, n, ctx.q - 1)
+    real_unpack = _LineKernel.unpack
+    seen = []
+
+    def checked_unpack(self, sums):
+        seen.extend(sums)
+        return real_unpack(self, sums)
+
+    monkeypatch.setattr(_LineKernel, "unpack", checked_unpack)
+    for k in range(1, 2 * capacity + 2):
+        digit = k * (p - 1) % p
+        want = sum(digit * p ** i for i in range(n))
+        assert kern.sum_codes([[full] * 3 for _ in range(k)]) == [want] * 3, k
+    fields = [s >> (w * i) & ((1 << w) - 1) for s in seen for i in range(n - 1)]
+    fields += [s >> (w * (n - 1)) for s in seen]
+    assert seen and max(fields) == capacity * (p - 1)
+
+
 _TABLES = ("pack", "degree", "packed_at", "logz")
 
 
