@@ -114,13 +114,13 @@ def cmd_construct(args) -> int:
 
 
 def _emit_hits(hits, summary, args) -> None:
-    fmt = args.format
     sink = open(args.output, "w", encoding="utf-8", newline="") if args.output else None
+    target = sink or sys.stdout
     try:
-        if fmt == "csv":
+        if args.format == "csv":
             import csv  # imported here, so no other command pays to load it
 
-            writer = csv.writer(sink if sink else sys.stdout)
+            writer = csv.writer(target)
             writer.writerow(["ordinal", "degree", "worst_fiber", "p", "n", "function"])
             for h in hits:
                 field = h.function.field
@@ -131,15 +131,13 @@ def _emit_hits(hits, summary, args) -> None:
                 # the worst_fiber column is p: that is the worst fiber of every GAPN hit
                 writer.writerow([h.ordinal, h.degree, field.p, field.p, field.n, compact])
             print(json.dumps(summary.to_json()), file=sys.stderr)
-        elif fmt == "text":
-            target = sink if sink else sys.stdout
+        elif args.format == "text":
             for h in hits:
                 print(f"#{h.ordinal} degree {h.degree}: {h.function!r}", file=target)
             print(f"examined {summary.examined}, checked {summary.checked}, "
                   f"hits by degree {summary.to_json()['hits_by_degree']}, "
                   f"{summary.elapsed_ms} ms")
         else:
-            target = sink if sink else sys.stdout
             for h in hits:
                 print(json.dumps(h.to_json()), file=target)
             print(json.dumps(summary.to_json()))
@@ -153,17 +151,11 @@ def cmd_search(args) -> int:
     # a limit below 1 and a job over budget are refused before the field
     # is built, which takes seconds on the largest fields
     q = field_order(args.p, args.n, _table_cap())
-    check_search(args.p, q, args.shape, canonicalize=not args.no_canonical, limit=args.limit,
-                 min_digit_sum=args.min_digit_sum, budget=args.budget)
+    options = {"canonicalize": not args.no_canonical, "limit": args.limit,
+               "min_digit_sum": args.min_digit_sum}
+    check_search(args.p, q, args.shape, **options, budget=args.budget)
     ctx = make_field(args.p, args.n, table_cap=_table_cap())
-    job = SearchJob(
-        ctx,
-        args.shape,
-        degree_filter=frozenset(args.degree) if args.degree else None,
-        canonicalize=not args.no_canonical,
-        limit=args.limit,
-        min_digit_sum=args.min_digit_sum,
-    )
+    job = SearchJob(ctx, args.shape, degree_filter=args.degree, **options)
     hits, summary = run_search(job, budget=args.budget)
     _emit_hits(hits, summary, args)
     return EXIT_OK

@@ -128,23 +128,7 @@ class SparsePoly:
 
     def value_table(self) -> list[int]:
         """Codes of F(x) for every x code 0..q-1."""
-        ctx = self.field
-        q = ctx.q
-        out = [0] * q
-        for exp, coeff in self.terms:
-            if exp == 0:
-                out[0] = coeff.code  # 0^0 = 1; higher terms vanish at 0
-        if self.terms:
-            add = ctx.add_code
-            antilog = ctx.antilog
-            m = q - 1
-            tls = [(exp, coeff.idx) for exp, coeff in self.terms]
-            for k in range(m):
-                acc = 0
-                for exp, ci in tls:
-                    acc = add(acc, antilog[(ci + exp * k) % m])
-                out[antilog[k]] = acc
-        return out
+        return [self.evaluate(x).code for x in self.field.elements()]
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         if not isinstance(other, SparsePoly):

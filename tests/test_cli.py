@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -415,9 +416,16 @@ def test_search_refuses_before_building_the_field(monkeypatch, capsys, argv, mes
     assert capsys.readouterr().err == f"error: {built.value}\n"
 
 
-def test_reproduce_single(capsys):
+def test_reproduce_single(monkeypatch, capsys):
     assert main(["reproduce", "--claim", "gold-monomials"]) == 0
     assert "PASS gold-monomials" in capsys.readouterr().out
+    # a failing claim prints its details under the FAIL line and exits 1
+    desc, _ = search.CLAIM_REGISTRY["gold-monomials"]
+    monkeypatch.setitem(search.CLAIM_REGISTRY, "gold-monomials", (desc, lambda: (False, {"why": [1, 2]})))
+    assert main(["reproduce", "--claim", "gold-monomials"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"FAIL gold-monomials \(\d+ ms\)", out[0])
+    assert out[1:] == ['     details: {"why": [1, 2]}']
 
 
 def test_reproduce_unknown(capsys):

@@ -43,6 +43,8 @@ def test_monomial_necessary_examples():
     assert not monomial_gapn_necessary(5, 2, 4, 2, 1, 0)  # gcd(2, 4) = 2
     ctx = make_field(5, 2)
     assert not is_gapn(SparsePoly.monomial(ctx, 22), fail_fast=True).is_gapn
+    assert not monomial_gapn_necessary(3, 4, 1, 2, 0, 2)  # gcd(r1 - r2, n) = gcd(-2, 4) = 2
+    assert not is_gapn(SparsePoly.monomial(make_field(3, 4), 19), fail_fast=True).is_gapn  # 1 + 2*9
 
 
 def test_monomial_criteria_reject_bad_parameters():
@@ -146,6 +148,8 @@ def test_build_odd_binomial():
     assert is_gapn(r3.result, fail_fast=True).is_gapn
     with pytest.raises(ValueError):
         build_odd_binomial(5, 2, 4, ctx=ctx)  # k+l even
+    with pytest.raises(ValueError, match=r"context is not GF\(5\^2\)"):
+        build_odd_binomial(5, 4, 3, ctx=make_field(7, 2))
 
 
 def test_build_odd_binomial_overlapping_exponent():

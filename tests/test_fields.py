@@ -315,6 +315,9 @@ def test_inverse_of_zero_rejected():
     ctx = make_field(3, 2)
     with pytest.raises(ValueError):
         ctx.zero.inv()
+    for code in (-1, ctx.q):
+        with pytest.raises(ValueError, match=r"element code out of range 0\.\.8"):
+            ctx.from_code(code)
 
 
 def test_field_json_roundtrip():

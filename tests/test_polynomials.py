@@ -73,7 +73,8 @@ def test_add():
     assert (f + SparsePoly(ctx, [(5, g), (7, g)])).terms == ((1, g), (5, ctx.one + g), (7, g))
     # terms that cancel are dropped, down to the zero polynomial
     assert (f + SparsePoly(ctx, [(5, -ctx.one)])).terms == ((1, g),)
-    assert (f + SparsePoly(ctx, [(1, -g), (5, -ctx.one)])).is_zero()
+    zero = f + SparsePoly(ctx, [(1, -g), (5, -ctx.one)])
+    assert zero.is_zero() and repr(zero) == "SparsePoly(F9: 0)"
     with pytest.raises(ValueError):
         f + SparsePoly.monomial(make_field(3, 3), 5)
     with pytest.raises(TypeError):
@@ -96,13 +97,18 @@ def test_evaluate():
 
 
 def test_value_table_matches_oracle():
-    ctx = make_field(3, 2)
-    tf = oracle.tuple_field_of(ctx)
-    rng = random.Random(7)
-    for _ in range(10):
-        f = _random_poly(ctx, rng, max_terms=4)
-        ref = oracle.value_table(tf, oracle.poly_terms(f))
-        assert [tuple(ctx.code_to_vector(v)) for v in f.value_table()] == ref
+    for p, n in ((3, 2), (5, 2), (3, 3)):
+        ctx = make_field(p, n)
+        tf = oracle.tuple_field_of(ctx)
+        rng = random.Random(7)
+        for _ in range(10):
+            if ctx.q == 9:
+                f = _random_poly(ctx, rng, max_terms=4)
+            else:  # X^0 (0^0 = 1) and X^(q-1) (0 at zero only) in every draw
+                exps = {0, ctx.q - 1, *rng.sample(range(1, ctx.q - 1), rng.randint(1, 3))}
+                f = SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, ctx.q))) for e in exps])
+            ref = oracle.value_table(tf, oracle.poly_terms(f))
+            assert [tuple(ctx.code_to_vector(v)) for v in f.value_table()] == ref
 
 
 def test_derivative_matches_direct_summation():
