@@ -44,6 +44,15 @@ def _threads(args) -> None:
         raise ValueError(f"--threads must be 0 or more, got {args.threads}")
 
 
+def _refuse_unread(owner: str, reads, args, options) -> None:
+    """Refuse each of options (argparse dests) that is set in args but is
+    not in reads, the options owner reads."""
+    unread = ["--" + opt.replace("_", "-") for opt in options
+              if opt not in reads and getattr(args, opt) is not None]
+    if unread:
+        raise ValueError(f"{owner} does not read " + " or ".join(unread))
+
+
 def _parse_vector(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
@@ -89,10 +98,7 @@ def cmd_construct(args) -> int:
     build, required, coefficients = FAMILIES[args.family]
     if any(getattr(args, opt) is None for opt in required):
         raise ValueError(f"{args.family} requires " + " and ".join(f"--{opt}" for opt in required))
-    unread = [opt for opt in ("h", "k", "l", "u", "v")
-              if opt not in required + coefficients and getattr(args, opt) is not None]
-    if unread:
-        raise ValueError(f"{args.family} does not read " + " or ".join(f"--{opt}" for opt in unread))
+    _refuse_unread(args.family, required + coefficients, args, ("h", "k", "l", "u", "v"))
     ctx = make_field(args.p, 2, table_cap=_table_cap())
     options = {opt: getattr(args, opt) for opt in required}
     options.update({opt: ctx.element(_parse_vector(text)) if (text := getattr(args, opt)) else None
@@ -148,9 +154,15 @@ def _emit_hits(hits, summary, args) -> None:
 
 def cmd_search(args) -> int:
     _threads(args)
-    # a limit below 1 and a job over budget are refused before the field
-    # is built, which takes seconds on the largest fields
+    # unread options, degrees no candidate has, a limit below 1 and a job
+    # over budget are refused before the field is built, which takes
+    # seconds on the largest fields
     q = field_order(args.p, args.n, _table_cap())
+    _refuse_unread(args.shape, _SHAPES[args.shape], args, ("no_canonical", "min_digit_sum"))
+    top = args.n * (args.p - 1)
+    wrong = [d for d in args.degree or () if not 0 <= d <= top]
+    if wrong:
+        raise ValueError(f"--degree must lie in 0..{top} over GF({args.p}^{args.n}), got {wrong[0]}")
     options = {"canonicalize": not args.no_canonical, "limit": args.limit,
                "min_digit_sum": args.min_digit_sum}
     check_search(args.p, q, args.shape, **options, budget=args.budget)
@@ -221,12 +233,12 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("-n", type=int, default=2)
     se.add_argument("--shape", required=True, choices=_SHAPES)
     se.add_argument("--degree", type=int, action="append",
-                    help="keep only candidates of this algebraic degree (repeatable)")
-    se.add_argument("--no-canonical", action="store_true",
-                    help="binomial, trinomial: also enumerate the first coefficient instead of fixing "
-                         "it to 1 (no effect on monomial and digitsum-reduced)")
+                    help="keep only candidates of this algebraic degree, 0..n(p-1) (repeatable)")
+    se.add_argument("--no-canonical", action="store_true", default=None,
+                    help="binomial, trinomial only: also enumerate the first coefficient instead of "
+                         "fixing it to 1")
     se.add_argument("--min-digit-sum", type=int, default=None,
-                    help="digitsum-reduced: exponent digit-sum threshold (default p; 0 = raw space)")
+                    help="digitsum-reduced only: exponent digit-sum threshold (default p; 0 = raw space)")
     se.add_argument("--limit", type=int, default=None,
                     help="stop after this many hits (at least 1)")
     se.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

@@ -182,22 +182,21 @@ class _LineKernel:
     orbit's representative and scale, the lift that packs a code, and the
     unpack chunks.  A check whose function has at most one surviving term
     reads nothing more: its block table packs the codes it reads from
-    antilog, and its line reads antilog.  The four O(q) tables -- pack
-    (packed code), degree (digit sum), packed_at (packed g^k, 3(q-1)
-    entries) and logz (log form of a code) -- are None until with_tables
-    builds them: on the first line of more than one surviving term, and
-    for the searches.
+    antilog, and its line reads antilog.  The three O(q) tables -- pack
+    (packed code), packed_at (packed g^k, 3(q-1) entries) and logz (log
+    form of a code) -- are None until with_tables builds them for a path
+    that reads packed sums: a line of more than one surviving term, or
+    gapn.secant's block pair differences.  A monomial search builds none.
     Exponent block tables, each summed at the orbit representatives and
     filled by log shifts (monomial_blocks), hold q/p entries each and are
     cached up to 8*p of them (8*q entries), so a job that meets many
     exponents, such as a monomial search, keeps the kernel at O(q).  An
-    exponent whose D_1 X^d vanishes is cached too, as the one shared
-    all-zero table dead, which is how reader drops its terms.
+    exponent whose D_1 X^d vanishes gets the shared all-zero table dead,
+    uncached, whose identity is how reader and gapn.secant drop its terms.
     """
 
     __slots__ = ("p", "n", "m", "nlines", "nblocks", "antilog", "log", "lift", "lines", "logz", "pack",
-                 "degree", "packed_at", "capacity", "chunks", "orbit_logs", "scales", "fill", "dead",
-                 "blocks")
+                 "packed_at", "capacity", "chunks", "orbit_logs", "scales", "fill", "dead", "blocks")
 
     def __init__(self, ctx: FieldCtx):
         p, n, q = ctx.p, ctx.n, ctx.q
@@ -250,7 +249,7 @@ class _LineKernel:
         for i in range(1, n):
             upper = [x + s for s in [d << (w * i) for d in range(p)] for x in upper]
         self.lift = list(map(sub, upper, range(0, q, p)))
-        self.logz = self.pack = self.degree = self.packed_at = None
+        self.logz = self.pack = self.packed_at = None
         if k < 2:
             self.chunks = [(w * i, (1 << w) - 1 if i < n - 1 else 0, p.__rmod__, p ** i)
                            for i in range(n)]
@@ -265,16 +264,11 @@ class _LineKernel:
     def with_tables(self) -> "_LineKernel":
         """This kernel, with its O(q) tables built on the first call."""
         if self.packed_at is None:
-            p, n, m = self.p, self.n, self.m
+            p, m = self.p, self.m
             # log form: the log of a nonzero code, 2m for zero
             self.logz = [2 * m] + self.log[1:]
             # the packed value of every u < q
             self.pack = pack = [a + s for s in map(add, self.lift, range(0, m + 1, p)) for a in range(p)]
-            # algebraic degree of X^d; D_1 X^d vanishes exactly when it is < p-1
-            sums = [0]
-            for _ in range(n):
-                sums = [s + d for d in range(p) for s in sums]
-            self.degree = sums
             # packed g^k for k = 0..2m-1, then packed zero for k = 2m..3m-1: a
             # log-form entry plus a shift in 0..m-1 reads its scaled value;
             # extended in place, so no temporary copy of the table is made
@@ -362,7 +356,7 @@ class _LineKernel:
         (cached).  D_1 X^d = -sum of C(d,k)*X^(d-k) over k > 0 with
         (p-1) | k, and by Lucas such a k with C(d,k) != 0 mod p exists
         exactly when digit_sum(d) >= p-1; below that, M_d is the shared
-        all-zero table dead.
+        all-zero table dead, which is never cached.
 
         M_d(y) = sum of (y+c)^d over c in F_p, and c/lambda runs over F_p
         too, so M_d(lambda*y) = lambda^d * M_d(y) for lambda in F_p*.  So
@@ -373,29 +367,27 @@ class _LineKernel:
         O(q) table is read."""
         blocks = self.blocks.get(d)
         if blocks is None:
-            if len(self.blocks) >= 8 * self.p:
-                self.blocks.clear()
             p, m, zero = self.p, self.m, 2 * self.m
             if digit_sum(p, d) < p - 1:
-                blocks = self.dead
-            else:
-                # sums of p packed values (y+c)^d = g^(d*log(y+c)) over block 0,
-                # led by 0^d = 0 (d > 0 here), and over each representative's
-                # block; code u packs to u + lift[u // p]
-                codes = [0]
-                codes += map(self.antilog.__getitem__,
-                             map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
-                vals = map(add, codes, map(self.lift.__getitem__, map(floordiv, codes, repeat(p))))
-                sums = list(map(sum, zip(*[vals] * p)))
-                # log[0] = -1 marks a zero sum
-                at0, *reps = map(self.log.__getitem__, self.unpack(sums))
-                # a scaled copy adds d*log(lambda) to the logs; a zero stays zero
-                scaled = list(map(mod, map(add, reps * (p - 1), map(mul, self.scales, repeat(d))), repeat(m)))
-                for i in compress(count(), map((-1).__eq__, reps)):
-                    scaled[i::len(reps)] = [zero] * (p - 1)
-                scaled.append(zero if at0 < 0 else at0)
-                blocks = list(map(scaled.__getitem__, self.fill))
-            self.blocks[d] = blocks
+                return self.dead
+            if len(self.blocks) >= 8 * p:
+                self.blocks.clear()
+            # sums of p packed values (y+c)^d = g^(d*log(y+c)) over block 0,
+            # led by 0^d = 0 (d > 0 here), and over each representative's
+            # block; code u packs to u + lift[u // p]
+            codes = [0]
+            codes += map(self.antilog.__getitem__,
+                         map(mod, map(mul, self.orbit_logs, repeat(d)), repeat(m)))
+            vals = map(add, codes, map(self.lift.__getitem__, map(floordiv, codes, repeat(p))))
+            sums = list(map(sum, zip(*[vals] * p)))
+            # log[0] = -1 marks a zero sum
+            at0, *reps = map(self.log.__getitem__, self.unpack(sums))
+            # a scaled copy adds d*log(lambda) to the logs; a zero stays zero
+            scaled = list(map(mod, map(add, reps * (p - 1), map(mul, self.scales, repeat(d))), repeat(m)))
+            for i in compress(count(), map((-1).__eq__, reps)):
+                scaled[i::len(reps)] = [zero] * (p - 1)
+            scaled.append(zero if at0 < 0 else at0)
+            blocks = self.blocks[d] = list(map(scaled.__getitem__, self.fill))
         return blocks
 
     def line_codes(self, terms, t: int) -> list[int]:

@@ -4,7 +4,7 @@ named, re-runnable verification claims.
 Candidates are enumerated in a documented total order (exponent tuples
 ascending, then coefficient log-indices ascending, with an absent/zero
 coefficient sorting first), so identical jobs always yield identical result
-streams.  A candidate's degree is read from the kernel's digit-sum table.
+streams.  A candidate's degree is the largest digit sum of its exponents.
 Every hit is GAPN, so a hit carries no verdict; its worst fiber is p by
 definition.
 
@@ -38,7 +38,6 @@ from itertools import combinations, compress
 from .fields import FieldCtx, FieldElem, Record, make_field
 from .polynomials import (
     SparsePoly,
-    _kernel,
     digit_sum,
     is_gapn,
 )
@@ -59,7 +58,14 @@ from .constructions import (
 
 DEFAULT_BUDGET = 10_000_000
 
-_SHAPES = ("monomial", "binomial", "trinomial", "digitsum-reduced")
+# each search shape and the `gapn search` options (argparse dests) it reads
+# besides --degree, --limit and --budget; the CLI refuses the others
+_SHAPES = {
+    "monomial": (),
+    "binomial": ("no_canonical",),
+    "trinomial": ("no_canonical",),
+    "digitsum-reduced": ("min_digit_sum",),
+}
 
 
 class SearchJob(Record):
@@ -128,6 +134,14 @@ def _digitsum_slots(p: int, q: int, min_digit_sum: int | None) -> list[int]:
     sum at least min_digit_sum, p when it is None."""
     floor = p if min_digit_sum is None else min_digit_sum
     return [e for e in range(q) if digit_sum(p, e) >= floor]
+
+
+def _digit_sums(p: int, n: int) -> list[int]:
+    """The base-p digit sum, X^d's algebraic degree, of every d < p^n."""
+    sums = [0]
+    for _ in range(n):
+        sums = [s + d for d in range(p) for s in sums]
+    return sums
 
 
 def _tuple_shape(shape: str, canonicalize: bool, q: int) -> tuple[int, range]:
@@ -206,8 +220,7 @@ def _secant_search(job: SearchJob):
     hits.  c*f is GAPN exactly when f is, so a raw space's hits with lead
     log j1 are the canonical ones with j1 added to every coefficient log."""
     ctx, flt = job.field, job.degree_filter
-    kern = _kernel(ctx).with_tables()
-    m, degree_of = kern.m, kern.degree
+    m, degree_of = ctx.q - 1, _digit_sums(ctx.p, ctx.n)
     k, leads = _tuple_shape(job.shape, job.canonicalize, ctx.q)
     hits_of = tuple_hits(ctx, k)
     width = m ** (k - 1)

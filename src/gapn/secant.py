@@ -1,7 +1,7 @@
 """k-term exponent tuples (k = 1, 2, 3) and digitsum-reduced spaces, decided whole.
 
 With M_d = D_1 X^d on the q/p blocks of p consecutive codes (the line
-kernel's monomial_blocks, zero when digit_sum(d) < p-1), D_1 of
+kernel's monomial_blocks; the shared table dead iff digit_sum(d) < p-1), D_1 of
 X^d1 + v*X^d2 + w*X^d3 is M_d1 + v*M_d2 + w*M_d3, and it is p-to-1 exactly
 when its block values are distinct.  So each block pair i < j forbids the
 coefficients (v, w) on the line D1 + v*D2 + w*D3 = 0, where
@@ -40,11 +40,10 @@ def tuple_hits(ctx: FieldCtx, k: int):
     coefficient choices: 0 for X^d1 when it is GAPN, j for
     X^d1 + g^j*X^d2, jv*m + jw for X^d1 + g^jv*X^d2 + g^jw*X^d3.
     A monomial is decided once per Frobenius orbit, at the first member read."""
-    kern = _kernel(ctx).with_tables()
+    kern = _kernel(ctx)
     if k == 1:
         def distinct(d):  # a zero M_d has one value, distinct only when nblocks = 1
-            live = kern.degree[d] >= kern.p - 1
-            return (len(set(kern.monomial_blocks(d))) if live else 1) == kern.nblocks
+            return len(set(kern.monomial_blocks(d))) == kern.nblocks
 
         verdicts = _OrbitTable(ctx, distinct, lambda verdict, scale: verdict)
         return lambda exps: [0] if verdicts[exps[0]] else []
@@ -93,7 +92,7 @@ def pair_differences(ctx: FieldCtx) -> _OrbitTable:
     is additive, so an orbit's lists are built from the first member d read,
     and member d*p^j takes d's with their logs times p^j."""
     kern = _kernel(ctx).with_tables()
-    m = kern.m
+    m, dead = kern.m, kern.dead
     pairs = list(combinations(range(kern.nblocks), 2))
     first = [i for i, _ in pairs]
     second = [j for _, j in pairs]
@@ -101,9 +100,9 @@ def pair_differences(ctx: FieldCtx) -> _OrbitTable:
     zero = [2 * m] * len(pairs)
 
     def build(d):
-        if kern.degree[d] < kern.p - 1:
-            return zero
         blocks = kern.monomial_blocks(d)
+        if blocks is dead:
+            return zero
         # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0
         minus = map(at, map(add, map(blocks.__getitem__, second), repeat(m // 2)))
         sums = list(map(add, map(at, map(blocks.__getitem__, first)), minus))
@@ -221,7 +220,7 @@ def digitsum_hits(ctx: FieldCtx, slots: list[int]):
     GAPN choices of c_(e_s)) per choice prefix of the others, in enumeration
     order; choice 0 is c = 0, 1 + j is c = g^j.  The functionals above, one
     unit a per line, are kept once up to scaling; the walk carries their sums."""
-    kern = _kernel(ctx).with_tables()
+    kern = _kernel(ctx)
     q, m, zero = ctx.q, kern.m, 2 * kern.m
     diffs = pair_differences(ctx)  # X^0 reads X's zero column: 0 is in no Frobenius orbit
     normals = set()

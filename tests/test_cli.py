@@ -391,18 +391,35 @@ def _refuse_field_builds(field_p, field_n, table_cap=1 << 22):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--limit", "0"], "limit must be at least 1, got 0"),
-    ([], f"job enumerates {math.comb(3 ** 13 - 1, 2) * (3 ** 13 - 1)} candidates, above the budget "
-         "of 10000000; raise the budget explicitly to run it"),
+    (["--shape", "binomial", "--limit", "0"], "limit must be at least 1, got 0"),
+    (["--shape", "binomial"], f"job enumerates {math.comb(3 ** 13 - 1, 2) * (3 ** 13 - 1)} candidates, "
+                              "above the budget of 10000000; raise the budget explicitly to run it"),
+    (["--shape", "binomial", "--min-digit-sum", "2"], "binomial does not read --min-digit-sum"),
+    (["--shape", "trinomial", "--min-digit-sum", "0"], "trinomial does not read --min-digit-sum"),
+    (["--shape", "monomial", "--no-canonical"], "monomial does not read --no-canonical"),
+    (["--shape", "digitsum-reduced", "--no-canonical", "--min-digit-sum", "2"],
+     "digitsum-reduced does not read --no-canonical"),
+    (["--shape", "monomial", "--no-canonical", "--min-digit-sum", "1"],
+     "monomial does not read --no-canonical or --min-digit-sum"),
+    (["--shape", "binomial", "--degree", "99"], "--degree must lie in 0..26 over GF(3^13), got 99"),
+    (["--shape", "monomial", "--degree", "-1", "--degree", "99"],
+     "--degree must lie in 0..26 over GF(3^13), got -1"),
+    (["--shape", "monomial", "--degree", "26", "--degree", "27"],
+     "--degree must lie in 0..26 over GF(3^13), got 27"),
 ])
 def test_search_refuses_before_building_the_field(monkeypatch, capsys, argv, message):
-    # the limit and the candidate count depend only on p, n and the options:
-    # GF(3^13) binomials are refused without make_field, with the messages
-    # SearchJob and run_search give on a built field
+    # the limit, the candidate count, the options a shape reads and the
+    # degrees 0..n(p-1) depend only on p, n and the options: GF(3^13)
+    # searches are refused without make_field, and the limit and budget
+    # with the messages SearchJob and run_search give on a built field
     monkeypatch.setattr("gapn.cli.make_field", _refuse_field_builds)
-    assert main(["search", "-p", "3", "-n", "13", "--shape", "binomial", *argv]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["search", "-p", "3", "-n", "13", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     monkeypatch.undo()
+    # the end degrees 0 and n(p-1) are accepted
+    for shape, degree in (("digitsum-reduced", "0"), ("binomial", "4")):
+        assert main(["search", "-p", "3", "-n", "2", "--shape", shape, "--degree", degree]) == 0
+        capsys.readouterr()
     ctx = make_field(3, 3)
     for shape, options in (("trinomial", {"canonicalize": False}), ("digitsum-reduced", {"min_digit_sum": 2})):
         with pytest.raises(ValueError) as built:
@@ -608,7 +625,8 @@ _FAST_CLAIMS = ["gold-monomials", "inverse-monomials", "odd-binomial-degrees",
 
 def _random_argv(rng, files):
     # (argv, must_refuse): must_refuse when the argv has a negative
-    # --threads, --limit 0, a non-prime p or n < 1
+    # --threads, --limit 0, a non-prime p or n < 1, or a search option its
+    # shape does not read or a --degree outside 0..n(p-1)
     p = rng.choice([3, 5, 7] * 4 + [-3, 0, 1, 2, 4, 9])
     n = rng.choice([1, 2, 2, 3] * 3 + [-1, 0])
     threads = rng.choice([0, 1, 2] * 3 + [-1])
@@ -636,15 +654,22 @@ def _random_argv(rng, files):
         limit = rng.choice([None] * 4 + [1, 3] * 2 + [0, -1])
         if limit is not None:
             argv += ["--limit", str(limit)]
+        degree = no_canonical = min_digit_sum = None
         if rng.random() < 0.3:
-            argv += ["--degree", str(rng.randint(0, 6))]
+            degree = rng.randint(-1, 12)
+            argv += ["--degree", str(degree)]
         if rng.random() < 0.2:
+            no_canonical = True
             argv.append("--no-canonical")
         if rng.random() < 0.3:
-            argv += ["--min-digit-sum", str(rng.randint(-1, 6))]
+            min_digit_sum = rng.randint(-1, 6)
+            argv += ["--min-digit-sum", str(min_digit_sum)]
         if rng.random() < 0.5:
             argv += ["--format", rng.choice(["json", "csv", "text"])]
-        return argv, not _is_prime(p) or n < 1 or threads < 0 or limit == 0
+        unread = (min_digit_sum is not None and shape != "digitsum-reduced"
+                  or no_canonical and shape in ("monomial", "digitsum-reduced"))
+        no_degree = degree is not None and not 0 <= degree <= n * (p - 1)
+        return argv, not _is_prime(p) or n < 1 or threads < 0 or limit == 0 or unread or no_degree
     argv = ["reproduce", "--claim", rng.choice(_FAST_CLAIMS), "--threads", str(threads)]
     return argv + fmt, threads < 0
 
@@ -652,7 +677,8 @@ def _random_argv(rng, files):
 def test_fuzzed_argv_exit_cleanly(tmp_path, capsys):
     # seeded command lines over all five subcommands, kept to p <= 7,
     # n <= 3 and small budgets: main never raises, and a negative --threads,
-    # --limit 0, a non-prime p or n < 1 exits 2
+    # --limit 0, a non-prime p, n < 1, an unread search option or a degree
+    # outside 0..n(p-1) exits 2
     good = _function_file(tmp_path, SparsePoly.monomial(make_field(5, 2), 9))
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": {"p": 5, "n": 2}, "terms": {}}')

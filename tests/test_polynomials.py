@@ -17,7 +17,8 @@ from gapn.polynomials import (
     is_gapn,
     _kernel,
 )
-from gapn.search import SearchJob, run_search
+from gapn.search import SearchJob, _digit_sums, run_search
+from gapn.secant import tuple_hits
 
 import oracle
 
@@ -796,7 +797,7 @@ def test_sum_codes_fills_every_field_to_capacity(monkeypatch, p, n):
     assert seen and max(fields) == capacity * (p - 1)
 
 
-_TABLES = ("pack", "degree", "packed_at", "logz")
+_TABLES = ("pack", "packed_at", "logz")
 
 
 def _built_tables(ctx):
@@ -833,7 +834,8 @@ def _pack_digitwise(p, n, code):
 def test_single_term_check_builds_no_kernel_table():
     # X^421 plus terms of digit sum below p-1, which the derivative kills: the
     # block table and the line read antilog, and no O(q) table is built; nor
-    # by the derivative of a monomial
+    # by the derivative of a monomial, nor by a whole monomial search or the
+    # monomial verdicts of tuple_hits, dead exponents included
     p = 211
     ctx = make_field(p, 2, modulus=[2, 4, 1])
     rng = random.Random(211)
@@ -846,6 +848,12 @@ def test_single_term_check_builds_no_kernel_table():
     dm = derivative(SparsePoly.monomial(ctx, 421), ctx.primitive_element)
     assert sorted(set(dm.fiber_histogram.values())) == [p]
     assert _built_tables(ctx) == []
+    for ctx in (make_field(3, 5), make_field(7, 2)):
+        hits, summary = run_search(SearchJob(ctx, "monomial"))
+        hits_of = tuple_hits(ctx, 1)
+        assert [d for d in range(1, ctx.q) if hits_of((d,))] == [h.function.terms[0][0] for h in hits]
+        assert hits and summary.checked == ctx.q - 1
+        assert _built_tables(ctx) == []
 
 
 def _two_term_check(ctx):
@@ -857,7 +865,7 @@ def _derivative(ctx):
 
 
 def _search(ctx):
-    run_search(SearchJob(ctx, "monomial"))
+    run_search(SearchJob(ctx, "binomial"))
 
 
 @pytest.mark.parametrize("build", [_two_term_check, _derivative, _search])
@@ -876,7 +884,7 @@ def test_kernel_tables_match_independent_construction(p, n):
     tf = oracle.tuple_field_of(ctx)
     kern = _kernel(ctx).with_tables()
     q, m = ctx.q, ctx.q - 1
-    assert kern.degree == [sum(tf.from_code(c)) for c in range(q)]
+    assert _digit_sums(p, n) == [sum(tf.from_code(c)) for c in range(q)]
     assert kern.pack == [_pack_digitwise(p, n, c) for c in range(q)]
     # capacity packed values of digit p-1 fill each w-bit field, one more
     # would carry into the next: sums of 1 up to capacity packed codes

@@ -169,11 +169,11 @@ def test_search_matches_direct_loop(monkeypatch, case):
     p, n, shape, canonical, options = case
     ctx = make_field(p, n)
     job = SearchJob(ctx, shape, canonicalize=canonical, **options)
-    scans, tables = [], []
+    scans = []
     with monkeypatch.context() as mp:
-        scan, blocks = _LineKernel.scan, _LineKernel.monomial_blocks
+        scan = _LineKernel.scan
         mp.setattr(_LineKernel, "scan", lambda kern, *args, **kw: scans.append(args) or scan(kern, *args, **kw))
-        mp.setattr(_LineKernel, "monomial_blocks", lambda kern, d: tables.append(d) or blocks(kern, d))
+        tables = _record_block_tables(mp)
         hits, summary = run_search(job)
     want, checked, most = [], 0, 0
     orbits = set()  # monomials: the Frobenius orbits of the checked exponents
@@ -224,13 +224,13 @@ def _scan_hits(job):
     every candidate of job in order on the line kernel, with fail_fast:
     the per-candidate reference for every shape."""
     ctx = job.field
-    kern = _kernel(ctx).with_tables()
+    kern = _kernel(ctx)
     examined = checked = 0
     hits = []
     for ordinal, desc in enumerate(oracle.enumerate_candidates(job)):
         examined += 1
         terms = [(j, e) for e, j in desc if j != -1]
-        degree = max([kern.degree[e] for _, e in terms], default=None)
+        degree = max([digit_sum(ctx.p, e) for _, e in terms], default=None)
         if degree is None or (job.degree_filter is not None and degree not in job.degree_filter):
             continue
         checked += 1
@@ -396,10 +396,18 @@ def test_prime_field_shapes_match_scan(p, shape, canonical):
 
 
 def _record_block_tables(monkeypatch):
-    # the exponents whose block tables are asked for, in order
+    # the exponents whose block tables are asked for and are not the shared
+    # dead one, in order
     built = []
     blocks = _LineKernel.monomial_blocks
-    monkeypatch.setattr(_LineKernel, "monomial_blocks", lambda kern, d: built.append(d) or blocks(kern, d))
+
+    def spy(kern, d):
+        table = blocks(kern, d)
+        if table is not kern.dead:
+            built.append(d)
+        return table
+
+    monkeypatch.setattr(_LineKernel, "monomial_blocks", spy)
     return built
 
 
@@ -476,13 +484,16 @@ def test_binomial_hits_screen_reads_no_slope():
 
 def test_pair_differences_build_one_table_per_orbit(monkeypatch):
     # GF(3^5) has 50 Frobenius orbits of exponents; X^1's has digit sum 1
-    # and a zero table, so 49 block tables are built, each from the first
-    # member read: here the orbit's largest
+    # and the shared dead table, so 49 block tables are built, each from the
+    # first member read: here the orbit's largest.  The dead table takes no
+    # slot in the kernel's block cache
     ctx = make_field(3, 5)
+    kern = _kernel(ctx)
     built = _record_block_tables(monkeypatch)
     diffs = pair_differences(ctx)
     for d in range(ctx.q - 1, 0, -1):
         diffs[d]
+        assert all(table is not kern.dead for table in kern.blocks.values()), d
     assert len(built) == len(set(built)) == 49
     assert all(d == max(_orbit(ctx, d)) for d in built)
     assert len({min(_orbit(ctx, d)) for d in range(1, ctx.q)}) == 50
