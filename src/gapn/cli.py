@@ -44,15 +44,6 @@ def _threads(args) -> None:
         raise ValueError(f"--threads must be 0 or more, got {args.threads}")
 
 
-def _refuse_unread(owner: str, reads, args, options) -> None:
-    """Refuse each of options (argparse dests) that is set in args but is
-    not in reads, the options owner reads."""
-    unread = ["--" + opt.replace("_", "-") for opt in options
-              if opt not in reads and getattr(args, opt) is not None]
-    if unread:
-        raise ValueError(f"{owner} does not read " + " or ".join(unread))
-
-
 def _parse_vector(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
@@ -98,7 +89,10 @@ def cmd_construct(args) -> int:
     build, required, coefficients = FAMILIES[args.family]
     if any(getattr(args, opt) is None for opt in required):
         raise ValueError(f"{args.family} requires " + " and ".join(f"--{opt}" for opt in required))
-    _refuse_unread(args.family, required + coefficients, args, ("h", "k", "l", "u", "v"))
+    unread = [f"--{opt}" for opt in ("h", "k", "l", "u", "v")
+              if opt not in required + coefficients and getattr(args, opt) is not None]
+    if unread:
+        raise ValueError(f"{args.family} does not read " + " or ".join(unread))
     ctx = make_field(args.p, 2, table_cap=_table_cap())
     options = {opt: getattr(args, opt) for opt in required}
     options.update({opt: ctx.element(_parse_vector(text)) if (text := getattr(args, opt)) else None
@@ -154,21 +148,14 @@ def _emit_hits(hits, summary, args) -> None:
 
 def cmd_search(args) -> int:
     _threads(args)
-    # unread options, degrees no candidate has, a limit below 1 and a job
-    # over budget are refused before the field is built, which takes
-    # seconds on the largest fields
-    q = field_order(args.p, args.n, _table_cap())
-    _refuse_unread(args.shape, _SHAPES[args.shape], args, ("no_canonical", "min_digit_sum"))
-    top = args.n * (args.p - 1)
-    wrong = [d for d in args.degree or () if not 0 <= d <= top]
-    if wrong:
-        raise ValueError(f"--degree must lie in 0..{top} over GF({args.p}^{args.n}), got {wrong[0]}")
-    options = {"canonicalize": not args.no_canonical, "limit": args.limit,
-               "min_digit_sum": args.min_digit_sum}
-    check_search(args.p, q, args.shape, **options, budget=args.budget)
+    # the field's p and n and the job's options are refused before the
+    # field is built, which takes seconds on the largest fields
+    field_order(args.p, args.n, _table_cap())
+    options = {"degree_filter": args.degree, "canonicalize": not args.no_canonical,
+               "limit": args.limit, "min_digit_sum": args.min_digit_sum}
+    check_search(args.p, args.n, args.shape, **options, budget=args.budget)
     ctx = make_field(args.p, args.n, table_cap=_table_cap())
-    job = SearchJob(ctx, args.shape, degree_filter=args.degree, **options)
-    hits, summary = run_search(job, budget=args.budget)
+    hits, summary = run_search(SearchJob(ctx, args.shape, **options), budget=args.budget)
     _emit_hits(hits, summary, args)
     return EXIT_OK
 
@@ -234,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--shape", required=True, choices=_SHAPES)
     se.add_argument("--degree", type=int, action="append",
                     help="keep only candidates of this algebraic degree, 0..n(p-1) (repeatable)")
-    se.add_argument("--no-canonical", action="store_true", default=None,
+    se.add_argument("--no-canonical", action="store_true",
                     help="binomial, trinomial only: also enumerate the first coefficient instead of "
                          "fixing it to 1")
     se.add_argument("--min-digit-sum", type=int, default=None,

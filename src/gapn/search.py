@@ -22,8 +22,11 @@ A digitsum-reduced sum of c_e*X^e is GAPN exactly when no unit a and block
 pair i < j make sum of c_e*a^e*(M_e[i] - M_e[j]) zero, so each choice of all
 but the last c_e forbids at most one last c_e per (a, i, j), or all of them.
 
-Both searches yield blocks of consecutive candidates with their hits'
-offsets; run_search alone cuts at the limit, counts and builds the hits.
+check_search alone states which jobs are refused: SearchJob calls it, as
+gapn search does before it builds the field, and run_search shares its
+budget check.  Both searches yield blocks of consecutive candidates with
+their hits' offsets; run_search alone cuts at the limit, counts and builds
+the hits.
 The registry's claims take no arguments and run serially, their searches
 included.
 """
@@ -36,11 +39,7 @@ from functools import cache, partial
 from itertools import combinations, compress
 
 from .fields import FieldCtx, FieldElem, Record, make_field
-from .polynomials import (
-    SparsePoly,
-    digit_sum,
-    is_gapn,
-)
+from .polynomials import SparsePoly, is_gapn
 from .secant import digitsum_hits, tuple_hits
 from .constructions import (
     binomial_gapn_sufficient,
@@ -58,35 +57,34 @@ from .constructions import (
 
 DEFAULT_BUDGET = 10_000_000
 
-# each search shape and the `gapn search` options (argparse dests) it reads
-# besides --degree, --limit and --budget; the CLI refuses the others
+# each search shape and the options it reads besides the degree filter,
+# limit and budget, named by their gapn search flags; check_search refuses
+# the others
 _SHAPES = {
     "monomial": (),
-    "binomial": ("no_canonical",),
-    "trinomial": ("no_canonical",),
-    "digitsum-reduced": ("min_digit_sum",),
+    "binomial": ("--no-canonical",),
+    "trinomial": ("--no-canonical",),
+    "digitsum-reduced": ("--min-digit-sum",),
 }
 
 
 class SearchJob(Record):
-    """One deterministic enumeration of a candidate family with filters."""
+    """One deterministic enumeration of a candidate family with filters;
+    refuses, as check_search does, all that gapn search refuses but the
+    budget, which run_search checks."""
 
     __slots__ = __match_args__ = (
         "field", "shape", "degree_filter", "canonicalize", "limit", "min_digit_sum")
 
     def __init__(self, field: FieldCtx, shape: str, degree_filter: frozenset | None = None,
                  canonicalize: bool = True, limit: int | None = None, min_digit_sum: int | None = None):
+        check_search(field.p, field.n, shape, degree_filter, canonicalize, limit, min_digit_sum)
         self.field = field
         self.shape = shape
-        self.degree_filter = degree_filter
-        self.canonicalize = canonicalize
+        self.degree_filter = None if degree_filter is None else frozenset(degree_filter)
+        self.canonicalize = canonicalize  # binomial and trinomial only
         self.limit = limit  # stop after this many hits; at least 1
         self.min_digit_sum = min_digit_sum  # digitsum-reduced only; defaults to p
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown search shape {self.shape!r}")
-        if self.degree_filter is not None:
-            self.degree_filter = frozenset(self.degree_filter)
-        _check_limit(self.limit)
 
 
 class SearchHit(Record):
@@ -129,13 +127,6 @@ class SearchSummary(Record):
         }
 
 
-def _digitsum_slots(p: int, q: int, min_digit_sum: int | None) -> list[int]:
-    """The exponents of a digitsum-reduced job over GF(q): those of digit
-    sum at least min_digit_sum, p when it is None."""
-    floor = p if min_digit_sum is None else min_digit_sum
-    return [e for e in range(q) if digit_sum(p, e) >= floor]
-
-
 def _digit_sums(p: int, n: int) -> list[int]:
     """The base-p digit sum, X^d's algebraic degree, of every d < p^n."""
     sums = [0]
@@ -144,47 +135,76 @@ def _digit_sums(p: int, n: int) -> list[int]:
     return sums
 
 
+def _digitsum_slots(p: int, n: int, min_digit_sum: int | None) -> list[int]:
+    """The exponents of a digitsum-reduced job over GF(p^n): those of digit
+    sum at least min_digit_sum, p when it is None."""
+    floor = p if min_digit_sum is None else min_digit_sum
+    return [e for e, s in enumerate(_digit_sums(p, n)) if s >= floor]
+
+
 def _tuple_shape(shape: str, canonicalize: bool, q: int) -> tuple[int, range]:
-    """(k, lead coefficient logs) of a k-term job over GF(q); a monomial's
-    lead is always log 0."""
+    """(k, lead coefficient logs) of a k-term job over GF(q)."""
     k = {"monomial": 1, "binomial": 2, "trinomial": 3}[shape]
-    return k, range(1 if k == 1 or canonicalize else q - 1)
+    return k, range(1 if canonicalize else q - 1)
 
 
-def _count(p: int, q: int, shape: str, canonicalize: bool, min_digit_sum: int | None) -> int:
-    """Exact number of candidates of a job over GF(q), q a power of p."""
+def _count(p: int, n: int, shape: str, canonicalize: bool, min_digit_sum: int | None) -> int:
+    """Exact number of candidates of a job over GF(p^n)."""
+    q = p ** n
     if shape == "digitsum-reduced":
-        return q ** len(_digitsum_slots(p, q, min_digit_sum))
+        return q ** len(_digitsum_slots(p, n, min_digit_sum))
     k, leads = _tuple_shape(shape, canonicalize, q)
     return math.comb(q - 1, k) * len(leads) * (q - 1) ** (k - 1)
 
 
 def candidate_count(job: SearchJob) -> int:
     """Exact number of candidates the job enumerates."""
-    return _count(job.field.p, job.field.q, job.shape, job.canonicalize, job.min_digit_sum)
+    return _count(job.field.p, job.field.n, job.shape, job.canonicalize, job.min_digit_sum)
 
 
-def _check_limit(limit: int | None) -> None:
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-
-
-def _check_budget(total: int, budget: int) -> None:
+def _budgeted_count(p: int, n: int, shape: str, canonicalize: bool, min_digit_sum: int | None,
+                    budget: int) -> int:
+    """Exact number of candidates of a job over GF(p^n); refuses more than
+    budget."""
+    if shape != "digitsum-reduced":
+        count = total = _count(p, n, shape, canonicalize, min_digit_sum)
+    else:
+        q, s = p ** n, len(_digitsum_slots(p, n, min_digit_sum))
+        # q >= 2 makes q^s > budget once s passes budget's bit length, so
+        # q^s, thousands of digits from GF(3^10) on, is formed only below it
+        count = f"{q}^{s}"
+        total = budget + 1 if s > budget.bit_length() else q ** s
     if total > budget:
         raise ValueError(
-            f"job enumerates {total} candidates, above the budget of {budget}; "
+            f"job enumerates {count} candidates, above the budget of {budget}; "
             "raise the budget explicitly to run it"
         )
+    return total
 
 
-def check_search(p: int, q: int, shape: str, canonicalize: bool = True, limit: int | None = None,
-                 min_digit_sum: int | None = None, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise the ValueError that SearchJob (a limit below 1) or run_search
-    (a job over budget) would raise for these options over GF(q), q a power
-    of p, without building the field: neither reads more than p, q and the
-    options."""
-    _check_limit(limit)
-    _check_budget(_count(p, q, shape, canonicalize, min_digit_sum), budget)
+def check_search(p: int, n: int, shape: str, degree_filter=None, canonicalize: bool = True,
+                 limit: int | None = None, min_digit_sum: int | None = None,
+                 budget: int | None = None) -> None:
+    """Raise the ValueError of a job over GF(p^n) that gapn search refuses,
+    reading p, n and the options only, so before the field is built.  In
+    order: an unknown shape; an option the shape does not read (_SHAPES); a
+    degree outside 0..n(p-1), which no candidate has; a limit below 1; and,
+    given a budget, more candidates than the budget, as run_search does."""
+    if shape not in _SHAPES:
+        raise ValueError(f"unknown search shape {shape!r}")
+    unread = [flag for flag, given in (("--no-canonical", not canonicalize),
+                                       ("--min-digit-sum", min_digit_sum is not None))
+              if given and flag not in _SHAPES[shape]]
+    if unread:
+        raise ValueError(f"{shape} does not read " + " or ".join(unread))
+    top = n * (p - 1)
+    wrong = [d for d in degree_filter or () if not 0 <= d <= top]
+    if wrong:
+        raise ValueError(f"--degree must lie in 0..{top} over GF({p}^{n}), got {wrong[0]}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    if budget is not None:
+        _budgeted_count(p, n, shape, canonicalize, min_digit_sum, budget)
 
 
 def _digitsum_search(job: SearchJob):
@@ -192,10 +212,11 @@ def _digitsum_search(job: SearchJob):
     prefix of all but the last slot: that slot zero (none for the zero
     function), then present."""
     ctx = job.field
-    slots = _digitsum_slots(ctx.p, ctx.q, job.min_digit_sum)
+    slots = _digitsum_slots(ctx.p, ctx.n, job.min_digit_sum)
     if not slots:
         return
-    q, flt, degrees = ctx.q, job.degree_filter, [digit_sum(ctx.p, e) for e in slots]
+    degree_of = _digit_sums(ctx.p, ctx.n)
+    q, flt, degrees = ctx.q, job.degree_filter, [degree_of[e] for e in slots]
     units = [FieldElem(ctx, j) for j in range(q - 1)]
     for rank, (prefix, found) in enumerate(digitsum_hits(ctx, slots)):
         head = max(compress(degrees, prefix), default=-1)
@@ -270,10 +291,10 @@ def run_search(
     start on, of one degree that passes the filter, with hits at start +
     offsets.  Only this loop cuts at the limit, counts examined, checked
     and hits_by_degree, and builds hits; threads is ignored."""
-    total = candidate_count(job)
-    _check_budget(total, budget)
+    ctx = job.field
+    total = _budgeted_count(ctx.p, ctx.n, job.shape, job.canonicalize, job.min_digit_sum, budget)
     t0 = time.perf_counter()
-    poly = partial(SparsePoly._from_sorted_terms, job.field)
+    poly = partial(SparsePoly._from_sorted_terms, ctx)
     room = job.limit or total + 1  # the hits still allowed: with no limit, more than all candidates
     examined, checked, hits, by_degree = total, 0, [], {}
     # the hits hold no reference cycles: pause the collector, restored as the caller left it
@@ -485,7 +506,7 @@ def _claim_p3_no_even_degree():
     # once, and each draw's kernel scan is checked against the entry of its
     # coefficients' logs at those slots (-1 for zero)
     ctx = _field(3)
-    slots = _digitsum_slots(ctx.p, ctx.q, None)
+    slots = _digitsum_slots(ctx.p, ctx.n, None)
     hits, _ = run_search(SearchJob(ctx, "digitsum-reduced"))
     gapn_reduced = {tuple(dict(h.function.terms).get(e, ctx.zero).idx for e in slots) for h in hits}
     elements = list(ctx.elements())
@@ -610,7 +631,7 @@ def _claim_condition_equivalence():
 
 def _claim_p11_degree15_gap():
     ctx = _field(11)
-    exponents = [d for d in range(ctx.q) if digit_sum(11, d) == 15]
+    exponents = [d for d, s in enumerate(_digit_sums(11, 2)) if s == 15]
     gapn = [d for d in exponents if is_gapn(SparsePoly.monomial(ctx, d), fail_fast=True).is_gapn]
     ok = len(exponents) > 0 and not gapn
     details = {"exponents": exponents, "gapn_found": gapn}

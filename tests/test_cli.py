@@ -14,7 +14,7 @@ import pytest
 
 import gapn
 import gapn.search as search
-from gapn.cli import main
+from gapn.cli import _build_parser, main
 from gapn.fields import FieldCtx, make_field
 from gapn.polynomials import SparsePoly
 
@@ -406,16 +406,26 @@ def _refuse_field_builds(field_p, field_n, table_cap=1 << 22):
      "--degree must lie in 0..26 over GF(3^13), got -1"),
     (["--shape", "monomial", "--degree", "26", "--degree", "27"],
      "--degree must lie in 0..26 over GF(3^13), got 27"),
+    # 3^10 - 66 and 3^13 - 105 slots: counts of over 4,300 digits, named as q^s
+    (["-n", "10", "--shape", "digitsum-reduced"], "job enumerates 59049^58983 candidates, "
+                                                  "above the budget of 10000000; raise the budget explicitly to run it"),
+    (["--shape", "digitsum-reduced"], "job enumerates 1594323^1594218 candidates, "
+                                      "above the budget of 10000000; raise the budget explicitly to run it"),
 ])
 def test_search_refuses_before_building_the_field(monkeypatch, capsys, argv, message):
     # the limit, the candidate count, the options a shape reads and the
-    # degrees 0..n(p-1) depend only on p, n and the options: GF(3^13)
-    # searches are refused without make_field, and the limit and budget
-    # with the messages SearchJob and run_search give on a built field
+    # degrees 0..n(p-1) depend only on p, n and the options: GF(3^13) (and
+    # GF(3^10)) searches are refused without make_field, with the message
+    # search.check_search gives, which SearchJob and run_search give on a
+    # built field too
     monkeypatch.setattr("gapn.cli.make_field", _refuse_field_builds)
     assert main(["search", "-p", "3", "-n", "13", *argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     monkeypatch.undo()
+    args = _build_parser().parse_args(["search", "-p", "3", "-n", "13", *argv])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search.check_search(args.p, args.n, args.shape, args.degree, not args.no_canonical,
+                            args.limit, args.min_digit_sum, args.budget)
     # the end degrees 0 and n(p-1) are accepted
     for shape, degree in (("digitsum-reduced", "0"), ("binomial", "4")):
         assert main(["search", "-p", "3", "-n", "2", "--shape", shape, "--degree", degree]) == 0
@@ -424,6 +434,8 @@ def test_search_refuses_before_building_the_field(monkeypatch, capsys, argv, mes
     for shape, options in (("trinomial", {"canonicalize": False}), ("digitsum-reduced", {"min_digit_sum": 2})):
         with pytest.raises(ValueError) as built:
             search.run_search(search.SearchJob(ctx, shape, **options), budget=10)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            search.check_search(3, 3, shape, **options, budget=10)
         flags = ["--no-canonical"] if shape == "trinomial" else ["--min-digit-sum", "2"]
         assert main(["search", "-p", "3", "-n", "3", "--shape", shape, *flags, "--budget", "10"]) == 2
         assert capsys.readouterr().err == f"error: {built.value}\n"

@@ -23,9 +23,9 @@ def test_constructors_take_positional_and_keyword_fields():
     job = SearchJob(ctx, "binomial")
     assert (job.field, job.shape, job.degree_filter, job.canonicalize, job.limit, job.min_digit_sum) == (
         ctx, "binomial", None, True, None, None)
-    job = SearchJob(ctx, "digitsum-reduced", [3, 4, 3], False, 2, 3)
+    job = SearchJob(ctx, "digitsum-reduced", [3, 4, 3], True, 2, 3)
     assert job == SearchJob(field=ctx, shape="digitsum-reduced", degree_filter=frozenset({3, 4}),
-                            canonicalize=False, limit=2, min_digit_sum=3)
+                            canonicalize=True, limit=2, min_digit_sum=3)
     assert type(job.degree_filter) is frozenset and job.degree_filter == {3, 4}
 
     hit = SearchHit(4, f, 3)
@@ -58,13 +58,18 @@ def test_constructors_take_positional_and_keyword_fields():
 
 
 def test_constructors_refuse_in_order():
-    # SearchJob checks the shape, then makes degree_filter a frozenset, then
-    # checks the limit; ConstructionRecipe checks the built degree, then its range
+    # SearchJob refuses in check_search's order: the shape, then unread
+    # options, then the degrees (iterating degree_filter), then the limit;
+    # ConstructionRecipe checks the built degree, then its range
     ctx = make_field(3, 2)
     with pytest.raises(ValueError, match="^unknown search shape 'nope'$"):
         SearchJob(ctx, "nope", degree_filter=5, limit=0)
+    with pytest.raises(ValueError, match="^binomial does not read --min-digit-sum$"):
+        SearchJob(ctx, "binomial", degree_filter=[99], limit=0, min_digit_sum=2)
     with pytest.raises(TypeError, match="'int' object is not iterable"):
         SearchJob(ctx, "binomial", degree_filter=5, limit=0)
+    with pytest.raises(ValueError, match=r"^--degree must lie in 0\.\.4 over GF\(3\^2\), got 99$"):
+        SearchJob(ctx, "binomial", degree_filter=[99], limit=0)
     with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
         SearchJob(ctx, "binomial", limit=0)
     assert SearchJob(ctx, "binomial", limit=1).limit == 1
@@ -112,9 +117,9 @@ def test_record_reprs_are_pinned():
     assert repr(SearchJob(ctx, "binomial")) == (
         "SearchJob(field=FieldCtx(p=3, n=2, modulus=[2, 1, 1]), shape='binomial', degree_filter=None, "
         "canonicalize=True, limit=None, min_digit_sum=None)")
-    assert repr(SearchJob(ctx, "binomial", {3}, False, 2, 3)) == (
+    assert repr(SearchJob(ctx, "binomial", {3}, False, 2)) == (
         "SearchJob(field=FieldCtx(p=3, n=2, modulus=[2, 1, 1]), shape='binomial', "
-        "degree_filter=frozenset({3}), canonicalize=False, limit=2, min_digit_sum=3)")
+        "degree_filter=frozenset({3}), canonicalize=False, limit=2, min_digit_sum=None)")
     assert repr(hits) == (
         "[SearchHit(ordinal=4, function=SparsePoly(F9: [1, 0]*X^5), degree=3), "
         "SearchHit(ordinal=6, function=SparsePoly(F9: [1, 0]*X^7), degree=3)]")

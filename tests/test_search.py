@@ -32,25 +32,26 @@ import oracle
 def test_candidate_counts():
     f49 = make_field(7, 2)
     assert candidate_count(SearchJob(f49, "monomial")) == 48
-    assert candidate_count(SearchJob(f49, "monomial", canonicalize=False)) == 48
+    with pytest.raises(ValueError, match="^monomial does not read --no-canonical$"):
+        SearchJob(f49, "monomial", canonicalize=False)
     assert candidate_count(SearchJob(f49, "binomial")) == 1128 * 48
     f9 = make_field(3, 2)
     assert candidate_count(SearchJob(f9, "digitsum-reduced")) == 9 ** 3
     assert candidate_count(SearchJob(f9, "binomial", canonicalize=False)) == 28 * 64
     assert candidate_count(SearchJob(f9, "trinomial")) == 56 * 64
     assert candidate_count(SearchJob(f9, "trinomial", canonicalize=False)) == 56 * 512
-    # every shape, canonical and raw, counted one candidate at a time by the
-    # oracle; GF(27)'s default digitsum-reduced space has 27^17 candidates,
-    # so it is counted from its slots and the walked one keeps digit sums >= 5
+    # every shape, and the k-term ones canonical and raw, counted one
+    # candidate at a time by the oracle; GF(27)'s default digitsum-reduced
+    # space has 27^17 candidates, so it is counted from its slots and the
+    # walked one keeps digit sums >= 5
     f3, f27 = make_field(3, 1), make_field(3, 3)
-    raw_f3 = SearchJob(f3, "digitsum-reduced", canonicalize=False, min_digit_sum=0)
-    assert candidate_count(raw_f3) == 27
-    jobs = [raw_f3]
+    all_f3 = SearchJob(f3, "digitsum-reduced", min_digit_sum=0)
+    assert candidate_count(all_f3) == 27
+    jobs = [all_f3]
     for ctx, minds in ((f9, None), (f27, 5)):
-        for shape in search._SHAPES:
-            for canonical in (True, False):
-                opts = {"min_digit_sum": minds} if shape == "digitsum-reduced" else {}
-                jobs.append(SearchJob(ctx, shape, canonicalize=canonical, **opts))
+        jobs += [SearchJob(ctx, "monomial"), SearchJob(ctx, "digitsum-reduced", min_digit_sum=minds)]
+        jobs += [SearchJob(ctx, shape, canonicalize=canonical)
+                 for shape in ("binomial", "trinomial") for canonical in (True, False)]
     for job in jobs:
         assert candidate_count(job) == sum(1 for _ in oracle.enumerate_candidates(job)), job
     slots = next(oracle.enumerate_candidates(SearchJob(f27, "digitsum-reduced")))
@@ -65,6 +66,16 @@ def test_digitsum_reduced_slots():
     assert exps == {5, 7, 8}
     assert len(descs) == 729
     assert sorted(digit_sum(3, e) for e in exps) == [3, 3, 4]
+    # the slots are the exponents of digit sum at least min_digit_sum (p
+    # when None): every one at 0 or below, q-1 alone at n(p-1), none above
+    for p, n in ((3, 2), (3, 3), (5, 3), (3, 5)):
+        q, top = p ** n, n * (p - 1)
+        for minds in (None, -1, 0, top, top + 1):
+            floor = p if minds is None else minds
+            assert search._digitsum_slots(p, n, minds) == [e for e in range(q) if digit_sum(p, e) >= floor]
+        assert search._digitsum_slots(p, n, 0) == list(range(q))
+        assert search._digitsum_slots(p, n, top) == [q - 1]
+        assert search._digitsum_slots(p, n, top + 1) == []
 
 
 def test_enumeration_order_binomial():
@@ -88,10 +99,17 @@ _WALK_CAP = 600_000
 def test_enumeration_starts_at_ordinal(p, shape, canonical):
     # exponent tuple r's block of coefficient choices starts at ordinal
     # r * block, and the choices inside it run in product order: the
-    # secant search's ordinals rest on this layout
+    # secant search's ordinals rest on this layout.  A monomial's and a
+    # digitsum-reduced job's coefficients are never canonicalized, so
+    # their raw jobs are refused
     ctx = make_field(p, 2)
     minds = 7 if p == 5 else 3  # digit sum >= 7 keeps 3 of GF(25)'s exponents
-    job = SearchJob(ctx, shape, canonicalize=canonical, min_digit_sum=minds)
+    opts = {"min_digit_sum": minds} if shape == "digitsum-reduced" else {}
+    if not canonical and shape in ("monomial", "digitsum-reduced"):
+        with pytest.raises(ValueError, match=f"^{shape} does not read --no-canonical$"):
+            SearchJob(ctx, shape, canonicalize=False, **opts)
+        return
+    job = SearchJob(ctx, shape, canonicalize=canonical, **opts)
     units = list(range(ctx.q - 1))
     if shape == "digitsum-reduced":
         tuples = [[e for e in range(ctx.q) if digit_sum(p, e) >= minds]]
@@ -99,7 +117,7 @@ def test_enumeration_starts_at_ordinal(p, shape, canonical):
     else:
         k = {"monomial": 1, "binomial": 2, "trinomial": 3}[shape]
         tuples = list(combinations(range(1, ctx.q), k))
-        choices = [[0] if shape == "monomial" or canonical else units] + [units] * (k - 1)
+        choices = [[0] if canonical else units] + [units] * (k - 1)
     block = math.prod(map(len, choices))
     total = candidate_count(job)
     assert total == len(tuples) * block
@@ -389,7 +407,12 @@ def test_digitsum_matches_scan(case):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_prime_field_shapes_match_scan(p, shape, canonical):
     # over GF(p) a line is one block, so every D_a f is constant and every
-    # candidate is GAPN; the block pair lists are empty
+    # candidate is GAPN; the block pair lists are empty.  A monomial's
+    # coefficient is always 1, so a raw monomial job is refused
+    if shape == "monomial" and not canonical:
+        with pytest.raises(ValueError, match="^monomial does not read --no-canonical$"):
+            SearchJob(make_field(p, 1), shape, canonicalize=False)
+        return
     job = SearchJob(make_field(p, 1), shape, canonicalize=canonical)
     hits, summary = _assert_matches_scan(job)
     assert len(hits) == summary.checked == summary.examined == candidate_count(job)
