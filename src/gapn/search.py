@@ -36,7 +36,7 @@ import math
 import random
 import time
 from functools import cache, partial
-from itertools import combinations, compress
+from itertools import combinations, compress, count, tee
 
 from .fields import FieldCtx, FieldElem, Record, make_field
 from .polynomials import SparsePoly, is_gapn
@@ -237,12 +237,15 @@ def _digitsum_search(job: SearchJob):
 
 def _secant_search(job: SearchJob):
     """The blocks (run_search) of a monomial, binomial or trinomial job:
-    one per exponent tuple and lead log j1, or one for a tuple without
-    hits.  c*f is GAPN exactly when f is, so a raw space's hits with lead
-    log j1 are the canonical ones with j1 added to every coefficient log."""
-    ctx, flt = job.field, job.degree_filter
+    one per exponent tuple with hits and lead log j1, and one for each run
+    of tuples without hits, whose size is that of the run.  The tuples
+    that the degree filter drops are skipped by compress, unread.  c*f is
+    GAPN exactly when f is, so a raw space's hits with lead log j1 are the
+    canonical ones with j1 added to every coefficient log."""
+    ctx = job.field
     m, degree_of = ctx.q - 1, _digit_sums(ctx.p, ctx.n)
     k, leads = _tuple_shape(job.shape, job.canonicalize, ctx.q)
+    flt = range(ctx.n * (ctx.p - 1) + 1) if job.degree_filter is None else job.degree_filter
     hits_of = tuple_hits(ctx, k)
     width = m ** (k - 1)
     block = len(leads) * width
@@ -252,14 +255,17 @@ def _secant_search(job: SearchJob):
     def row(d):  # the term (d, g^j) for each coefficient log j
         return [(d, u) for u in units]
 
-    for rank, exps in enumerate(combinations(range(1, ctx.q), k)):
-        degree = max(map(degree_of.__getitem__, exps))
-        if flt is not None and degree not in flt:
-            continue
+    degrees, selectors = tee(map(max, combinations(degree_of[1:], k)))
+    tuples = zip(count(0, block), combinations(range(1, ctx.q), k), degrees)
+    empty = 0  # the candidates of the tuples without hits since the last block
+    for start, exps, degree in compress(tuples, map(flt.__contains__, selectors)):
         found = hits_of(exps)
         if not found:
-            yield rank * block, block, degree, (), ()
+            empty += block
             continue
+        if empty:
+            yield None, empty, None, (), ()
+            empty = 0
         rest = [row(d) for d in exps[1:]]
         for j1 in leads:
             # the hits' offsets within the block of lead log j1, then their terms
@@ -276,7 +282,9 @@ def _secant_search(job: SearchJob):
                 terms = [(lead, rest[0][o]) for o in offsets]
             else:
                 terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
-            yield rank * block + j1 * width, width, degree, offsets, terms
+            yield start + j1 * width, width, degree, offsets, terms
+    if empty:
+        yield None, empty, None, (), ()
 
 
 def run_search(
@@ -289,8 +297,10 @@ def run_search(
     Every job runs serially in this process, as one loop over its blocks
     (start, size, degree, offsets, terms): size candidates from ordinal
     start on, of one degree that passes the filter, with hits at start +
-    offsets.  Only this loop cuts at the limit, counts examined, checked
-    and hits_by_degree, and builds hits; threads is ignored."""
+    offsets.  A block without hits is read for its size alone, so it may
+    gather candidates of several starts and degrees.  Only this loop cuts
+    at the limit, counts examined, checked and hits_by_degree, and builds
+    hits; threads is ignored."""
     ctx = job.field
     total = _budgeted_count(ctx.p, ctx.n, job.shape, job.canonicalize, job.min_digit_sum, budget)
     t0 = time.perf_counter()

@@ -11,15 +11,22 @@ f_a/a^d1 has the coefficients v*a^(d2-d1) and w*a^(d3-d1).  So
 X^d1 + v*X^d2 + w*X^d3 is GAPN exactly when this orbit of (v, w) over the
 units a meets no forbidden point.  One exponent tuple thus costs at most
 C(q/p, 2) block pairs, whatever the number of its coefficient choices.  A
-binomial pair forbids every v only when both of its differences are zero,
-so one AND of the two exponents' zero patterns, kept as int bitmasks
-(zero_masks), decides most empty binomial tuples before a slope is read;
-the walk over the other tuples' slopes stops at the first one that leaves
-no coefficient log free.  A monomial X^d is GAPN exactly when M_d has
-distinct block values.  X^(p*d) is X^d followed by Frobenius, an additive
-bijection, so M_(p*d) is M_d with its logs times p: monomial verdicts,
-block pair differences and their zero patterns are built once per
-Frobenius orbit of exponents, at the first member read (_OrbitTable).
+monomial X^d is GAPN exactly when M_d has distinct block values.
+
+Each exponent's block pairs are kept as two bit planes, ints with one bit
+per pair: Z, set where the pair's values are equal (its difference is
+zero), read straight from the block table, and O, set where the difference
+is nonzero with an odd log.  Three plane rules decide most binomial tuples
+(binomial_hits) and one AND screens trinomial tuples (trinomial_hits)
+before any difference is read; only the rest walk the logs of the
+differences.  X^(p*d) is X^d followed by Frobenius, an additive bijection,
+so M_(p*d) is M_d with its logs times p: monomial verdicts, Z and O are
+built once per Frobenius orbit of exponents (_OrbitTable), and p^j is odd
+(p is odd, so m = q-1 is even), so O is the same for every member.  An
+orbit holds one difference list, built at the first member that an O
+plane or a walk reads, and member d*p^j reads it with its logs times p^j
+(PairTables).  So an orbit read holds at most two C(q/p, 2)-bit ints and
+one C(q/p, 2)-entry list.
 A sum of c_e*X^e is GAPN exactly when sum of c_e*a^e*(M_e[i] - M_e[j]) is
 nonzero for every unit a and block pair i < j (digitsum_hits).
 Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
@@ -27,8 +34,8 @@ Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
 
 import math
 from functools import partial
-from itertools import combinations, compress, repeat
-from operator import add, sub
+from itertools import chain, compress, repeat
+from operator import add, mod, rshift, sub
 
 from .fields import FieldCtx
 from .polynomials import _kernel
@@ -45,13 +52,14 @@ def tuple_hits(ctx: FieldCtx, k: int):
         def distinct(d):  # a zero M_d has one value, distinct only when nblocks = 1
             return len(set(kern.monomial_blocks(d))) == kern.nblocks
 
-        verdicts = _OrbitTable(ctx, distinct, lambda verdict, scale: verdict)
+        verdicts = _OrbitTable(ctx, distinct, _same)
         return lambda exps: [0] if verdicts[exps[0]] else []
-    diffs = pair_differences(ctx)
+    pairs = PairTables(ctx)
     if k == 2:
-        return partial(binomial_hits, diffs, zero_masks(ctx, diffs), kern.m)
-    zech = [kern.logz[ctx.add_code(1, x)] for x in ctx.antilog]
-    return partial(trinomial_hits, diffs, zech * 2, kern.m)
+        return partial(binomial_hits, pairs, kern.m)
+    # log(1 + g^x) in log form
+    zech = [2 * kern.m if c == 0 else ctx.log[c] for c in map(partial(ctx.add_code, 1), ctx.antilog)]
+    return partial(trinomial_hits, pairs, zech * 2, kern.m)
 
 
 class _OrbitTable(dict):
@@ -79,75 +87,120 @@ class _OrbitTable(dict):
         return value
 
 
-def _scaled_logs(m: int, logs: list[int], scale: int) -> list[int]:
-    """logs times scale mod m; an entry of m or more (a zero) stays."""
-    return [l if l >= m else l * scale % m for l in logs]
+def _same(value, scale):
+    """The image of an orbit value that Frobenius keeps."""
+    return value
 
 
-def pair_differences(ctx: FieldCtx) -> _OrbitTable:
-    """The table that maps each exponent d in 1..q-1 to the logs of
-    M_d[i] - M_d[j] over the block pairs i < j in lexicographic order, with
-    2m for zero.  M_d is D_1 X^d on the q/p blocks (the kernel's
-    monomial_blocks), the zero vector when digit_sum(d) < p-1.  Frobenius
-    is additive, so an orbit's lists are built from the first member d read,
-    and member d*p^j takes d's with their logs times p^j."""
-    kern = _kernel(ctx).with_tables()
-    m, dead = kern.m, kern.dead
-    pairs = list(combinations(range(kern.nblocks), 2))
-    first = [i for i, _ in pairs]
-    second = [j for _, j in pairs]
-    at = kern.packed_at.__getitem__
-    zero = [2 * m] * len(pairs)
-
-    def build(d):
-        blocks = kern.monomial_blocks(d)
-        if blocks is dead:
-            return zero
-        # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0
-        minus = map(at, map(add, map(blocks.__getitem__, second), repeat(m // 2)))
-        sums = list(map(add, map(at, map(blocks.__getitem__, first)), minus))
-        return list(map(kern.logz.__getitem__, kern.unpack(sums)))
-
-    return _OrbitTable(ctx, build, partial(_scaled_logs, m))
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def zero_masks(ctx: FieldCtx, diffs: _OrbitTable) -> _OrbitTable:
-    """The table that maps each exponent d to the int whose bit k is set
-    when the k-th entry of diffs[d] (pair_differences) is zero, that is
-    when M_d has equal values at the k-th block pair; every bit when
-    digit_sum(d) < p-1.  Frobenius keeps zero and nonzero apart, so an
-    orbit shares one mask."""
-    zero = 2 * (ctx.q - 1)
+class PairTables:
+    """The block pairs i < j of every exponent d in 1..q-1, in
+    lexicographic order, as the tuple decisions read them: zero[d] and
+    odd[d], the int planes Z and O whose bit k is set when M_d is equal at
+    the k-th pair, or differs there by a nonzero of odd log; full, the
+    plane of every pair; and self[d], the logs of M_d[i] - M_d[j], 2m for
+    zero.  M_d is the kernel's monomial_blocks, the zero vector when
+    digit_sum(d) < p-1, so its Z is full.
 
-    def build(d):  # the last entry is the leading binary digit
-        return int("0" + "".join(["01"[l == zero] for l in reversed(diffs[d])]), 2)
+    Z is read from the block table alone: the pairs (i, j > i) with equal
+    values are the later blocks that hold i's value.  An orbit keeps the
+    one list of its first member d read, and member d*p^j reads it with its
+    logs times p^j, lazily through a table per scale (2m+1 entries, at most
+    n-1 tables), so a walk that stops early reads no more of it.  O is read from that list.  The kernel's O(q)
+    tables are built with the first list."""
 
-    return _OrbitTable(ctx, build, lambda mask, scale: mask)
+    __slots__ = ("m", "full", "zero", "odd", "lists", "scaled")
+
+    def __init__(self, ctx: FieldCtx):
+        kern = _kernel(ctx)
+        self.m = m = kern.m
+        nblocks, dead = kern.nblocks, kern.dead
+        npairs = nblocks * (nblocks - 1) // 2
+        self.full = (1 << npairs) - 1
+        self.scaled = {}
+        # row i of Z, pairs (i, j) for j > i as bits j-i-1, comes from the
+        # blocks past i that hold its value; rows are written highest first
+        rows = range(nblocks - 2, -1, -1)
+        shifts = [i + 1 for i in rows]
+        specs = [f"0{nblocks - 1 - i}b" for i in rows]
+
+        def zero_plane(d):
+            blocks = kern.monomial_blocks(d)
+            if blocks is dead:
+                return self.full
+            holders = {}
+            for i, v in enumerate(blocks):
+                holders[v] = holders.get(v, 0) | 1 << i
+            past = map(rshift, map(holders.__getitem__, map(blocks.__getitem__, rows)), shifts)
+            return int("0" + "".join(map(format, past, specs)), 2)
+
+        def difference_list(d):
+            blocks = kern.monomial_blocks(d)
+            if blocks is dead:
+                return [2 * m] * npairs
+            at = kern.with_tables().packed_at.__getitem__
+            # -x is x times g^(m/2); a zero entry (2m) stays at or above 2m, which packs to 0
+            minus = list(map(at, map(add, blocks, repeat(m // 2))))
+            rows = (map(add, repeat(x), minus[i:]) for i, x in enumerate(map(at, blocks), 1))
+            return list(map(kern.logz.__getitem__, kern.unpack(list(chain.from_iterable(rows)))))
+
+        def odd_plane(d):  # zero (2m) is even; the last entry is the leading binary digit
+            return int(b"0" + bytes(map((1).__and__, reversed(self.lists[d][0]))).translate(_BITS), 2)
+
+        self.zero = _OrbitTable(ctx, zero_plane, _same)
+        self.odd = _OrbitTable(ctx, odd_plane, _same)
+        # (the orbit's list, the scale that maps its logs to this member's)
+        self.lists = _OrbitTable(ctx, lambda d: (difference_list(d), 1), lambda built, scale: (built[0], scale))
+
+    def __getitem__(self, d):
+        logs, scale = self.lists[d]
+        if scale == 1:
+            return iter(logs)
+        table = self.scaled.get(scale)
+        if table is None:  # log l to l*scale mod m; zero (2m) stays
+            m = self.m
+            table = self.scaled[scale] = list(map(mod, range(0, m * scale, scale), repeat(m))) + [2 * m] * (m + 1)
+        return map(table.__getitem__, logs)
 
 
-def binomial_hits(diffs, masks, m: int, exps) -> list[int]:
+def binomial_hits(pairs: PairTables, m: int, exps) -> list[int]:
     """The coefficient logs j, ascending, for which X^d1 + g^j*X^d2 is
-    GAPN; masks is zero_masks of diffs.
+    GAPN.
 
     D_1 f_a is a^d1 times M_d1 + w*M_d2 with w = g^j*a^(d2-d1), and it is
     p-to-1 exactly when its block values are distinct.  A block pair with
     differences (D1, D2) forbids every w when both are zero, no w when one
     is, and else the one w with log(-D1) - log(D2).  As a runs over the
     units, j + t*(d2-d1) runs over the class of j mod G = gcd(d2-d1, m),
-    so j is a hit exactly when j mod G is the residue of no forbidden log.
-    A block pair where both are zero shows as a common bit of the two
-    masks, which decides the tuple before any slope is read; otherwise the
-    slopes are walked one at a time and the walk stops as soon as their
-    residues cover all G classes.
+    so j is a hit exactly when j mod G is the residue of no forbidden log,
+    log(-D1) - log(D2) = log(D1) - log(D2) + m/2.
+
+    The planes decide the tuple without a difference: a common bit of Z1
+    and Z2 forbids every j; with P the pairs where neither is zero, P = 0
+    forbids none; G = 1 leaves one class, which P forbids; for G = 2 a pair
+    forbids the parity of O1 ^ O2 at its bit, plus m/2.  Only G > 2 walks
+    the slopes, and stops as soon as their residues cover all G classes.
     """
     d1, d2 = exps
-    if masks[d1] & masks[d2]:
+    z1, z2 = pairs.zero[d1], pairs.zero[d2]
+    if z1 & z2:
         return []
+    both = pairs.full ^ (z1 | z2)
+    if not both:
+        return list(range(m))
     g = math.gcd(d2 - d1, m)
+    if g == 1:
+        return []
+    if g == 2:
+        odd = both & (pairs.odd[d1] ^ pairs.odd[d2])
+        if odd and odd != both:
+            return []
+        return list(range((m // 2 + (not odd)) % 2, m, 2))
     bad = set()
-    # log(D1) - log(D2), 2m for zero: after the screen two logs give a slope
-    # in (-m, m), one zero lies outside; log(-D1/D2) is the slope plus m/2
-    for s in map(sub, diffs[d1], diffs[d2]):
+    # log(D1) - log(D2), 2m for zero: two logs give a slope in (-m, m), one zero lies outside
+    for s in map(sub, pairs[d1], pairs[d2]):
         if -m < s < m:
             bad.add(s % g)
             if len(bad) == g:
@@ -155,13 +208,14 @@ def binomial_hits(diffs, masks, m: int, exps) -> list[int]:
     return list(compress(range(m), [(r - m // 2) % g not in bad for r in range(g)] * (m // g)))
 
 
-def trinomial_hits(diffs, zech: list[int], m: int, exps) -> list[int]:
+def trinomial_hits(pairs: PairTables, zech: list[int], m: int, exps) -> list[int]:
     """The offsets jv*m + jw, ascending, of the coefficient logs for which
     X^d1 + g^jv*X^d2 + g^jw*X^d3 is GAPN.
 
     Each block pair with differences (D1, D2, D3) forbids the points
     (v, w) of the line D1 + v*D2 + w*D3 = 0, and every point when all
-    three are zero.  Direction a = g^t moves (jv, jw) to (jv + t*e2,
+    three are zero, which a common bit of the three Z planes shows before
+    any line is labelled.  Direction a = g^t moves (jv, jw) to (jv + t*e2,
     jw + t*e3), ek = dk - d1, so a pair is a hit exactly when its orbit
     meets no forbidden point.  With G2 = gcd(e2, m), r = jv mod G2 and t0
     the t that moves (r, .) to (jv, .), the orbit of (jv, jw) is labelled
@@ -169,6 +223,8 @@ def trinomial_hits(diffs, zech: list[int], m: int, exps) -> list[int]:
     zech[x] is log(1 + g^x), doubled to 2m entries.
     """
     d1, d2, d3 = exps
+    if pairs.zero[d1] & pairs.zero[d2] & pairs.zero[d3]:
+        return []
     e2, e3 = d2 - d1, d3 - d1
     zero, half = 2 * m, m // 2
     g2 = math.gcd(e2, m)
@@ -185,13 +241,11 @@ def trinomial_hits(diffs, zech: list[int], m: int, exps) -> list[int]:
         return map(add, base, map(h.__rmod__, w_minus_shift))
 
     forbidden = set()
-    for l1, l2, l3 in zip(diffs[d1], diffs[d2], diffs[d3]):
+    for l1, l2, l3 in zip(pairs[d1], pairs[d2], pairs[d3]):
         if l3 == zero:
             if l2 != zero and l1 != zero:  # the row v = -D1/D2
                 r = (l1 + half - l2) % g2
                 forbidden.update(range(r * m, r * m + h))
-            elif l2 == zero and l1 == zero:
-                return []
         elif l2 == zero:
             if l1 != zero:  # the column w = -D1/D3
                 forbidden.update(labels(map(add, minus_shift, repeat(l1 + half - l3))))
@@ -220,12 +274,13 @@ def digitsum_hits(ctx: FieldCtx, slots: list[int]):
     GAPN choices of c_(e_s)) per choice prefix of the others, in enumeration
     order; choice 0 is c = 0, 1 + j is c = g^j.  The functionals above, one
     unit a per line, are kept once up to scaling; the walk carries their sums."""
-    kern = _kernel(ctx)
+    kern = _kernel(ctx).with_tables()
     q, m, zero = ctx.q, kern.m, 2 * kern.m
-    diffs = pair_differences(ctx)  # X^0 reads X's zero column: 0 is in no Frobenius orbit
+    pairs = PairTables(ctx)  # X^0 reads X's zero column: 0 is in no Frobenius orbit
+    columns = [(e, list(pairs[e or 1])) for e in slots]
     normals = set()
     for t in range(kern.nlines if len(slots) > 1 else 1):  # g^k lies on line k mod nlines
-        for row in zip(*[[l if l == zero else (l + e * t) % m for l in diffs[e or 1]] for e in slots]):
+        for row in zip(*[[l if l == zero else (l + e * t) % m for l in column] for e, column in columns]):
             lead = next((l for l in row if l != zero), 0)
             normals.add(tuple([l if l == zero else (l - lead) % m for l in row]))
     *heads, last = list(zip(*normals)) or [()] * len(slots)

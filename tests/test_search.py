@@ -5,9 +5,12 @@ import hashlib
 import json
 import math
 import multiprocessing.process
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, islice, product
 
@@ -24,7 +27,7 @@ from gapn.search import (
     reproduce,
     run_search,
 )
-from gapn.secant import binomial_hits, pair_differences, tuple_hits, zero_masks
+from gapn.secant import PairTables, binomial_hits, trinomial_hits, tuple_hits
 
 import oracle
 
@@ -442,24 +445,28 @@ def _orbit(ctx, d):
 
 @pytest.mark.parametrize("p, n", [(7, 2), (3, 3), (3, 4), (5, 3)])
 def test_pair_differences_match_block_tables(p, n):
-    # every exponent's lists and zero mask against the differences of its
-    # own block table; read in descending order, so each orbit is built
-    # from its largest member and the others are images of it.  Bit k of
-    # a mask is set when the block table is equal at the k-th block pair,
-    # so a digit sum below p-1 (a zero table) sets every bit
+    # every exponent's lists and planes against the differences of its own
+    # block table; read in descending order, so each orbit is built from
+    # its largest member and the others are images of it.  Bit k of Z is
+    # set when the block table is equal at the k-th block pair, so a digit
+    # sum below p-1 (a zero table) sets every bit; bit k of O when the
+    # difference there is nonzero with an odd log
     ctx = make_field(p, n)
     kern = _kernel(ctx)
-    zero = 2 * (ctx.q - 1)
-    diffs = pair_differences(ctx)
-    masks = zero_masks(ctx, diffs)
+    m = ctx.q - 1
+    zero = 2 * m
+    diffs = PairTables(ctx)
     npairs = math.comb(kern.nblocks, 2)
+    assert diffs.full == (1 << npairs) - 1
     for d in range(ctx.q - 1, 0, -1):
         blocks = [ctx.zero if x == zero else FieldElem(ctx, x) for x in kern.monomial_blocks(d)]
         pairs = list(combinations(blocks, 2))
-        assert diffs[d] == [zero if x == y else (x - y).idx for x, y in pairs], d
-        assert masks[d] == sum(1 << k for k, (x, y) in enumerate(pairs) if x == y), d
-        assert masks[d] == (1 << npairs) - 1 or digit_sum(p, d) >= p - 1, d
-    assert sorted(diffs) == sorted(masks) == list(range(1, ctx.q))
+        logs = [zero if x == y else (x - y).idx for x, y in pairs]
+        assert list(diffs[d]) == logs, d
+        assert diffs.zero[d] == sum(1 << k for k, (x, y) in enumerate(pairs) if x == y), d
+        assert diffs.odd[d] == sum(1 << k for k, l in enumerate(logs) if l < m and l % 2), d
+        assert diffs.zero[d] == diffs.full or digit_sum(p, d) >= p - 1, d
+    assert sorted(diffs.lists) == sorted(diffs.zero) == sorted(diffs.odd) == list(range(1, ctx.q))
 
 
 def _binomial_hits_by_slope_set(diffs, m, exps):
@@ -475,34 +482,163 @@ def _binomial_hits_by_slope_set(diffs, m, exps):
     return [j for j in range(m) if j % g not in bad]
 
 
-@pytest.mark.parametrize("ctx", [make_field(5, 2), make_field(3, 3), make_field(3, 4), make_field(5, 3),
-                                 *_primitive_quadratics(7)],
-                         ids=["gf25", "gf27", "gf81", "gf125", *(f"gf49-{i}" for i in range(8))])
-def test_binomial_hits_match_slope_set(ctx):
-    # the screened, early-exit decision against building every slope, on
-    # every exponent pair of the field
+def _binomial_rule(planes, m, exps):
+    # the rule of binomial_hits that decides the pair: a common bit of the
+    # Z planes; no block pair where neither difference is zero; G = 1;
+    # G = 2 (the O planes); else the walk over the slopes
+    d1, d2 = exps
+    z1, z2 = planes.zero[d1], planes.zero[d2]
+    if z1 & z2:
+        return "screen"
+    if z1 | z2 == planes.full:
+        return "no pair"
+    return {1: "G=1", 2: "G=2"}.get(math.gcd(d2 - d1, m), "walk")
+
+
+def _assert_binomial_rules_match_slope_set(ctx):
+    # every exponent pair's hits against the reference, counted by the rule
+    # that decides it; every rule decides some pair, so none is unchecked
     m = ctx.q - 1
     hits_of = tuple_hits(ctx, 2)
-    diffs = pair_differences(ctx)
-    empty = 0
+    diffs, planes = {}, PairTables(ctx)
+    rules = Counter()
     for exps in combinations(range(1, ctx.q), 2):
-        want = _binomial_hits_by_slope_set(diffs, m, exps)
-        assert hits_of(exps) == want, exps
-        empty += not want
-    assert 0 < empty < math.comb(m, 2)
+        for d in exps:
+            if d not in diffs:
+                diffs[d] = list(planes[d])
+        assert hits_of(exps) == _binomial_hits_by_slope_set(diffs, m, exps), exps
+        rules[_binomial_rule(planes, m, exps)] += 1
+    assert sum(rules.values()) == math.comb(m, 2)
+    assert set(rules) == {"screen", "no pair", "G=1", "G=2", "walk"}, rules
+    return rules
+
+
+# (screen, no pair, G = 1, G = 2, walk) on the default modulus; the eight
+# GF(49) moduli are held only to every rule deciding some pair
+_BINOMIAL_RULES = {
+    "gf25": (make_field(5, 2), (153, 84, 16, 6, 17)),
+    "gf27": (make_field(3, 3), (136, 81, 60, 45, 3)),
+    "gf81": (make_field(3, 4), (1868, 224, 464, 200, 404)),
+    "gf121": (make_field(11, 2), (4416, 1560, 412, 112, 640)),
+    "gf125": (make_field(5, 3), (2811, 1632, 1947, 570, 666)),
+    **{f"gf49-{i}": (ctx, None) for i, ctx in enumerate(_primitive_quadratics(7))},
+}
+
+
+@pytest.mark.parametrize("ctx, counts", list(_BINOMIAL_RULES.values()), ids=list(_BINOMIAL_RULES))
+def test_binomial_hits_match_slope_set(ctx, counts):
+    rules = _assert_binomial_rules_match_slope_set(ctx)
+    if counts is not None:
+        assert tuple(rules[r] for r in ("screen", "no pair", "G=1", "G=2", "walk")) == counts
+
+
+@pytest.mark.slow
+def test_gf243_binomial_hits_match_slope_set():
+    # 29,161 exponent pairs, 1,630 of them walked
+    rules = _assert_binomial_rules_match_slope_set(make_field(3, 5))
+    assert tuple(rules[r] for r in ("screen", "no pair", "G=1", "G=2", "walk")) == (9636, 1100, 10890, 5905, 1630)
 
 
 class _Unread:
+    # the Z and O planes of a few exponents over npairs block pairs, whose
+    # difference lists must not be read
+    def __init__(self, npairs, zero, odd=None):
+        self.full, self.zero, self.odd = (1 << npairs) - 1, zero, odd or {}
+
     def __getitem__(self, d):
         raise AssertionError(f"read the pair differences of X^{d}")
 
 
 def test_binomial_hits_screen_reads_no_slope():
-    # a block pair where both differences are zero empties the tuple from
-    # the masks alone, before any difference list is read
-    assert binomial_hits(_Unread(), {1: 0b0110, 2: 0b1100}, 48, (1, 2)) == []
+    # m = 48.  A block pair where both differences are zero empties the
+    # tuple; so does a pair where neither is, when G = 1; with none such
+    # every log is a hit; for G = 2 the O planes give the parity.  Only
+    # G > 2 reads the difference lists
+    zero = {1: 0b0110, 2: 0b1100, 3: 0b1001, 4: 0b1001}
+    assert binomial_hits(_Unread(4, zero), 48, (1, 2)) == []
+    assert binomial_hits(_Unread(4, zero), 48, (1, 3)) == list(range(48))
+    assert binomial_hits(_Unread(5, {1: 0b0110, 2: 0b1001}), 48, (1, 2)) == []
+    # (1, 3): G = 2, block pairs 4 and 5 have both differences nonzero
+    assert binomial_hits(_Unread(6, zero, {1: 0b010000, 3: 0b100000}), 48, (1, 3)) == list(range(0, 48, 2))
+    assert binomial_hits(_Unread(6, zero, {1: 0b110000, 3: 0b110000}), 48, (1, 3)) == list(range(1, 48, 2))
+    assert binomial_hits(_Unread(6, zero, {1: 0b010000, 3: 0}), 48, (1, 3)) == []
     with pytest.raises(AssertionError, match="read the pair differences"):
-        binomial_hits(_Unread(), {1: 0b0110, 2: 0b1001}, 48, (1, 2))
+        binomial_hits(_Unread(6, zero), 48, (1, 4))  # G = 3
+
+
+def test_trinomial_hits_screen_reads_no_line():
+    # a block pair where all three differences are zero empties the tuple
+    # before any difference list or Zech log is read
+    zero = {1: 0b0110, 2: 0b1100, 3: 0b0101}
+    assert trinomial_hits(_Unread(4, zero), None, 48, (1, 2, 3)) == []
+
+
+def _screened_trinomials(ctx):
+    # the trinomial tuples whose three Z planes share a bit
+    z = PairTables(ctx).zero
+    return [e for e in combinations(range(1, ctx.q), 3) if z[e[0]] & z[e[1]] & z[e[2]]]
+
+
+def _assert_scan_rejects(ctx, exps, choices):
+    # each canonical candidate X^d1 + g^jv*X^d2 + g^jw*X^d3 fails the
+    # per-candidate scan that _scan_hits runs
+    kern = _kernel(ctx)
+    d1, d2, d3 = exps
+    for jv, jw in choices:
+        assert kern.scan([(0, d1), (jv, d2), (jw, d3)], fail_fast=True)[1] is not None, (exps, jv, jw)
+
+
+@pytest.mark.parametrize("p, n, screened", [(5, 2, 816), (3, 3, 680), (7, 2, 8824)])
+def test_trinomial_screen_matches_scan(p, n, screened):
+    # every screened tuple has no hit: trinomial_hits says so, and so does
+    # the scan of a seeded sample of its candidates (the slow test below
+    # scans them all on GF(25) and GF(27))
+    ctx = make_field(p, n)
+    m = ctx.q - 1
+    rng = random.Random(ctx.q)
+    tuples = _screened_trinomials(ctx)
+    assert len(tuples) == screened
+    hits_of = tuple_hits(ctx, 3)
+    for exps in tuples:
+        assert hits_of(exps) == [], exps
+        _assert_scan_rejects(ctx, exps, [(rng.randrange(m), rng.randrange(m)) for _ in range(3)])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, n", [(5, 2), (3, 3)])
+def test_trinomial_screen_matches_scan_on_every_candidate(p, n):
+    ctx = make_field(p, n)
+    for exps in _screened_trinomials(ctx):
+        _assert_scan_rejects(ctx, exps, product(range(ctx.q - 1), repeat=2))
+
+
+@pytest.mark.slow
+def test_gf6561_binomial_limit_one_memory():
+    # GF(3^8) binomials up to the first hit, X + X^5 (X's block table is
+    # zero and X^5's values are distinct), decided from the planes with no
+    # difference list: about 24 MB peak RSS, where one list per orbit
+    # member took 1,151 MB.  The bound is that plus 40 MB.  The job runs in
+    # a grandchild, and its ru_maxrss is read from RUSAGE_CHILDREN of the
+    # child between: a process started from this one counts this one's peak
+    # RSS, which the whole-space tests raise to hundreds of MB
+    job = (
+        "from gapn import make_field\n"
+        "from gapn.search import SearchJob, run_search\n"
+        "hits, s = run_search(SearchJob(make_field(3, 8), 'binomial', limit=1), budget=10 ** 12)\n"
+        "print(s.examined, s.checked, hits[0].ordinal, len(hits))\n"
+    )
+    between = (
+        "import resource, subprocess, sys\n"
+        "out = subprocess.run([sys.executable, '-c', sys.argv[1]], capture_output=True, text=True, check=True)\n"
+        "print(out.stdout.strip(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = pathlib.Path(search.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", between, job], env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    *counts, maxrss = run.stdout.split()
+    assert counts == ["19681", "19681", "19680", "1"]
+    assert int(maxrss) < 64 * 1024  # KiB on Linux
 
 
 def test_pair_differences_build_one_table_per_orbit(monkeypatch):
@@ -513,7 +649,7 @@ def test_pair_differences_build_one_table_per_orbit(monkeypatch):
     ctx = make_field(3, 5)
     kern = _kernel(ctx)
     built = _record_block_tables(monkeypatch)
-    diffs = pair_differences(ctx)
+    diffs = PairTables(ctx)
     for d in range(ctx.q - 1, 0, -1):
         diffs[d]
         assert all(table is not kern.dead for table in kern.blocks.values()), d
@@ -527,8 +663,8 @@ def test_orbit_tables_reject_exponents_outside_units(d):
     # the orbit walk sends 0 to q-1 and keeps q-1 fixed, so reading 0 would
     # never return; every exponent outside 1..q-1 raises instead
     ctx = make_field(3, 2)
-    diffs = pair_differences(ctx)
-    for table in (diffs, zero_masks(ctx, diffs)):
+    diffs = PairTables(ctx)
+    for table in (diffs, diffs.zero, diffs.odd):
         with pytest.raises(KeyError):
             table[d]
     with pytest.raises(KeyError):
