@@ -102,6 +102,7 @@ def binomial_gapn_sufficient(ctx: FieldCtx, d1: int, d2: int, u: FieldElem) -> b
     N-th power iff N | j.  An odd N >= 3 dividing G = gcd(p+1, d2-d1) with
     N not dividing j exists iff the odd part of G does not divide j."""
     _check_quadratic(ctx, "binomial criterion")
+    check_element(ctx, u)
     if u.is_zero():
         raise ValueError("u must be nonzero")
     if d2 % 2 == 1:

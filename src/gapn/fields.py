@@ -23,6 +23,7 @@ r | q-1, which antilog records.
 """
 
 from itertools import product
+from operator import index
 
 DEFAULT_TABLE_CAP = 1 << 22
 
@@ -392,12 +393,13 @@ def make_field(p: int, n: int, modulus=None, table_cap: int = DEFAULT_TABLE_CAP)
     With no modulus, scans monic degree-n polynomials in lexicographic order
     (constant term first) and takes the first primitive one, so x itself is
     the returned primitive element.  A supplied modulus must be monic of
-    degree n and primitive, otherwise ValueError is raised.
+    degree n and primitive, otherwise ValueError is raised; an entry that
+    is not an integer raises TypeError.
     """
     q = field_order(p, n, table_cap)
 
     if modulus is not None:
-        m = [int(c) % p for c in modulus]
+        m = [index(c) % p for c in modulus]
         if len(m) != n + 1 or m[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {n}")
         tables = _build_tables(p, n, m[:-1])

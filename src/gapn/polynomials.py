@@ -48,7 +48,7 @@ import math
 from collections import Counter
 from functools import partial, reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, floordiv, mod, mul, rshift, sub
+from operator import add, and_, floordiv, index, mod, mul, rshift, sub
 
 from .fields import (
     DEFAULT_TABLE_CAP,
@@ -73,11 +73,19 @@ def digit_sum(p: int, u: int) -> int:
     return s
 
 
+def _digit_sums(p: int, n: int) -> list[int]:
+    """The base-p digit sum, X^d's algebraic degree, of every d < p^n."""
+    sums = [0]
+    for _ in range(n):
+        sums = [s + d for d in range(p) for s in sums]
+    return sums
+
+
 class SparsePoly:
     """Function GF(p^n) -> GF(p^n) as sorted (exponent, coefficient) terms.
 
     Duplicate exponents are merged and zero coefficients dropped on
-    construction; exponents must lie in 0..q-1.
+    construction; exponents must be integers in 0..q-1.
     """
 
     __slots__ = ("field", "terms")
@@ -85,7 +93,7 @@ class SparsePoly:
     def __init__(self, field: FieldCtx, terms):
         merged: dict[int, FieldElem] = {}
         for exp, coeff in terms:
-            exp = int(exp)
+            exp = index(exp)
             if not 0 <= exp <= field.q - 1:
                 raise ValueError(f"exponent {exp} out of range 0..{field.q - 1}")
             check_element(field, coeff)

@@ -8,25 +8,16 @@ streams.  A candidate's degree is the largest digit sum of its exponents.
 Every hit is GAPN, so a hit carries no verdict; its worst fiber is p by
 definition.
 
-Monomials, binomials and trinomials (k = 1, 2, 3 terms) are decided a
-whole exponent tuple at a time (gapn.secant).  D_1 of
-X^d1 + v*X^d2 + w*X^d3 is p-to-1 exactly when the block values of
-M_d1 + v*M_d2 + w*M_d3 are distinct, M_d = D_1 X^d on the q/p blocks.  So
-each block pair forbids the (v, w) on one line, and a candidate is a hit
-exactly when the orbit of its coefficients under direction scaling,
-(v*a^(d2-d1), w*a^(d3-d1)), meets no forbidden point; a monomial X^d is a
-hit exactly when M_d's block values are distinct, decided once per
-Frobenius orbit of d.
-
-A digitsum-reduced sum of c_e*X^e is GAPN exactly when no unit a and block
-pair i < j make sum of c_e*a^e*(M_e[i] - M_e[j]) zero, so each choice of all
-but the last c_e forbids at most one last c_e per (a, i, j), or all of them.
+gapn.secant decides every shape and yields its blocks of consecutive
+candidates with their hits' offsets and terms: tuple_blocks for monomials,
+binomials and trinomials (k = 1, 2, 3 terms), decided a whole exponent
+tuple at a time, and digitsum_blocks for digitsum-reduced sums, decided a
+choice of all but the last coefficient at a time.  run_search is their one
+consumer: it alone cuts at the limit, counts and builds the hits.
 
 check_search alone states which jobs are refused: SearchJob calls it, as
 gapn search does before it builds the field, and run_search shares its
-budget check.  Both searches yield blocks of consecutive candidates with
-their hits' offsets; run_search alone cuts at the limit, counts and builds
-the hits.
+budget check.
 The registry's claims take no arguments and run serially, their searches
 included.
 """
@@ -36,11 +27,10 @@ import math
 import random
 import time
 from functools import cache, partial
-from itertools import combinations, compress, count, tee
 
 from .fields import FieldCtx, FieldElem, Record, make_field
-from .polynomials import SparsePoly, is_gapn
-from .secant import digitsum_hits, tuple_hits
+from .polynomials import SparsePoly, _digit_sums, is_gapn
+from .secant import digitsum_blocks, tuple_blocks, tuple_hits
 from .constructions import (
     binomial_gapn_sufficient,
     binomial_reduction_vanishes,
@@ -127,14 +117,6 @@ class SearchSummary(Record):
         }
 
 
-def _digit_sums(p: int, n: int) -> list[int]:
-    """The base-p digit sum, X^d's algebraic degree, of every d < p^n."""
-    sums = [0]
-    for _ in range(n):
-        sums = [s + d for d in range(p) for s in sums]
-    return sums
-
-
 def _digitsum_slots(p: int, n: int, min_digit_sum: int | None) -> list[int]:
     """The exponents of a digitsum-reduced job over GF(p^n): those of digit
     sum at least min_digit_sum, p when it is None."""
@@ -207,86 +189,6 @@ def check_search(p: int, n: int, shape: str, degree_filter=None, canonicalize: b
         _budgeted_count(p, n, shape, canonicalize, min_digit_sum, budget)
 
 
-def _digitsum_search(job: SearchJob):
-    """The blocks (run_search) of a digitsum-reduced job, two per choice
-    prefix of all but the last slot: that slot zero (none for the zero
-    function), then present."""
-    ctx = job.field
-    slots = _digitsum_slots(ctx.p, ctx.n, job.min_digit_sum)
-    if not slots:
-        return
-    degree_of = _digit_sums(ctx.p, ctx.n)
-    q, flt, degrees = ctx.q, job.degree_filter, [degree_of[e] for e in slots]
-    units = [FieldElem(ctx, j) for j in range(q - 1)]
-    for rank, (prefix, found) in enumerate(digitsum_hits(ctx, slots)):
-        head = max(compress(degrees, prefix), default=-1)
-        full = max(head, degrees[-1])
-        zero_in, full_in = head >= 0 and (flt is None or head in flt), flt is None or full in flt
-        zero = rest = zterms = rterms = ()  # the hits' offsets and terms in the two blocks
-        if found:
-            z = found[0] == 0  # the zero last coefficient is a hit
-            zero, rest = found[:z], [x - 1 for x in found[z:]]
-            if zero_in and zero or full_in and rest:  # build terms only for hits a block keeps
-                lead = tuple([(e, units[c - 1]) for e, c in zip(slots, prefix) if c])
-                zterms, rterms = [lead] * z, [(*lead, (slots[-1], units[j])) for j in rest]
-        if zero_in:
-            yield rank * q, 1, head, zero, zterms
-        if full_in:
-            yield rank * q + 1, q - 1, full, rest, rterms
-
-
-def _secant_search(job: SearchJob):
-    """The blocks (run_search) of a monomial, binomial or trinomial job:
-    one per exponent tuple with hits and lead log j1, and one for each run
-    of tuples without hits, whose size is that of the run.  The tuples
-    that the degree filter drops are skipped by compress, unread.  c*f is
-    GAPN exactly when f is, so a raw space's hits with lead log j1 are the
-    canonical ones with j1 added to every coefficient log."""
-    ctx = job.field
-    m, degree_of = ctx.q - 1, _digit_sums(ctx.p, ctx.n)
-    k, leads = _tuple_shape(job.shape, job.canonicalize, ctx.q)
-    flt = range(ctx.n * (ctx.p - 1) + 1) if job.degree_filter is None else job.degree_filter
-    hits_of = tuple_hits(ctx, k)
-    width = m ** (k - 1)
-    block = len(leads) * width
-    units = [FieldElem(ctx, j) for j in range(m)]
-
-    @cache
-    def row(d):  # the term (d, g^j) for each coefficient log j
-        return [(d, u) for u in units]
-
-    degrees, selectors = tee(map(max, combinations(degree_of[1:], k)))
-    tuples = zip(count(0, block), combinations(range(1, ctx.q), k), degrees)
-    empty = 0  # the candidates of the tuples without hits since the last block
-    for start, exps, degree in compress(tuples, map(flt.__contains__, selectors)):
-        found = hits_of(exps)
-        if not found:
-            empty += block
-            continue
-        if empty:
-            yield None, empty, None, (), ()
-            empty = 0
-        rest = [row(d) for d in exps[1:]]
-        for j1 in leads:
-            # the hits' offsets within the block of lead log j1, then their terms
-            if j1 == 0:
-                offsets = found
-            elif k == 2:
-                offsets = sorted((o + j1) % m for o in found)
-            else:
-                offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
-            lead = (exps[0], units[j1])
-            if k == 1:
-                terms = [(lead,)] * len(offsets)
-            elif k == 2:
-                terms = [(lead, rest[0][o]) for o in offsets]
-            else:
-                terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
-            yield start + j1 * width, width, degree, offsets, terms
-    if empty:
-        yield None, empty, None, (), ()
-
-
 def run_search(
     job: SearchJob,
     budget: int = DEFAULT_BUDGET,
@@ -294,7 +196,8 @@ def run_search(
 ) -> tuple[list[SearchHit], SearchSummary]:
     """Run the job and return (hits, summary); refuses jobs over budget.
 
-    Every job runs serially in this process, as one loop over its blocks
+    Every job runs serially in this process, as one loop over the blocks
+    that gapn.secant yields for its shape (tuple_blocks, digitsum_blocks),
     (start, size, degree, offsets, terms): size candidates from ordinal
     start on, of one degree that passes the filter, with hits at start +
     offsets.  A block without hits is read for its size alone, so it may
@@ -311,8 +214,11 @@ def run_search(
     collect = gc.isenabled()
     gc.disable()
     try:
-        search = _digitsum_search if job.shape == "digitsum-reduced" else _secant_search
-        for start, size, degree, offsets, terms in search(job):
+        if job.shape == "digitsum-reduced":
+            blocks = digitsum_blocks(ctx, _digitsum_slots(ctx.p, ctx.n, job.min_digit_sum), job.degree_filter)
+        else:
+            blocks = tuple_blocks(ctx, *_tuple_shape(job.shape, job.canonicalize, ctx.q), job.degree_filter)
+        for start, size, degree, offsets, terms in blocks:
             if offsets:
                 if len(offsets) >= room:  # the last hit allowed: stop after it
                     offsets, terms, size = offsets[:room], terms[:room], offsets[room - 1] + 1

@@ -1,4 +1,5 @@
-"""k-term exponent tuples (k = 1, 2, 3) and digitsum-reduced spaces, decided whole.
+"""k-term exponent tuples (k = 1, 2, 3) and digitsum-reduced spaces, decided
+whole and yielded as run_search's blocks (tuple_blocks, digitsum_blocks).
 
 With M_d = D_1 X^d on the q/p blocks of p consecutive codes (the line
 kernel's monomial_blocks; the shared table dead iff digit_sum(d) < p-1), D_1 of
@@ -28,17 +29,17 @@ plane or a walk reads, and member d*p^j reads it with its logs times p^j
 (PairTables).  So an orbit read holds at most two C(q/p, 2)-bit ints and
 one C(q/p, 2)-entry list.
 A sum of c_e*X^e is GAPN exactly when sum of c_e*a^e*(M_e[i] - M_e[j]) is
-nonzero for every unit a and block pair i < j (digitsum_hits).
+nonzero for every unit a and block pair i < j (digitsum_blocks).
 Everything is kept in discrete logs to base g, with 2m (m = q-1) for zero.
 """
 
 import math
-from functools import partial
-from itertools import chain, compress, repeat
+from functools import cache, partial
+from itertools import chain, combinations, compress, count, repeat, tee
 from operator import add, mod, rshift, sub
 
-from .fields import FieldCtx
-from .polynomials import _kernel
+from .fields import FieldCtx, FieldElem
+from .polynomials import _digit_sums, _kernel
 
 
 def tuple_hits(ctx: FieldCtx, k: int):
@@ -269,11 +270,70 @@ def trinomial_hits(pairs: PairTables, zech: list[int], m: int, exps) -> list[int
     return hits
 
 
-def digitsum_hits(ctx: FieldCtx, slots: list[int]):
-    """For f = sum of c_e*X^e over slots e_1 < ... < e_s, (prefix, ascending
-    GAPN choices of c_(e_s)) per choice prefix of the others, in enumeration
-    order; choice 0 is c = 0, 1 + j is c = g^j.  The functionals above, one
-    unit a per line, are kept once up to scaling; the walk carries their sums."""
+def tuple_blocks(ctx: FieldCtx, k: int, leads: range, degree_filter):
+    """The blocks (run_search) of the k-term job over ctx whose lead
+    coefficients have the logs leads (range(1) when canonical): one per
+    exponent tuple with hits and lead log j1, and one for each run of
+    tuples without hits, whose size is that of the run.  The tuples that
+    degree_filter (None for every degree) drops are skipped by compress,
+    unread.  c*f is GAPN exactly when f is, so a raw space's hits with
+    lead log j1 are the canonical ones with j1 added to every coefficient
+    log."""
+    m, degree_of = ctx.q - 1, _digit_sums(ctx.p, ctx.n)
+    flt = range(ctx.n * (ctx.p - 1) + 1) if degree_filter is None else degree_filter
+    hits_of = tuple_hits(ctx, k)
+    width = m ** (k - 1)
+    block = len(leads) * width
+    units = [FieldElem(ctx, j) for j in range(m)]
+
+    @cache
+    def row(d):  # the term (d, g^j) for each coefficient log j
+        return [(d, u) for u in units]
+
+    degrees, selectors = tee(map(max, combinations(degree_of[1:], k)))
+    tuples = zip(count(0, block), combinations(range(1, ctx.q), k), degrees)
+    empty = 0  # the candidates of the tuples without hits since the last block
+    for start, exps, degree in compress(tuples, map(flt.__contains__, selectors)):
+        found = hits_of(exps)
+        if not found:
+            empty += block
+            continue
+        if empty:
+            yield None, empty, None, (), ()
+            empty = 0
+        rest = [row(d) for d in exps[1:]]
+        for j1 in leads:
+            # the hits' offsets within the block of lead log j1, then their terms
+            if j1 == 0:
+                offsets = found
+            elif k == 2:
+                offsets = sorted((o + j1) % m for o in found)
+            else:
+                offsets = sorted((o // m + j1) % m * m + (o + j1) % m for o in found)
+            lead = (exps[0], units[j1])
+            if k == 1:
+                terms = [(lead,)] * len(offsets)
+            elif k == 2:
+                terms = [(lead, rest[0][o]) for o in offsets]
+            else:
+                terms = [(lead, rest[0][o // m], rest[1][o % m]) for o in offsets]
+            yield start + j1 * width, width, degree, offsets, terms
+    if empty:
+        yield None, empty, None, (), ()
+
+
+def digitsum_blocks(ctx: FieldCtx, slots: list[int], degree_filter):
+    """The blocks (run_search) of the sums f of c_e*X^e over slots
+    e_1 < ... < e_s: two per choice of c_(e_1) .. c_(e_(s-1)), in
+    enumeration order (zero, then g^j by j), of q candidates from ordinal
+    q*rank on: c_(e_s) = 0 (one candidate; none for the zero function),
+    then c_(e_s) = g^j with the hit at offset j.  A block whose degree
+    degree_filter (None for every degree) drops is not yielded.  The
+    functionals above, one unit a per line, are kept once up to scaling;
+    the walk carries their sums, the prefix's terms and its degree (-1
+    while every coefficient is zero)."""
+    if not slots:
+        return
     kern = _kernel(ctx).with_tables()
     q, m, zero = ctx.q, kern.m, 2 * kern.m
     pairs = PairTables(ctx)  # X^0 reads X's zero column: 0 is in no Frobenius orbit
@@ -284,19 +344,37 @@ def digitsum_hits(ctx: FieldCtx, slots: list[int]):
             lead = next((l for l in row if l != zero), 0)
             normals.add(tuple([l if l == zero else (l - lead) % m for l in row]))
     *heads, last = list(zip(*normals)) or [()] * len(slots)
-    # per partial sum P: the last choice -P/n, or for n = 0 all (-1) if P = 0 and else none (q)
-    forbids = [[-1] + [q] * m if n == zero else [0] + [1 + (l + m // 2 - n) % m for l in kern.logz[1:]]
+    # per partial sum P, the last coefficient it forbids: log(-P/n), m for
+    # zero, or for n = 0 every one (-1) if P = 0 and else none (q)
+    forbids = [[-1] + [q] * m if n == zero else [m] + [(l + m // 2 - n) % m for l in kern.logz[1:]]
                for n in last]
+    degree_of = _digit_sums(ctx.p, ctx.n)
+    flt = range(ctx.n * (ctx.p - 1) + 1) if degree_filter is None else degree_filter
+    units = [FieldElem(ctx, j) for j in range(m)]
+    # per slot: its column of the functionals, its terms (e, g^j) by j, its degree
+    levels = [(column, [(e, u) for u in units], degree_of[e]) for column, e in zip(heads, slots)]
+    last_row, last_degree = [(slots[-1], u) for u in units], degree_of[slots[-1]]
+    starts = count(0, q)
+    logs = range(m)
 
-    def walk(prefix, sums, heads):
-        if heads:
-            yield from walk(prefix + (0,), sums, heads[1:])
+    def walk(sums, terms, degree, levels):
+        if levels:
+            (column, row, d), below = levels[0], levels[1:]
+            yield from walk(sums, terms, degree, below)
             packed = list(map(kern.pack.__getitem__, sums))
-            for j in range(m):
-                scaled = map(kern.packed_at.__getitem__, map(add, heads[0], repeat(j)))  # g^j * column
-                yield from walk(prefix + (j + 1,), kern.unpack(list(map(add, packed, scaled))), heads[1:])
-        else:
-            bad = set(map(list.__getitem__, forbids, sums))
-            yield prefix, [] if -1 in bad else [x for x in range(q) if x not in bad]
+            degree = max(degree, d)
+            for j, term in enumerate(row):
+                scaled = map(kern.packed_at.__getitem__, map(add, column, repeat(j)))  # g^j * column
+                yield from walk(kern.unpack(list(map(add, packed, scaled))), terms + (term,), degree, below)
+            return
+        start = next(starts)
+        bad = set(map(list.__getitem__, forbids, sums))
+        alive = -1 not in bad
+        if degree in flt:  # the zero function has degree -1, in no filter
+            yield start, 1, degree, [0] if alive and m not in bad else (), (terms,)
+        full = max(degree, last_degree)
+        if full in flt:
+            offsets = [j for j in logs if j not in bad] if alive else ()
+            yield start + 1, m, full, offsets, [terms + (last_row[j],) for j in offsets]
 
-    return walk((), [0] * len(normals), heads)
+    yield from walk([0] * len(normals), (), -1, levels)

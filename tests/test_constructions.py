@@ -94,6 +94,15 @@ def test_binomial_sufficient():
         binomial_gapn_sufficient(ctx, 9, 13, ctx.zero)
 
 
+def test_binomial_sufficient_checks_u():
+    # u's log is read only once u is known to be an element of ctx
+    f49, f121 = make_field(7, 2), make_field(11, 2)
+    with pytest.raises(ValueError, match="different fields"):
+        binomial_gapn_sufficient(f49, 25, 46, f121.primitive_element)
+    with pytest.raises(TypeError, match="expected a field element, got int"):
+        binomial_gapn_sufficient(f49, 25, 46, 3)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_binomial_sufficient_matches_paper_statement(p):
     # the criterion as the paper states it, with the N-th powers {z^N}

@@ -251,6 +251,13 @@ def test_supplied_primitive_modulus_accepted():
     _assert_tables_cycle(ctx)
 
 
+@pytest.mark.parametrize("modulus", [[2.7, 1.2, 1], [2, 1, 1.0], ["2", 1, 1]])
+def test_modulus_entries_must_be_integers(modulus):
+    # no entry may be truncated: [2.7, 1.2, 1] would become the primitive [2, 1, 1]
+    with pytest.raises(TypeError):
+        make_field(3, 2, modulus=modulus)
+
+
 def test_dropped_field_is_freed_without_the_cyclic_collector():
     # a field holds no reference back to itself, so the last reference going
     # away frees it and its tables at once, with the collector off

@@ -15,9 +15,10 @@ from gapn.polynomials import (
     digit_sum,
     function_from_json,
     is_gapn,
+    _digit_sums,
     _kernel,
 )
-from gapn.search import SearchJob, _digit_sums, run_search
+from gapn.search import SearchJob, run_search
 from gapn.secant import tuple_hits
 
 import oracle
@@ -80,6 +81,16 @@ def test_add():
         f + SparsePoly.monomial(make_field(3, 3), 5)
     with pytest.raises(TypeError):
         f + 1
+
+
+@pytest.mark.parametrize("exp", [2.9, 2.0, "7"])
+def test_exponents_must_be_integers(exp):
+    # none is an integer, so none names an exponent: truncating 2.9 would build X^2
+    ctx = make_field(3, 2)
+    with pytest.raises(TypeError):
+        SparsePoly(ctx, [(exp, ctx.one)])
+    with pytest.raises(TypeError):
+        SparsePoly.monomial(ctx, exp)
 
 
 def test_evaluate():

@@ -612,7 +612,6 @@ def test_trinomial_screen_matches_scan_on_every_candidate(p, n):
         _assert_scan_rejects(ctx, exps, product(range(ctx.q - 1), repeat=2))
 
 
-@pytest.mark.slow
 def test_gf6561_binomial_limit_one_memory():
     # GF(3^8) binomials up to the first hit, X + X^5 (X's block table is
     # zero and X^5's values are distinct), decided from the planes with no
