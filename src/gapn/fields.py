@@ -121,7 +121,9 @@ class FieldElem:
         return self * other.inv()
 
     def __pow__(self, e: int) -> "FieldElem":
-        """y**e for any integer e, with 0**0 = 1 and 0**e = 0 for e > 0."""
+        """y**e for any integer e, with 0**0 = 1 and 0**e = 0 for e > 0; e is
+        read through operator.index, so a float raises TypeError."""
+        e = index(e)
         if self.idx == _ZERO_IDX:
             if e == 0:
                 return self.ctx.one
@@ -183,12 +185,15 @@ class FieldCtx:
         return tuple(out)
 
     def vector_to_code(self, coeffs) -> int:
-        coeffs = list(coeffs)
+        """The code of the element with these coefficients, constant term
+        first, each an integer reduced mod p (operator.index, so floats and
+        strings raise TypeError)."""
+        coeffs = list(map(index, coeffs))
         if len(coeffs) > self.n:
             raise ValueError(f"coefficient vector longer than extension degree {self.n}")
         code = 0
         for c in reversed(coeffs):
-            code = code * self.p + int(c) % self.p
+            code = code * self.p + c % self.p
         return code
 
     def add_code(self, c1: int, c2: int) -> int:

@@ -27,9 +27,10 @@ import math
 import random
 import time
 from functools import cache, partial
+from operator import index
 
-from .fields import FieldCtx, FieldElem, Record, make_field
-from .polynomials import SparsePoly, _digit_sums, is_gapn
+from .fields import FieldCtx, Record, make_field
+from .polynomials import SparsePoly, _digit_sums, _kernel, is_gapn
 from .secant import digitsum_blocks, tuple_blocks, tuple_hits
 from .constructions import (
     binomial_gapn_sufficient,
@@ -147,7 +148,8 @@ def candidate_count(job: SearchJob) -> int:
 def _budgeted_count(p: int, n: int, shape: str, canonicalize: bool, min_digit_sum: int | None,
                     budget: int) -> int:
     """Exact number of candidates of a job over GF(p^n); refuses more than
-    budget."""
+    budget, which must be an integer."""
+    budget = index(budget)
     if shape != "digitsum-reduced":
         count = total = _count(p, n, shape, canonicalize, min_digit_sum)
     else:
@@ -171,7 +173,10 @@ def check_search(p: int, n: int, shape: str, degree_filter=None, canonicalize: b
     reading p, n and the options only, so before the field is built.  In
     order: an unknown shape; an option the shape does not read (_SHAPES); a
     degree outside 0..n(p-1), which no candidate has; a limit below 1; and,
-    given a budget, more candidates than the budget, as run_search does."""
+    given a budget, more candidates than the budget, as run_search does.
+    min_digit_sum, each degree, the limit and the budget are read through
+    operator.index where they are checked, so a float or a string raises
+    TypeError there."""
     if shape not in _SHAPES:
         raise ValueError(f"unknown search shape {shape!r}")
     unread = [flag for flag, given in (("--no-canonical", not canonicalize),
@@ -179,11 +184,13 @@ def check_search(p: int, n: int, shape: str, degree_filter=None, canonicalize: b
               if given and flag not in _SHAPES[shape]]
     if unread:
         raise ValueError(f"{shape} does not read " + " or ".join(unread))
+    if min_digit_sum is not None:
+        index(min_digit_sum)
     top = n * (p - 1)
-    wrong = [d for d in degree_filter or () if not 0 <= d <= top]
+    wrong = [d for d in map(index, degree_filter or ()) if not 0 <= d <= top]
     if wrong:
         raise ValueError(f"--degree must lie in 0..{top} over GF({p}^{n}), got {wrong[0]}")
-    if limit is not None and limit < 1:
+    if limit is not None and index(limit) < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     if budget is not None:
         _budgeted_count(p, n, shape, canonicalize, min_digit_sum, budget)
@@ -406,32 +413,26 @@ def _claim_p7_binomial_even_gaps():
     return ok, details
 
 
-def _random_poly(ctx: FieldCtx, elements: list[FieldElem], rng: random.Random):
-    """(f, coefficients): every coefficient of X^0..X^(q-1) is
-    rng.choice(elements) over ctx's elements by code, the draw of
-    randrange(q) without a FieldElem built per draw."""
-    coeffs = [rng.choice(elements) for _ in elements]
-    # exponents ascend and zeros are skipped, so the terms are canonical
-    terms = tuple((e, c) for e, c in enumerate(coeffs) if c.idx >= 0)
-    return SparsePoly._from_sorted_terms(ctx, terms), coeffs
-
-
 def _claim_p3_no_even_degree():
     # the reduction keeps the slots {5, 7, 8} of GF(9), 729 functions: the
     # unfiltered digitsum-reduced search (the secant walk) decides them all
     # once, and each draw's kernel scan is checked against the entry of its
     # coefficients' logs at those slots (-1 for zero)
     ctx = _field(3)
+    kern = _kernel(ctx)
     slots = _digitsum_slots(ctx.p, ctx.n, None)
     hits, _ = run_search(SearchJob(ctx, "digitsum-reduced"))
     gapn_reduced = {tuple(dict(h.function.terms).get(e, ctx.zero).idx for e in slots) for h in hits}
-    elements = list(ctx.elements())
+    # the logs of the elements by code: rng.choice reads only their number,
+    # so each coefficient's log is that of the element coded by randrange(q)
+    logs = [x.idx for x in ctx.elements()]
     rng = random.Random(0x6A93)
     sound = 0
     trials = 1000
     for _ in range(trials):
-        f, coeffs = _random_poly(ctx, elements, rng)
-        if is_gapn(f, fail_fast=True).is_gapn == (tuple(coeffs[e].idx for e in slots) in gapn_reduced):
+        coeffs = [rng.choice(logs) for _ in logs]
+        _, failing = kern.scan([(j, e) for e, j in enumerate(coeffs) if j >= 0], True)
+        if (failing is None) == (tuple(coeffs[e] for e in slots) in gapn_reduced):
             sound += 1
     ok = sound == trials
     job = SearchJob(ctx, "digitsum-reduced", degree_filter=frozenset({4}))
@@ -496,15 +497,14 @@ def _claim_power_identity():
 
 def _ratio_fibers(ctx: FieldCtx) -> list[list[int]]:
     """fibers[u][k]: the max fiber of the derivative of
-    X^(2p-1) + g^u*X^(3p-2) at direction g^k, one full is_gapn per u."""
+    X^(2p-1) + g^u*X^(3p-2) at direction g^k, one full kernel scan per u;
+    g^k lies on line k mod nlines."""
     p, m = ctx.p, ctx.q - 1
+    kern = _kernel(ctx)
     fibers = []
     for u in range(m):
-        f = SparsePoly(ctx, [(2 * p - 1, ctx.one), (3 * p - 2, FieldElem(ctx, u))])
-        row = [0] * m
-        for a, fiber in is_gapn(f).per_direction:
-            row[a.idx] = fiber
-        fibers.append(row)
+        scanned, _ = kern.scan([(0, 2 * p - 1), (u, 3 * p - 2)])
+        fibers.append([scanned[k % kern.nlines] for k in range(m)])
     return fibers
 
 

@@ -12,7 +12,8 @@ f_a/a^d1 has the coefficients v*a^(d2-d1) and w*a^(d3-d1).  So
 X^d1 + v*X^d2 + w*X^d3 is GAPN exactly when this orbit of (v, w) over the
 units a meets no forbidden point.  One exponent tuple thus costs at most
 C(q/p, 2) block pairs, whatever the number of its coefficient choices.  A
-monomial X^d is GAPN exactly when M_d has distinct block values.
+monomial X^d is GAPN exactly when M_d has distinct block values; when d
+shares a factor with p-1 it is not (shares_factor), and no table is read.
 
 Each exponent's block pairs are kept as two bit planes, ints with one bit
 per pair: Z, set where the pair's values are equal (its difference is
@@ -47,11 +48,14 @@ def tuple_hits(ctx: FieldCtx, k: int):
     k = 1, 2 or 3, to the ascending offsets of its GAPN canonical
     coefficient choices: 0 for X^d1 when it is GAPN, j for
     X^d1 + g^j*X^d2, jv*m + jw for X^d1 + g^jv*X^d2 + g^jw*X^d3.
-    A monomial is decided once per Frobenius orbit, at the first member read."""
+    A monomial is decided once per Frobenius orbit, at the first member
+    read: not GAPN when d shares a factor with p-1 (shares_factor, constant
+    on the orbit since p^j = 1 mod p-1), and else when M_d's block values
+    are not distinct."""
     kern = _kernel(ctx)
     if k == 1:
         def distinct(d):  # a zero M_d has one value, distinct only when nblocks = 1
-            return len(set(kern.monomial_blocks(d))) == kern.nblocks
+            return not shares_factor(ctx, d) and len(set(kern.monomial_blocks(d))) == kern.nblocks
 
         verdicts = _OrbitTable(ctx, distinct, _same)
         return lambda exps: [0] if verdicts[exps[0]] else []
@@ -61,6 +65,15 @@ def tuple_hits(ctx: FieldCtx, k: int):
     # log(1 + g^x) in log form
     zech = [2 * kern.m if c == 0 else ctx.log[c] for c in map(partial(ctx.add_code, 1), ctx.antilog)]
     return partial(trinomial_hits, pairs, zech * 2, kern.m)
+
+
+def shares_factor(ctx: FieldCtx, *exps: int) -> bool:
+    """Whether k = gcd(d_1, ..., d_s, p-1) > 1 over GF(p^n), n >= 2.  Then
+    no sum of c_i*X^(d_i) is GAPN: its worst fiber is at least k*p.  For
+    zeta in F_p* of order k, zeta^(d_i) = 1 makes M_d(zeta*y) = M_d(y) for
+    every d_i, so D_1 f_a is equal on the k blocks of y, zeta*y, ...,
+    zeta^(k-1)*y, distinct blocks when y is not in F_p, which needs n >= 2."""
+    return ctx.n >= 2 and math.gcd(ctx.p - 1, *exps) > 1
 
 
 class _OrbitTable(dict):

@@ -258,6 +258,22 @@ def test_modulus_entries_must_be_integers(modulus):
         make_field(3, 2, modulus=modulus)
 
 
+@pytest.mark.parametrize("e", [2.0, 2.5, "2"])
+def test_powers_must_be_integers(e):
+    # a float exponent would become the element's log and fail only at its
+    # next table read
+    g = make_field(3, 2).primitive_element
+    with pytest.raises(TypeError):
+        g ** e
+
+
+@pytest.mark.parametrize("coeffs", [[2.7, 1], [2, 1.0], ["3", 1]])
+def test_element_coefficients_must_be_integers(coeffs):
+    # a float would be truncated and a string parsed, so neither is read
+    with pytest.raises(TypeError):
+        make_field(3, 2).element(coeffs)
+
+
 def test_dropped_field_is_freed_without_the_cyclic_collector():
     # a field holds no reference back to itself, so the last reference going
     # away frees it and its tables at once, with the collector off

@@ -19,7 +19,7 @@ import pytest
 import gapn.search as search
 from gapn.cli import main
 from gapn.fields import FieldElem, make_field
-from gapn.polynomials import GapnVerdict, SparsePoly, _LineKernel, _kernel, digit_sum, is_gapn
+from gapn.polynomials import SparsePoly, _LineKernel, _kernel, digit_sum, is_gapn
 from gapn.search import (
     SearchJob,
     candidate_count,
@@ -27,7 +27,7 @@ from gapn.search import (
     reproduce,
     run_search,
 )
-from gapn.secant import PairTables, binomial_hits, trinomial_hits, tuple_hits
+from gapn.secant import PairTables, binomial_hits, shares_factor, trinomial_hits, tuple_hits
 
 import oracle
 
@@ -218,9 +218,10 @@ def test_search_matches_direct_loop(monkeypatch, case):
     assert most > p or "min_digit_sum" not in options  # the reference summed more than p terms
     assert not scans  # no shape scans a candidate's lines
     if shape == "monomial":
-        # one block table per Frobenius orbit met with a nonzero M_d, read
-        # at its smallest member
-        assert tables == sorted(min(o) for o in orbits if digit_sum(p, min(o)) >= p - 1)
+        # one block table per Frobenius orbit met with a nonzero M_d whose
+        # exponents share no factor with p-1, read at its smallest member
+        assert tables == sorted(min(o) for o in orbits
+                                if digit_sum(p, min(o)) >= p - 1 and math.gcd(min(o), p - 1) == 1)
         assert len(tables) < checked
     if "limit" in options and shape in ("binomial", "trinomial"):
         m = ctx.q - 1
@@ -734,6 +735,33 @@ def test_raw_function_space_needs_budget_override():
         run_search(job)
 
 
+@pytest.mark.parametrize("shape, options", [
+    ("binomial", {"limit": 2.5}),
+    ("binomial", {"limit": "3"}),
+    ("digitsum-reduced", {"min_digit_sum": 2.0}),
+    ("binomial", {"degree_filter": {3.0}}),
+    ("trinomial", {"degree_filter": {3, "4"}}),
+])
+def test_search_options_must_be_integers(shape, options):
+    # none names a count, and a limit of 2.5 would fail partway through
+    # run_search on a slice, so each is refused when the job is made
+    with pytest.raises(TypeError):
+        SearchJob(make_field(3, 2), shape, **options)
+    with pytest.raises(TypeError):  # p and n only: GF(3^13) is never built
+        search.check_search(3, 13, shape, **options)
+
+
+@pytest.mark.parametrize("shape", ["digitsum-reduced", "binomial"])
+def test_budget_must_be_an_integer(shape):
+    # a budget counts candidates, so a float is refused, on digitsum-reduced
+    # jobs before it reaches int.bit_length
+    job = SearchJob(make_field(3, 2), shape)
+    with pytest.raises(TypeError):
+        run_search(job, budget=1e7)
+    with pytest.raises(TypeError):
+        search.check_search(3, 13, shape, budget=1e7)
+
+
 def test_scalar_canonicalization_soundness():
     # c*G is GAPN exactly when G is, so fixing the first coefficient is safe
     ctx = make_field(5, 2)
@@ -790,56 +818,99 @@ def test_monomial_tuple_hits_match_is_gapn(p, n):
         assert bool(hits_of((d,))) == is_gapn(SparsePoly.monomial(ctx, d), fail_fast=True).is_gapn, d
 
 
-@pytest.mark.parametrize("p, min_sum", [(3, 3), (5, 6)])
-def test_random_poly_and_restriction_are_canonical(p, min_sum):
-    # the p3-no-even-degree claim builds its draws without validation, by
-    # rng.choice over the elements by code: their coefficients are the codes
-    # of the randrange(q) stream of the same seed, f and its restriction
-    # equal (== and hash) the validated SparsePoly of those codes, and the
-    # claim's key, the logs at the reduction's slots, is the restriction's
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shared_factor_bound_against_oracle(p):
+    # with k = gcd(d_1, ..., d_s, p-1) > 1 the worst fiber is at least k*p,
+    # so no such function is GAPN: seeded 1-3-term functions over GF(p^2)
+    # whose exponents are all multiples of k, judged by the oracle
     ctx = make_field(p, 2)
-    elements = list(ctx.elements())
-    slots = [e for e in range(ctx.q) if digit_sum(p, e) >= min_sum]
-    rng, again = random.Random(0x6A93), random.Random(0x6A93)
-    for _ in range(50):
-        f, coeffs = search._random_poly(ctx, elements, rng)
-        codes = [again.randrange(ctx.q) for _ in range(ctx.q)]
-        assert [c.code for c in coeffs] == codes
-        want = SparsePoly(ctx, [(e, ctx.from_code(code)) for e, code in enumerate(codes)])
-        want_high = SparsePoly(ctx, [(e, c) for e, c in want.terms if digit_sum(p, e) >= min_sum])
-        restricted = SparsePoly(ctx, [(e, c) for e, c in f.terms if digit_sum(p, e) >= min_sum])
-        for got, validated in ((f, want), (restricted, want_high)):
-            assert got == validated and hash(got) == hash(validated)
-            assert type(got.terms) is tuple
-        high = dict(want_high.terms)
-        assert [coeffs[e].idx for e in slots] == [high[e].idx if e in high else -1 for e in slots]
+    tf = oracle.tuple_field_of(ctx)
+    rng = random.Random(p)
+    for k in (k for k in range(2, p) if (p - 1) % k == 0):
+        for _ in range(12 if p < 7 else 4):
+            exps = rng.sample(range(k, ctx.q, k), rng.randint(1, 3))
+            f = SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(1, ctx.q))) for e in exps])
+            assert shares_factor(ctx, *exps)
+            worst, _, _ = oracle.verdict(tf, oracle.poly_terms(f))
+            assert worst >= k * p, (k, f)
+    assert not shares_factor(make_field(p, 1), p - 1)  # GF(p) has no y outside F_p
+
+
+# the numbers of binomial and trinomial exponent tuples whose exponents
+# share a factor with p-1 (trinomials not checked where None)
+_SHARED_FACTOR_TUPLES = {(3, 2): (6, 4), (5, 2): (66, 220), (7, 2): (368, 2528), (3, 3): (78, 286),
+                         (3, 4): (780, 9880), (5, 3): (1891, None), (3, 5): (7260, None)}
+
+
+@pytest.mark.parametrize("p, n", list(_SHARED_FACTOR_TUPLES))
+def test_shared_factor_tuples_have_no_hit(p, n):
+    # every binomial and trinomial tuple whose exponents share a factor k
+    # with p-1 is empty, and its Z planes already decide it: the blocks of
+    # y and zeta*y are equal in each.  At p = 3 these are the all-even
+    # tuples, 780 of the 1,868 binomial tuples the Z screen decides on
+    # GF(81) and 7,260 of 9,636 on GF(3^5)
+    ctx = make_field(p, n)
+    planes = PairTables(ctx)
+    for terms, want in zip((2, 3), _SHARED_FACTOR_TUPLES[p, n]):
+        if want is None:
+            continue
+        hits_of = tuple_hits(ctx, terms)
+        shared = [exps for exps in combinations(range(1, ctx.q), terms) if shares_factor(ctx, *exps)]
+        assert len(shared) == want
+        for exps in shared:
+            common = planes.full
+            for d in exps:
+                common &= planes.zero[d]
+            assert common and not hits_of(exps), exps
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 5), (5, 2), (5, 3), (7, 2)])
+def test_monomial_screen_builds_no_table_for_a_shared_factor(monkeypatch, p, n):
+    # X^d with gcd(d, p-1) > 1 is decided without a block table: the tables
+    # built are one per orbit of the other live exponents
+    ctx = make_field(p, n)
+    built = _record_block_tables(monkeypatch)
+    hits_of = tuple_hits(ctx, 1)
+    verdicts = [bool(hits_of((d,))) for d in range(1, ctx.q)]
+    assert not any(v for d, v in enumerate(verdicts, 1) if math.gcd(d, p - 1) > 1)
+    assert built and all(math.gcd(d, p - 1) == 1 for d in built)
+    assert len(built) == len({min(_orbit(ctx, d)) for d in range(1, ctx.q)
+                              if math.gcd(d, p - 1) == 1 and digit_sum(p, d) >= p - 1})
+
+
+def _p3_draws():
+    """The functions whose coefficient codes are the p3-no-even-degree
+    claim's randrange(9) stream, validated: one per draw of 9 codes, the
+    coefficients of X^0..X^8."""
+    ctx = make_field(3, 2)
+    rng = random.Random(0x6A93)
+    return [SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(9))) for e in range(9)]) for _ in range(1000)]
 
 
 def test_sampling_claims_draw_the_randrange_streams(monkeypatch):
-    # p3-no-even-degree checks the functions whose coefficient codes are
-    # randrange(9) draws, and derivative-condition-equivalence the p = 7
-    # triples (c1, c2, a) whose logs are randrange(48) draws, in draw order
+    # p3-no-even-degree scans, fail-fast, the functions whose coefficient
+    # codes are randrange(9) draws, as is_gapn(f, fail_fast=True) scans
+    # them: (coefficient log, exponent) pairs of f's terms, zeros dropped.
+    # derivative-condition-equivalence checks the p = 7 triples (c1, c2, a)
+    # whose logs are randrange(48) draws, in draw order
     checked, triples = [], []
-    real_is_gapn, real_condition = search.is_gapn, search.p_to_one_condition
+    real_scan, real_condition = _LineKernel.scan, search.p_to_one_condition
 
-    def recording_is_gapn(f, fail_fast=False):
-        if f.field.q == 9:
-            checked.append(f)
-        return real_is_gapn(f, fail_fast)
+    def recording_scan(kern, terms, fail_fast=False):
+        if kern.m == 8:
+            checked.append((list(terms), fail_fast))
+        return real_scan(kern, terms, fail_fast)
 
     def recording_condition(ctx, s, coeffs, a):
         if ctx.p == 7:
             triples.append((coeffs[0].idx, coeffs[1].idx, a.idx))
         return real_condition(ctx, s, coeffs, a)
 
-    monkeypatch.setattr(search, "is_gapn", recording_is_gapn)
+    monkeypatch.setattr(_LineKernel, "scan", recording_scan)
     monkeypatch.setattr(search, "p_to_one_condition", recording_condition)
     assert reproduce("p3-no-even-degree").passed
     assert reproduce("derivative-condition-equivalence").passed
-    ctx = make_field(3, 2)
-    rng = random.Random(0x6A93)
-    want = [SparsePoly(ctx, [(e, ctx.from_code(rng.randrange(9))) for e in range(9)]) for _ in range(1000)]
-    assert checked == want
+    assert checked == [([(c.idx, e) for e, c in f.terms], True) for f in _p3_draws()]
     rng = random.Random(0x51E7)
     assert triples == [tuple(rng.randrange(48) for _ in range(3)) for _ in range(2000)]
 
@@ -1000,21 +1071,33 @@ def test_ratio_fibers_match_oracle():
         assert max(oracle.fibers(values).values()) == fibers[(c2.idx - c1.idx) % 48][a.idx], (c1, c2, a)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_ratio_fibers_are_is_gapns_per_direction(p):
+    # the claim reads each direction's fiber from its line's entry in the
+    # kernel scan, where is_gapn lists it per direction
+    ctx = make_field(p, 2)
+    fibers = search._ratio_fibers(ctx)
+    for u in range(ctx.q - 1):
+        f = SparsePoly(ctx, [(2 * p - 1, ctx.one), (3 * p - 2, FieldElem(ctx, u))])
+        per = dict(is_gapn(f).per_direction)
+        assert fibers[u] == [per[FieldElem(ctx, k)] for k in range(ctx.q - 1)], u
+
+
 def test_condition_claim_checks_every_direction(monkeypatch):
     # the closed form reads a only through a^(p-1), so the claim evaluates it
     # once per class of a.idx mod p+1 (one F_5-line); a wrong closed form on
     # one line of one function is caught, and so is a wrong brute-force fiber
-    # at a = 2 alone, which lies on the line of 1
+    # of the kernel scan on the line of a = 2 alone, the line of 1
     ctx = make_field(5, 2)
     g, two = ctx.primitive_element, ctx.scalar(2)
-    real_condition, real_is_gapn = search.p_to_one_condition, search.is_gapn
+    real_condition, real_scan = search.p_to_one_condition, _LineKernel.scan
 
     # p=7: the first sampled triple (c1, c2, a); a wrong closed form on a's
-    # class for (c1, c2), or a wrong fiber of the ratio c2/c1 at a alone, is caught
+    # class for (c1, c2), or a wrong fiber of the ratio c2/c1 on a's line alone, is caught
     ctx7 = make_field(7, 2)
     rng = random.Random(0x51E7)
     c1, c2, a7 = (FieldElem(ctx7, rng.randrange(48)) for _ in range(3))
-    ratio = FieldElem(ctx7, (c2.idx - c1.idx) % 48)
+    ratio = (c2.idx - c1.idx) % 48
 
     def flipped_condition(fctx, s, coeffs, a):
         answer = real_condition(fctx, s, coeffs, a)
@@ -1022,12 +1105,17 @@ def test_condition_claim_checks_every_direction(monkeypatch):
             return not answer
         return answer
 
-    def flipped_fiber(f, fail_fast=False):
-        v = real_is_gapn(f, fail_fast)
-        if f.field.p == 5 and f.terms == ((9, ctx.one), (13, g)):
-            per = [(a, (10 if fiber == 5 else 5) if a == two else fiber) for a, fiber in v.per_direction]
-            v = GapnVerdict(v.is_gapn, v.worst_fiber, v.witness, per)
-        return v
+    def flipping_scan(p, terms, a):  # the scan, with its fiber on a's line flipped for terms
+        def scan(kern, got, fail_fast=False):
+            scanned, failing = real_scan(kern, got, fail_fast)
+            if kern.p == p and list(got) == terms:
+                t = a.idx % kern.nlines
+                scanned = {**scanned, t: 2 * p if scanned[t] == p else p}
+            return scanned, failing
+        return scan
+
+    flipped_fiber = flipping_scan(5, [(0, 9), (g.idx, 13)], two)
+    flipped_fiber7 = flipping_scan(7, [(0, 13), (ratio, 19)], a7)
 
     def flipped_condition7(fctx, s, coeffs, a):
         answer = real_condition(fctx, s, coeffs, a)
@@ -1035,45 +1123,41 @@ def test_condition_claim_checks_every_direction(monkeypatch):
             return not answer
         return answer
 
-    def flipped_fiber7(f, fail_fast=False):
-        v = real_is_gapn(f, fail_fast)
-        if f.field.p == 7 and f.terms == ((13, ctx7.one), (19, ratio)):
-            per = [(a, (14 if fiber == 7 else 7) if a == a7 else fiber) for a, fiber in v.per_direction]
-            v = GapnVerdict(v.is_gapn, v.worst_fiber, v.witness, per)
-        return v
-
     assert reproduce("derivative-condition-equivalence").passed
-    for name, mutant in (("p_to_one_condition", flipped_condition), ("is_gapn", flipped_fiber),
-                         ("p_to_one_condition", flipped_condition7), ("is_gapn", flipped_fiber7)):
+    for owner, name, mutant in ((search, "p_to_one_condition", flipped_condition),
+                                (_LineKernel, "scan", flipped_fiber),
+                                (search, "p_to_one_condition", flipped_condition7),
+                                (_LineKernel, "scan", flipped_fiber7)):
         with monkeypatch.context() as patch:
-            patch.setattr(search, name, mutant)
-            assert reproduce("derivative-condition-equivalence").passed is False, mutant.__name__
+            patch.setattr(owner, name, mutant)
+            assert reproduce("derivative-condition-equivalence").passed is False, (name, mutant)
 
 
 def test_p3_claim_checks_every_draw(monkeypatch):
     # a wrong kernel verdict on the first draw is caught, and so is a hit
     # set that misses the GAPN reduction of a draw
     ctx = make_field(3, 2)
-    rng = random.Random(0x6A93)
-    elements = list(ctx.elements())
-    draws = [search._random_poly(ctx, elements, rng)[0] for _ in range(1000)]
+    draws = _p3_draws()
     table = {h.function for h in run_search(SearchJob(ctx, "digitsum-reduced"))[0]}
     reductions = (SparsePoly(ctx, [(e, c) for e, c in f.terms if digit_sum(3, e) >= 3]) for f in draws)
     missing = next(high for high in reductions if high in table)
-    real_is_gapn, real_run_search = search.is_gapn, search.run_search
+    first = [(c.idx, e) for e, c in draws[0].terms]
+    real_scan, real_run_search = _LineKernel.scan, search.run_search
 
-    def flipped_first(f, fail_fast=False):
-        v = real_is_gapn(f, fail_fast)
-        return GapnVerdict(not v.is_gapn, v.worst_fiber, v.witness, []) if f == draws[0] else v
+    def flipped_first(kern, terms, fail_fast=False):
+        scanned, failing = real_scan(kern, terms, fail_fast)
+        if kern.m == 8 and list(terms) == first:
+            failing = (0, Counter()) if failing is None else None
+        return scanned, failing
 
     def without_missing(job, *args, **kwargs):
         hits, summary = real_run_search(job, *args, **kwargs)
         return [h for h in hits if h.function != missing], summary
 
     assert reproduce("p3-no-even-degree").passed
-    for name, mutant in (("is_gapn", flipped_first), ("run_search", without_missing)):
+    for owner, name, mutant in ((_LineKernel, "scan", flipped_first), (search, "run_search", without_missing)):
         with monkeypatch.context() as patch:
-            patch.setattr(search, name, mutant)
+            patch.setattr(owner, name, mutant)
             assert reproduce("p3-no-even-degree").passed is False, mutant.__name__
 
 
