@@ -14,6 +14,7 @@ and every option the builder reads.
 """
 
 import math
+from operator import index
 
 from .fields import _ZERO_IDX, FieldCtx, FieldElem, Record, check_element, make_field
 from .polynomials import SparsePoly, _kernel
@@ -101,6 +102,7 @@ def binomial_gapn_sufficient(ctx: FieldCtx, d1: int, d2: int, u: FieldElem) -> b
     With u = g^j: u is a square iff j is even, and for N | p+1 | q-1 an
     N-th power iff N | j.  An odd N >= 3 dividing G = gcd(p+1, d2-d1) with
     N not dividing j exists iff the odd part of G does not divide j."""
+    d1, d2 = index(d1), index(d2)
     _check_quadratic(ctx, "binomial criterion")
     check_element(ctx, u)
     if u.is_zero():
@@ -305,7 +307,7 @@ def derivative_conjugate_premise(f: SparsePoly, r: int) -> FieldElem | None:
 
     For n > 2, any f admitting such a constant cannot be GAPN.
     """
-    ctx = f.field
+    ctx, r = f.field, index(r)
     if not 1 <= r <= ctx.n - 1:
         raise ValueError(f"r must lie in 1..{ctx.n - 1}")
     shift = ctx.p ** r - 1

@@ -63,7 +63,8 @@ from .fields import (
 
 
 def digit_sum(p: int, u: int) -> int:
-    """Sum of the base-p digits of a non-negative integer."""
+    """Sum of the base-p digits of a non-negative integer, read by operator.index."""
+    u = index(u)
     if u < 0:
         raise ValueError("digit_sum is defined for non-negative integers")
     s = 0

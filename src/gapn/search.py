@@ -15,9 +15,10 @@ tuple at a time, and digitsum_blocks for digitsum-reduced sums, decided a
 choice of all but the last coefficient at a time.  run_search is their one
 consumer: it alone cuts at the limit, counts and builds the hits.
 
-check_search alone states which jobs are refused: SearchJob calls it, as
-gapn search does before it builds the field, and run_search shares its
-budget check.
+_SHAPES alone states each shape's number of terms and options, and _count
+alone counts a job's candidates, for candidate_count and the budget.
+check_search alone states which jobs are refused: SearchJob calls it and
+keeps the degree filter it reads, as gapn search does before make_field.
 The registry's claims take no arguments and run serially, their searches
 included.
 """
@@ -48,14 +49,14 @@ from .constructions import (
 
 DEFAULT_BUDGET = 10_000_000
 
-# each search shape and the options it reads besides the degree filter,
-# limit and budget, named by their gapn search flags; check_search refuses
-# the others
+# each search shape: its number of terms k (None for digitsum-reduced) and
+# the options it reads besides the degree filter, limit and budget, named
+# by their gapn search flags; check_search refuses the others
 _SHAPES = {
-    "monomial": (),
-    "binomial": ("--no-canonical",),
-    "trinomial": ("--no-canonical",),
-    "digitsum-reduced": ("--min-digit-sum",),
+    "monomial": (1, ()),
+    "binomial": (2, ("--no-canonical",)),
+    "trinomial": (3, ("--no-canonical",)),
+    "digitsum-reduced": (None, ("--min-digit-sum",)),
 }
 
 
@@ -67,12 +68,12 @@ class SearchJob(Record):
     __slots__ = __match_args__ = (
         "field", "shape", "degree_filter", "canonicalize", "limit", "min_digit_sum")
 
-    def __init__(self, field: FieldCtx, shape: str, degree_filter: frozenset | None = None,
+    def __init__(self, field: FieldCtx, shape: str, degree_filter=None,
                  canonicalize: bool = True, limit: int | None = None, min_digit_sum: int | None = None):
-        check_search(field.p, field.n, shape, degree_filter, canonicalize, limit, min_digit_sum)
         self.field = field
         self.shape = shape
-        self.degree_filter = None if degree_filter is None else frozenset(degree_filter)
+        self.degree_filter = check_search(field.p, field.n, shape, degree_filter, canonicalize, limit,
+                                          min_digit_sum)
         self.canonicalize = canonicalize  # binomial and trinomial only
         self.limit = limit  # stop after this many hits; at least 1
         self.min_digit_sum = min_digit_sum  # digitsum-reduced only; defaults to p
@@ -125,40 +126,21 @@ def _digitsum_slots(p: int, n: int, min_digit_sum: int | None) -> list[int]:
     return [e for e, s in enumerate(_digit_sums(p, n)) if s >= floor]
 
 
-def _tuple_shape(shape: str, canonicalize: bool, q: int) -> tuple[int, range]:
-    """(k, lead coefficient logs) of a k-term job over GF(q)."""
-    k = {"monomial": 1, "binomial": 2, "trinomial": 3}[shape]
-    return k, range(1 if canonicalize else q - 1)
-
-
-def _count(p: int, n: int, shape: str, canonicalize: bool, min_digit_sum: int | None) -> int:
-    """Exact number of candidates of a job over GF(p^n)."""
-    q = p ** n
-    if shape == "digitsum-reduced":
-        return q ** len(_digitsum_slots(p, n, min_digit_sum))
-    k, leads = _tuple_shape(shape, canonicalize, q)
-    return math.comb(q - 1, k) * len(leads) * (q - 1) ** (k - 1)
-
-
-def candidate_count(job: SearchJob) -> int:
-    """Exact number of candidates the job enumerates."""
-    return _count(job.field.p, job.field.n, job.shape, job.canonicalize, job.min_digit_sum)
-
-
-def _budgeted_count(p: int, n: int, shape: str, canonicalize: bool, min_digit_sum: int | None,
-                    budget: int) -> int:
-    """Exact number of candidates of a job over GF(p^n); refuses more than
-    budget, which must be an integer."""
-    budget = index(budget)
-    if shape != "digitsum-reduced":
-        count = total = _count(p, n, shape, canonicalize, min_digit_sum)
+def _count(p: int, n: int, shape: str, canonicalize: bool, min_digit_sum: int | None,
+           budget: int | None = None) -> int:
+    """Exact number of candidates of a job over GF(p^n); given a budget,
+    which must be an integer, refuses more than it."""
+    q, k = p ** n, _SHAPES[shape][0]
+    budget = None if budget is None else index(budget)
+    if k is not None:  # C(q-1, k) exponent tuples, lead logs, then k-1 unit logs
+        count = total = math.comb(q - 1, k) * (1 if canonicalize else q - 1) * (q - 1) ** (k - 1)
     else:
-        q, s = p ** n, len(_digitsum_slots(p, n, min_digit_sum))
+        s = len(_digitsum_slots(p, n, min_digit_sum))
         # q >= 2 makes q^s > budget once s passes budget's bit length, so
         # q^s, thousands of digits from GF(3^10) on, is formed only below it
         count = f"{q}^{s}"
-        total = budget + 1 if s > budget.bit_length() else q ** s
-    if total > budget:
+        total = budget + 1 if budget is not None and s > budget.bit_length() else q ** s
+    if budget is not None and total > budget:
         raise ValueError(
             f"job enumerates {count} candidates, above the budget of {budget}; "
             "raise the budget explicitly to run it"
@@ -166,14 +148,20 @@ def _budgeted_count(p: int, n: int, shape: str, canonicalize: bool, min_digit_su
     return total
 
 
+def candidate_count(job: SearchJob) -> int:
+    """Exact number of candidates the job enumerates."""
+    return _count(job.field.p, job.field.n, job.shape, job.canonicalize, job.min_digit_sum)
+
+
 def check_search(p: int, n: int, shape: str, degree_filter=None, canonicalize: bool = True,
                  limit: int | None = None, min_digit_sum: int | None = None,
-                 budget: int | None = None) -> None:
+                 budget: int | None = None) -> frozenset | None:
     """Raise the ValueError of a job over GF(p^n) that gapn search refuses,
-    reading p, n and the options only, so before the field is built.  In
+    reading p, n and the options only, so before the field is built, and
+    return the degrees, read once, as a frozenset (None for None).  In
     order: an unknown shape; an option the shape does not read (_SHAPES); a
     degree outside 0..n(p-1), which no candidate has; a limit below 1; and,
-    given a budget, more candidates than the budget, as run_search does.
+    given a budget, more candidates (_count) than the budget, as run_search.
     min_digit_sum, each degree, the limit and the budget are read through
     operator.index where they are checked, so a float or a string raises
     TypeError there."""
@@ -181,19 +169,21 @@ def check_search(p: int, n: int, shape: str, degree_filter=None, canonicalize: b
         raise ValueError(f"unknown search shape {shape!r}")
     unread = [flag for flag, given in (("--no-canonical", not canonicalize),
                                        ("--min-digit-sum", min_digit_sum is not None))
-              if given and flag not in _SHAPES[shape]]
+              if given and flag not in _SHAPES[shape][1]]
     if unread:
         raise ValueError(f"{shape} does not read " + " or ".join(unread))
     if min_digit_sum is not None:
         index(min_digit_sum)
     top = n * (p - 1)
-    wrong = [d for d in map(index, degree_filter or ()) if not 0 <= d <= top]
+    degrees = None if degree_filter is None else list(map(index, degree_filter))
+    wrong = [d for d in degrees or () if not 0 <= d <= top]
     if wrong:
         raise ValueError(f"--degree must lie in 0..{top} over GF({p}^{n}), got {wrong[0]}")
     if limit is not None and index(limit) < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     if budget is not None:
-        _budgeted_count(p, n, shape, canonicalize, min_digit_sum, budget)
+        _count(p, n, shape, canonicalize, min_digit_sum, budget)
+    return None if degrees is None else frozenset(degrees)
 
 
 def run_search(
@@ -211,8 +201,9 @@ def run_search(
     gather candidates of several starts and degrees.  Only this loop cuts
     at the limit, counts examined, checked and hits_by_degree, and builds
     hits; threads is ignored."""
-    ctx = job.field
-    total = _budgeted_count(ctx.p, ctx.n, job.shape, job.canonicalize, job.min_digit_sum, budget)
+    ctx, k = job.field, _SHAPES[job.shape][0]
+    # a budget of None would be no budget to _count: run_search always has one
+    total = _count(ctx.p, ctx.n, job.shape, job.canonicalize, job.min_digit_sum, index(budget))
     t0 = time.perf_counter()
     poly = partial(SparsePoly._from_sorted_terms, ctx)
     room = job.limit or total + 1  # the hits still allowed: with no limit, more than all candidates
@@ -221,10 +212,10 @@ def run_search(
     collect = gc.isenabled()
     gc.disable()
     try:
-        if job.shape == "digitsum-reduced":
+        if k is None:
             blocks = digitsum_blocks(ctx, _digitsum_slots(ctx.p, ctx.n, job.min_digit_sum), job.degree_filter)
         else:
-            blocks = tuple_blocks(ctx, *_tuple_shape(job.shape, job.canonicalize, ctx.q), job.degree_filter)
+            blocks = tuple_blocks(ctx, k, range(1 if job.canonicalize else ctx.q - 1), job.degree_filter)
         for start, size, degree, offsets, terms in blocks:
             if offsets:
                 if len(offsets) >= room:  # the last hit allowed: stop after it

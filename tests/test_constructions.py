@@ -103,6 +103,15 @@ def test_binomial_sufficient_checks_u():
         binomial_gapn_sufficient(f49, 25, 46, 3)
 
 
+@pytest.mark.parametrize("d1, d2", [(9, 13.0), (9, 18.0), (9.0, 13)])
+def test_binomial_sufficient_refuses_float_exponents(d1, d2):
+    # an odd float d2 would be answered (True over GF(25)) and an even one
+    # fail in math.gcd: each is refused alike
+    ctx = make_field(5, 2)
+    with pytest.raises(TypeError):
+        binomial_gapn_sufficient(ctx, d1, d2, ctx.primitive_element)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_binomial_sufficient_matches_paper_statement(p):
     # the criterion as the paper states it, with the N-th powers {z^N}
@@ -532,6 +541,12 @@ def test_derivative_conjugate_premise_cubic():
     assert derivative_conjugate_premise(SparsePoly.monomial(ctx, 1), 1) == ctx.zero
     with pytest.raises(ValueError, match=r"^r must lie in 1\.\.2$"):
         derivative_conjugate_premise(gold, 3)
+
+
+def test_derivative_conjugate_premise_refuses_a_float_r():
+    # r = 1.0 would give a constant whose log is a float, failing only when printed
+    with pytest.raises(TypeError):
+        derivative_conjugate_premise(SparsePoly.monomial(make_field(3, 2), 5), 1.0)
 
 
 def _premise_by_frobenius(f, r):

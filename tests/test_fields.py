@@ -334,6 +334,24 @@ def test_mixed_field_operations_rejected():
             call(other.primitive_element)
 
 
+def test_fields_compare_and_hash_by_their_key():
+    ctx, twin = make_field(3, 2), make_field(3, 2)
+    assert ctx is not twin and ctx == twin and hash(ctx) == hash(twin)
+    other = make_field(3, 2, modulus=[2, 2, 1])
+    assert tuple(ctx.modulus) == (2, 1, 1) and other != ctx
+    assert (ctx == "GF(9)") is False and ctx != "GF(9)"
+    by_field = {ctx: "default", other: "supplied"}
+    assert len(by_field) == 2 and by_field[twin] == "default"
+
+
+def test_elements_are_false_only_at_zero_and_unequal_to_ints():
+    ctx = make_field(3, 2)
+    assert bool(ctx.zero) is False and bool(ctx.one) is True
+    assert all(ctx.units())
+    # __eq__ returns NotImplemented for a non-element, and 1 is not one
+    assert (ctx.one == 1) is False and ctx.one != 1
+
+
 def test_inverse_of_zero_rejected():
     ctx = make_field(3, 2)
     with pytest.raises(ValueError):

@@ -46,6 +46,18 @@ def test_digit_sum():
         digit_sum(3, -1)
 
 
+def test_digit_sum_refuses_a_float():
+    # 5.0 is no exponent: divmod would give the digit sum 3.0
+    with pytest.raises(TypeError):
+        digit_sum(3, 5.0)
+
+
+def test_polynomial_compared_with_a_non_polynomial_is_unequal():
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    f = SparsePoly.monomial(make_field(3, 2), 5)
+    assert (f == "x") is False and f != "x"
+
+
 def test_algebraic_degree():
     ctx = make_field(5, 2)
     assert SparsePoly.monomial(ctx, 9).algebraic_degree() == 5

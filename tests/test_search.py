@@ -727,6 +727,72 @@ def test_budget_refusal():
     assert hits  # raised budget runs fine
 
 
+def _boundary_jobs():
+    # every shape over GF(3), GF(9) and GF(27): the k-term ones canonical
+    # and raw (a raw monomial is refused), digitsum-reduced from every
+    # exponent (None is p, -1 and 0 are all) to none (n(p-1)+1)
+    for n in (1, 2, 3):
+        top = 2 * n
+        yield n, "monomial", {}
+        for shape, canonical in product(("binomial", "trinomial"), (True, False)):
+            yield n, shape, {"canonicalize": canonical}
+        for minds in (None, -1, 0, top, top + 1):
+            yield n, "digitsum-reduced", {"min_digit_sum": minds}
+
+
+@pytest.mark.parametrize("n, shape, options", list(_boundary_jobs()))
+def test_budget_boundary(n, shape, options):
+    # a budget equal to the count runs the job, one less is refused with
+    # the count, named as q^s for digitsum-reduced; check_search and
+    # run_search read the one count candidate_count gives
+    job = SearchJob(make_field(3, n), shape, **options)
+    c = candidate_count(job)
+    search.check_search(3, n, shape, budget=c, **options)
+    if shape == "digitsum-reduced":
+        minds = 3 if options["min_digit_sum"] is None else options["min_digit_sum"]
+        s = sum(digit_sum(3, e) >= minds for e in range(3 ** n))
+        assert c == 3 ** (n * s)
+        count = f"{3 ** n}^{s}"
+    else:
+        count = str(c)
+    message = (f"job enumerates {count} candidates, above the budget of {c - 1}; "
+               "raise the budget explicitly to run it")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search.check_search(3, n, shape, budget=c - 1, **options)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_search(job, budget=c - 1)
+
+
+@pytest.mark.parametrize("budget", [255, 511])
+def test_digitsum_budget_on_both_sides_of_its_bit_length(budget):
+    # GF(9) from digit sum 0 has 9 slots: at 255 (bit length 8) 9^9 is
+    # refused without being formed, at 511 (bit length 9) it is formed
+    message = (f"job enumerates 9^9 candidates, above the budget of {budget}; "
+               "raise the budget explicitly to run it")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search.check_search(3, 2, "digitsum-reduced", min_digit_sum=0, budget=budget)
+
+
+def test_degree_filter_is_read_once():
+    # check_search reads the filter once and SearchJob keeps what it read,
+    # so a generator or an iterator filters as the list does
+    ctx = make_field(3, 2)
+    listed = SearchJob(ctx, "binomial", degree_filter=[3])
+    hits, summary = run_search(listed)
+    assert listed.degree_filter == frozenset({3})
+    assert (summary.checked, summary.hits_by_degree) == (88, {3: 84})
+    for degrees in ((d for d in [3]), iter([3])):
+        job = SearchJob(ctx, "binomial", degree_filter=degrees)
+        assert job == listed
+        got, got_summary = run_search(job)
+        assert got == hits
+        assert (got_summary.examined, got_summary.checked, got_summary.hits_by_degree) == \
+            (summary.examined, summary.checked, summary.hits_by_degree)
+    # the first degree out of range in the order given is named
+    with pytest.raises(ValueError, match=r"^--degree must lie in 0\.\.4 over GF\(3\^2\), got 7$"):
+        SearchJob(ctx, "binomial", degree_filter=iter([2, 7, -1]))
+
+
 def test_raw_function_space_needs_budget_override():
     f9 = make_field(3, 2)
     job = SearchJob(f9, "digitsum-reduced", min_digit_sum=0)
